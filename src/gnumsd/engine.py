@@ -2,9 +2,20 @@
 
 The protocol projects N = g*n*u copies of a noisy input qubit onto a gnu
 codespace and decodes the surviving two-dimensional block.  Everything here
-works with scalar sums over Hamming weights (never 2^N objects): the overlap
-of a product input state with a Dicke state depends on the input string only
-through its weight, which is what keeps the whole pipeline O(N^3).
+works with sums over Hamming weights (never 2^N objects): the overlap of a
+product input state with a Dicke state depends on the input string only
+through its weight omega, which is what keeps the whole pipeline O(N^3).
+
+`projection_weights` is the one evaluation path.  The overlap of a
+weight-omega input string with the j-th logical Dicke component is
+e^{i g j theta} times a real amplitude, the x^{gj} coefficient of
+(cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
+through the binomial weight of omega flipped inputs.  So one call builds the
+real (omega, j) amplitude table for one (v, eps), only for the omega whose
+noise weight is nonzero (omega = 0 alone at eps = 0), and contracts it with
+the phases e^{i g j theta} for a whole vector of theta at once.  The scalar
+`dicke_overlap` family spells the same sums out term by term; it is the
+reference the array path is tested against.
 """
 from __future__ import annotations
 
@@ -12,15 +23,30 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .codes import GnuParams
+import numpy as np
+
+from .codes import MAX_QUBITS, GnuParams
 from .errors import OutOfRangeError, ZeroSuccessProbabilityError
-from .qmath import DensityMatrix1Q, PureQubit, binomial, trace_distance
+from .qmath import (
+    DensityMatrix1Q,
+    PureQubit,
+    binomial,
+    checked_density_arrays,
+    trace_distance,
+)
 
 # Below this total codespace weight the output state cannot be normalised.
 MIN_SUCCESS_PROBABILITY = 1e-300
 
 _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
+
+# Float binomials C(m, k) for 0 <= m, k <= MAX_QUBITS, zero for k > m, so the
+# out-of-range terms of the overlap sums drop out without masks.
+_BINOMIAL = np.array(
+    [[math.comb(m, k) for k in range(MAX_QUBITS + 1)] for m in range(MAX_QUBITS + 1)],
+    dtype=float,
+)
 
 
 def wrap_angle(theta: float) -> float:
@@ -140,40 +166,60 @@ def logical_component_overlap(
     )
 
 
+def _coefficient_rows(degrees, a: float, b: float, width: int):
+    """x^r coefficients, r < width, of (a + b x)^m for each m in degrees (one row per m)."""
+    r = np.arange(width)
+    excess = np.maximum(np.subtract.outer(degrees, r), 0)  # m - r where C(m, r) != 0
+    return _BINOMIAL[degrees, :width] * a**excess * b**r
+
+
+def projection_weights(code: GnuParams, v: float, thetas, eps: float):
+    """Codespace weights (w00, w11, w01) at one (v, eps) for each angle in thetas.
+
+    thetas is a 1-D array and the weights are arrays of its length.  v and
+    eps must already lie in [0, pi/2] and [0, 1], as InputEnsemble ensures.
+    For each number omega of flipped inputs with nonzero noise weight, the
+    real amplitude of logical component j is the x^{gj} coefficient of
+    (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, scaled by
+    sqrt(C(n, j) / C(N, gj)); theta only multiplies it by e^{i g j theta}.
+    Both factors are tabulated per call, so a call holds O(N^2) numbers plus
+    O(N * n) per angle.  No zero-weight check happens here: see
+    codespace_projection and final_states.
+    """
+    n_qubits, n, g = code.num_qubits, code.n, code.g
+    omegas = np.arange(n_qubits + 1)
+    noise = _BINOMIAL[n_qubits, omegas] * eps**omegas * (1.0 - eps) ** omegas[::-1]
+    flips = np.flatnonzero(noise)
+    cos_v, sin_v = math.cos(v), math.sin(v)
+    excitations = g * np.arange(n + 1)
+    depth = min(int(flips[-1]), g * n) + 1
+    flipped = _coefficient_rows(flips, sin_v, -cos_v, depth)
+    clean = _coefficient_rows(n_qubits - flips, cos_v, sin_v, g * n + 1)
+    amplitude = np.zeros((flips.size, n + 1))
+    for t in range(depth):
+        first = -(-t // g)  # components with g*j >= t
+        amplitude[:, first:] += flipped[:, t, None] * clean[:, excitations[first:] - t]
+    amplitude *= np.sqrt(_BINOMIAL[n, : n + 1] / _BINOMIAL[n_qubits, excitations])
+    # (omega, j, theta) terms, summed by broadcasting: matmul would load BLAS,
+    # about 0.4 MB of resident memory, for arrays this small.
+    terms = amplitude[:, :, None] * np.exp(1j * np.multiply.outer(excitations, thetas))
+    even = terms[:, 0::2].sum(axis=1)
+    odd = terms[:, 1::2].sum(axis=1)
+    weight = 2.0 ** (-(n - 1)) * noise[flips, None]
+    w00 = (weight * (even.real**2 + even.imag**2)).sum(axis=0)
+    w11 = (weight * (odd.real**2 + odd.imag**2)).sum(axis=0)
+    w01 = (weight * (even * odd.conj())).sum(axis=0)
+    return w00, w11, w01
+
+
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:
     """Project N noisy copies onto the codespace and read the logical block.
 
-    Sums the binomially weighted per-weight overlaps; cost is O(n * N^2).
-    Raises ZeroSuccessProbabilityError when the total codespace weight is too
-    small to normalise downstream.
+    One point of projection_weights.  Raises ZeroSuccessProbabilityError when
+    the total codespace weight is too small to normalise downstream.
     """
-    n_qubits = code.num_qubits
-    prefactor = 2.0 ** (-(code.n - 1))
-    w00 = 0.0
-    w11 = 0.0
-    w01 = 0j
-    for omega in range(n_qubits + 1):
-        weight = (
-            binomial(n_qubits, omega)
-            * ens.eps**omega
-            * (1.0 - ens.eps) ** (n_qubits - omega)
-        )
-        if weight == 0.0:
-            continue
-        even = 0j
-        odd = 0j
-        for j in range(code.n + 1):
-            beta = logical_component_overlap(j, omega, code, ens.v, ens.theta)
-            if j % 2:
-                odd += beta
-            else:
-                even += beta
-        w00 += weight * (even.real**2 + even.imag**2)
-        w11 += weight * (odd.real**2 + odd.imag**2)
-        w01 += weight * even * odd.conjugate()
-    w00 *= prefactor
-    w11 *= prefactor
-    w01 *= prefactor
+    w00, w11, w01 = projection_weights(code, ens.v, np.array([ens.theta]), ens.eps)
+    w00, w11, w01 = float(w00[0]), float(w11[0]), complex(w01[0])
     if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
         raise ZeroSuccessProbabilityError(
             f"codespace weight {w00 + w11!r} at (v={ens.v}, theta={ens.theta}, "
@@ -195,6 +241,32 @@ def final_state(projection: CodespaceProjection) -> DensityMatrix1Q:
     return DensityMatrix1Q(
         projection.w00 / total, projection.w11 / total, projection.w01 / total
     )
+
+
+def final_states(w00, w11, w01):
+    """final_state over arrays of projection weights, with every scalar check.
+
+    Returns (accepted, m00, m11, m01), the state arrays holding the accepted
+    points only.  A point whose total weight is at most
+    MIN_SUCCESS_PROBABILITY is not accepted, where codespace_projection
+    raises ZeroSuccessProbabilityError; an accepted point that
+    CodespaceProjection or DensityMatrix1Q would reject raises
+    OutOfRangeError.
+    """
+    accepted = ~(w00 + w11 <= MIN_SUCCESS_PROBABILITY)
+    w00, w11, w01 = w00[accepted], w11[accepted], w01[accepted]
+    if np.any((w00 < -1e-12) | (w11 < -1e-12)):
+        raise OutOfRangeError("negative projection weight")
+    w00, w11 = np.maximum(w00, 0.0), np.maximum(w11, 0.0)
+    total = w00 + w11
+    if np.any(total > 1.0 + 1e-12):
+        raise OutOfRangeError(f"total projection weight {total.max()!r} exceeds 1")
+    if np.any(np.abs(w01) ** 2 > w00 * w11 + 1e-12):
+        raise OutOfRangeError("coherence weight violates positive semidefiniteness")
+    # Componentwise, because numpy's complex / float can round differently
+    # from the complex / float in final_state.
+    m01 = w01.real / total + 1j * (w01.imag / total)
+    return (accepted, *checked_density_arrays(w00 / total, w11 / total, m01))
 
 
 def distilled_state(code: GnuParams, ens: InputEnsemble) -> DensityMatrix1Q:

@@ -1,50 +1,26 @@
 """Figure-ready datasets: every headline curve as a (header, rows) table.
 
 Rows are plain lists of floats (math.nan marks a skipped singular point), so
-the CLI can render them as CSV without any further shaping.  Sweeps honour
-the MSD_THREADS environment variable for process-level parallelism; the
-default is serial evaluation, and results are ordered by grid index either
-way so output bytes never depend on the worker count.
+the CLI can render them as CSV without any further shaping.
 """
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from functools import partial
 
 from .codes import GnuParams
-from .engine import InputEnsemble, distilled_state, max_error
-from .errors import OutOfRangeError, ZeroSuccessProbabilityError
+from .errors import OutOfRangeError
 from .protocols import (
     bk_h_error,
     bk_t_error,
-    canonical_params,
     compose_total_error,
-    repetition_reference_params,
+    gnu_error_curve,
+    repetition_error_curve,
 )
-from .qmath import DensityMatrix1Q, m2_density
-from .solver import TargetSpec
+from .solver import magic_curve
 
 EPS_GRID_STEP = 1e-3
 V_GRID_STEP = math.pi / 1000
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MSD_THREADS", "1")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 1
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
-def _sweep(row_fn, xs: list[float]) -> list[list[float]]:
-    workers = _worker_count()
-    if workers <= 1 or len(xs) < 32:
-        return [row_fn(x) for x in xs]
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(row_fn, xs, chunksize=max(1, len(xs) // (4 * workers)))
 
 
 def _eps_grid(grid_step: float) -> list[float]:
@@ -57,38 +33,12 @@ def _v_grid(grid_step: float) -> list[float]:
     return [k * grid_step for k in range(steps + 1)]
 
 
-def _magic_row(v: float, codes: tuple[GnuParams, ...], theta: float) -> list[float]:
-    row = [v]
-    for code in codes:
-        try:
-            state = distilled_state(code, InputEnsemble(v, theta, 0.0))
-            row.append(m2_density(state))
-        except ZeroSuccessProbabilityError:
-            row.append(math.nan)
-    return row
-
-
 def magic_dataset(grid_step: float = V_GRID_STEP) -> tuple[list[str], list[list[float]]]:
     """Magic of the noiseless distilled state vs v at theta = pi/4, u = 2, 3, 4."""
-    codes = tuple(GnuParams(1, 1, u) for u in (2, 3, 4))
-    rows = _sweep(
-        partial(_magic_row, codes=codes, theta=math.pi / 4.0), _v_grid(grid_step)
-    )
+    vs = _v_grid(grid_step)
+    curves = [dict(magic_curve(GnuParams(1, 1, u), math.pi / 4.0, vs)) for u in (2, 3, 4)]
+    rows = [[v, *(curve.get(v, math.nan) for curve in curves)] for v in vs]
     return ["v", "M2_u2", "M2_u3", "M2_u4"], rows
-
-
-def _error_row(
-    eps: float,
-    entries: tuple[tuple[GnuParams, float, float], ...],
-    target: DensityMatrix1Q,
-    bk_fn_name: str,
-) -> list[float]:
-    bk_fn = bk_t_error if bk_fn_name == "T" else bk_h_error
-    row = [eps]
-    for code, v, theta in entries:
-        row.append(max_error(code, v, theta, eps, target))
-    row.append(bk_fn(eps))
-    return row
 
 
 def error_dataset(
@@ -100,58 +50,37 @@ def error_dataset(
     X-conjugated H-type target, mirroring the solved-parameter tables.
     """
     x_kind = {"T": "XT", "H": "XH"}[kind]
-    entries = []
-    for u in (2, 3, 4):
-        code = GnuParams(1, 1, u)
-        v, theta = canonical_params(code, x_kind)
-        entries.append((code, v, theta))
-    target = TargetSpec(x_kind).density()
-    rows = _sweep(
-        partial(_error_row, entries=tuple(entries), target=target, bk_fn_name=kind),
-        _eps_grid(grid_step),
-    )
-    return ["eps", "E_u2", "E_u3", "E_u4", "E_bk"], rows
-
-
-def _composition_row(eps: float) -> list[float]:
-    return [
-        eps,
-        compose_total_error(eps, "T"),
-        compose_total_error(eps, "H"),
-        bk_t_error(eps),
-        bk_h_error(eps),
+    curves = [gnu_error_curve(GnuParams(1, 1, u), x_kind) for u in (2, 3, 4)]
+    bk_fn = bk_t_error if kind == "T" else bk_h_error
+    rows = [
+        [eps, *(curve(eps) for curve in curves), bk_fn(eps)] for eps in _eps_grid(grid_step)
     ]
+    return ["eps", "E_u2", "E_u3", "E_u4", "E_bk"], rows
 
 
 def composition_dataset(
     grid_step: float = EPS_GRID_STEP,
 ) -> tuple[list[str], list[list[float]]]:
     """Combined two-stage error curves next to single reference rounds."""
-    for kind in ("T", "H"):
-        compose_total_error(0.0, kind)  # solve once before forking workers
-    rows = _sweep(_composition_row, _eps_grid(grid_step))
+    rows = [
+        [
+            eps,
+            compose_total_error(eps, "T"),
+            compose_total_error(eps, "H"),
+            bk_t_error(eps),
+            bk_h_error(eps),
+        ]
+        for eps in _eps_grid(grid_step)
+    ]
     return ["eps", "E_combined_T", "E_combined_H", "E_bk_T", "E_bk_H"], rows
-
-
-def _repetition_row(
-    eps: float, params: tuple[tuple[float, float], ...], targets
-) -> list[float]:
-    code = GnuParams(2, 1, 1)
-    row = [eps]
-    for (v, theta), target in zip(params, targets):
-        row.append(max_error(code, v, theta, eps, target))
-    return row
 
 
 def repetition_dataset(
     grid_step: float = EPS_GRID_STEP,
 ) -> tuple[list[str], list[list[float]]]:
     """Two-qubit repetition-code error curves at the exact T/H reference parameters."""
-    params = tuple(repetition_reference_params(kind) for kind in ("T", "H"))
-    targets = tuple(TargetSpec(kind).density() for kind in ("T", "H"))
-    rows = _sweep(
-        partial(_repetition_row, params=params, targets=targets), _eps_grid(grid_step)
-    )
+    curves = [repetition_error_curve(kind) for kind in ("T", "H")]
+    rows = [[eps, *(curve(eps) for curve in curves)] for eps in _eps_grid(grid_step)]
     return ["eps", "E_T", "E_H"], rows
 
 

@@ -10,6 +10,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import OutOfRangeError
 
 MAX_BINOMIAL_N = 60
@@ -101,6 +103,24 @@ class DensityMatrix1Q:
         object.__setattr__(self, "m01", m01)
 
 
+def checked_density_arrays(m00, m11, m01):
+    """DensityMatrix1Q's checks and clamping applied to arrays of matrix elements.
+
+    Raises OutOfRangeError if any entry would be rejected; returns the
+    clamped (m00, m11, m01).
+    """
+    if not (np.isfinite(m00).all() and np.isfinite(m11).all() and np.isfinite(m01).all()):
+        raise OutOfRangeError("non-finite component")
+    if np.any((m00 < -1e-12) | (m11 < -1e-12)):
+        raise OutOfRangeError("negative population")
+    m00, m11 = np.maximum(m00, 0.0), np.maximum(m11, 0.0)
+    if np.any(np.abs(m00 + m11 - 1.0) > 1e-12):
+        raise OutOfRangeError("trace is not 1")
+    if np.any(np.abs(m01) ** 2 > m00 * m11 + 1e-12):
+        raise OutOfRangeError("coherence violates positive semidefiniteness")
+    return m00, m11, m01
+
+
 def t_state() -> PureQubit:
     """T-type magic state cos(beta)|0> + e^{i pi/4} sin(beta)|1>."""
     return PureQubit(
@@ -123,6 +143,16 @@ def trace_distance(rho: DensityMatrix1Q, sigma: DensityMatrix1Q) -> float:
     radius = math.hypot(0.5 * (d0 - d1), abs(q))
     dist = 0.5 * (abs(mean + radius) + abs(mean - radius))
     return min(max(dist, 0.0), 1.0)
+
+
+def trace_distances(m00, m11, m01, sigma: DensityMatrix1Q):
+    """trace_distance to sigma from each state given by arrays of matrix elements."""
+    d0 = m00 - sigma.m00
+    d1 = m11 - sigma.m11
+    q = m01 - sigma.m01
+    mean = 0.5 * (d0 + d1)
+    radius = np.hypot(0.5 * (d0 - d1), np.abs(q))
+    return np.clip(0.5 * (np.abs(mean + radius) + np.abs(mean - radius)), 0.0, 1.0)
 
 
 def pauli_expectations(rho: DensityMatrix1Q) -> tuple[float, float, float, float]:

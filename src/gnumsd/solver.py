@@ -5,6 +5,14 @@ noiseless distilled output hits a target state, by a coarse grid scan followed
 by derivative-free coordinate descent.  `magic_curve` / `solve_for_magic` map
 and invert the relationship between the input angle v and the magic of the
 distilled state at fixed theta.
+
+Both scans run on the engine's array path.  At eps = 0 only the unflipped
+input string carries weight, and theta enters the output only through the
+phases e^{i g j theta}, so each v-row of the 101 x 400 solver grid is one
+`projection_weights` call over all 400 angles, and the magic curve is one
+single-angle call per v; `final_states` applies the scalar path's checks to
+whole rows.  Coordinate descent refines single points through
+`distilled_state`.
 """
 from __future__ import annotations
 
@@ -13,8 +21,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .codes import GnuParams
-from .engine import InputEnsemble, distilled_state, wrap_angle
+from .engine import (
+    InputEnsemble,
+    distilled_state,
+    final_states,
+    projection_weights,
+    wrap_angle,
+)
 from .errors import NoSolutionError, OutOfRangeError, ZeroSuccessProbabilityError
 from .qmath import (
     DensityMatrix1Q,
@@ -24,6 +40,7 @@ from .qmath import (
     m2_pure,
     t_state,
     trace_distance,
+    trace_distances,
 )
 
 logger = logging.getLogger(__name__)
@@ -92,6 +109,14 @@ def _make_residual(code: GnuParams, target: DensityMatrix1Q):
     return residual
 
 
+def _residual_row(code: GnuParams, target: DensityMatrix1Q, v: float, thetas):
+    """Noiseless residual at one v for every angle in thetas; inf where no weight."""
+    accepted, m00, m11, m01 = final_states(*projection_weights(code, v, thetas, 0.0))
+    row = np.full(thetas.shape, math.inf)
+    row[accepted] = trace_distances(m00, m11, m01, target)
+    return row
+
+
 def _pattern_search(residual, v: float, theta: float, stop: float):
     """Coordinate descent with shrinking steps; returns (v, theta, residual)."""
     best = residual(v, theta)
@@ -145,26 +170,27 @@ def solve_to_density(
     n_theta = int(round(2.0 * math.pi / GRID_STEP))
     vs = [i * GRID_STEP for i in range(n_v + 1)]
     thetas = [-math.pi + j * GRID_STEP for j in range(n_theta)]
-    grid = [[residual(v, theta) for theta in thetas] for v in vs]
+    theta_row = np.array(thetas)
+    grid = np.empty((n_v + 1, n_theta))
+    for i, v in enumerate(vs):
+        # The last row overshoots pi/2 by rounding; InputEnsemble clamps it too.
+        grid[i] = _residual_row(code, target, min(v, _HALF_PI), theta_row)
 
-    grid_min = min(min(row) for row in grid)
+    grid_min = grid.min()
     if grid_min > UNREACHABLE_RESIDUAL:
         raise NoSolutionError(
             f"best grid residual {grid_min:.4f} exceeds {UNREACHABLE_RESIDUAL}"
         )
 
-    candidates = []
-    for i, row in enumerate(grid):
-        for j, value in enumerate(row):
-            if value > UNREACHABLE_RESIDUAL:
-                continue
-            neighbours = [row[(j - 1) % n_theta], row[(j + 1) % n_theta]]
-            if i > 0:
-                neighbours.append(grid[i - 1][j])
-            if i < n_v:
-                neighbours.append(grid[i + 1][j])
-            if all(value <= nb for nb in neighbours):
-                candidates.append((vs[i], thetas[j]))
+    # Grid-local minima: no larger than any theta (cyclic) or v neighbour.
+    is_min = (
+        (grid <= UNREACHABLE_RESIDUAL)
+        & (grid <= np.roll(grid, 1, axis=1))
+        & (grid <= np.roll(grid, -1, axis=1))
+    )
+    is_min[1:] &= grid[1:] <= grid[:-1]
+    is_min[:-1] &= grid[:-1] <= grid[1:]
+    candidates = [(vs[i], thetas[j]) for i, j in zip(*np.nonzero(is_min))]
 
     refined = []
     for v0, theta0 in candidates:
@@ -209,14 +235,20 @@ def magic_curve(
     Grid points where the projection has no weight (the post-selection can
     never accept) are skipped and logged.
     """
+    w00, w11 = np.empty(len(v_grid)), np.empty(len(v_grid))
+    w01 = np.empty(len(v_grid), dtype=complex)
+    for i, v in enumerate(v_grid):
+        ens = InputEnsemble(v, theta, 0.0)
+        point = projection_weights(code, ens.v, np.array([ens.theta]), 0.0)
+        w00[i], w11[i], w01[i] = (w[0] for w in point)
+    accepted, m00, m11, m01 = final_states(w00, w11, w01)
+    states = zip(m00.tolist(), m11.tolist(), m01.tolist())
     points = []
-    for v in v_grid:
-        try:
-            state = distilled_state(code, InputEnsemble(v, theta, 0.0))
-        except ZeroSuccessProbabilityError:
+    for v, kept in zip(v_grid, accepted):
+        if kept:
+            points.append((v, m2_density(DensityMatrix1Q(*next(states)))))
+        else:
             logger.warning("magic_curve: skipped singular grid point v=%r", v)
-            continue
-        points.append((v, m2_density(state)))
     return points
 
 

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,15 +15,17 @@ from gnumsd.engine import (
     dicke_overlap_term,
     distilled_state,
     final_state,
+    final_states,
     logical_component_overlap,
     max_error,
+    projection_weights,
     success_probability,
     wrap_angle,
 )
 from gnumsd.errors import OutOfRangeError, ZeroSuccessProbabilityError
 from gnumsd.oracle import build_rho_n, product_state_vector, project_and_decode
 from gnumsd.qmath import t_state, trace_distance
-from gnumsd.solver import TargetSpec
+from gnumsd.solver import GRID_STEP, TargetSpec, _residual_row
 
 HAND_POINT = InputEnsemble(math.pi / 4, 0.0, 0.0)
 U2 = GnuParams(1, 1, 2)
@@ -250,3 +253,153 @@ class TestMaxError:
         assert max_error(U2, v, -math.pi / 4, 0.3, target) == pytest.approx(
             noisy, abs=1e-12
         )
+
+
+def reference_weights(code: GnuParams, v: float, theta: float, eps: float):
+    """(w00, w11, w01) at one point, summed term by term from dicke_overlap."""
+    n_qubits = code.num_qubits
+    w00 = w11 = 0.0
+    w01 = 0j
+    for omega in range(n_qubits + 1):
+        weight = math.comb(n_qubits, omega) * eps**omega * (1.0 - eps) ** (n_qubits - omega)
+        if weight == 0.0:
+            continue
+        parts = [0j, 0j]
+        for j in range(code.n + 1):
+            overlap = dicke_overlap(code.g * j, omega, v, theta, n_qubits)
+            parts[j % 2] += math.sqrt(math.comb(code.n, j)) * overlap
+        even, odd = parts
+        w00 += weight * abs(even) ** 2
+        w11 += weight * abs(odd) ** 2
+        w01 += weight * even * odd.conjugate()
+    prefactor = 2.0 ** (1 - code.n)
+    return prefactor * w00, prefactor * w11, prefactor * w01
+
+
+def _code_id(code: GnuParams) -> str:
+    return f"{code.g}-{code.n}-{code.u:g}"
+
+
+BATCH_CODES = [
+    GnuParams(*shape)
+    for shape in ((1, 2, 6), (1, 12, 1), (3, 10, 1), (1, 15, 4), (4, 15, 1), (1, 1, 60))
+]
+# Dense N = 12 states are 4096 x 4096, so those codes get two points each.
+N_GT_1_ORACLE_CODES = [
+    GnuParams(*shape)
+    for shape in ((1, 2, 1), (2, 2, 1), (1, 3, 2), (3, 2, 2), (2, 3, 2), (1, 4, 2.5))
+]
+METAMORPHIC_CODES = [
+    GnuParams(*shape)
+    for shape in (
+        (1, 1, 2), (2, 1, 1), (1, 2, 3), (1, 1, 12), (1, 2, 6),
+        (3, 10, 1), (1, 4, 7.5), (1, 15, 4), (4, 15, 1), (1, 1, 60),
+    )
+]
+
+
+class TestProjectionWeights:
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.37])
+    @pytest.mark.parametrize("code", BATCH_CODES, ids=_code_id)
+    def test_matches_reference_sum(self, code, eps):
+        thetas = np.array([-2.9, -0.4, 1.3, 3.0])
+        for v in (0.2, 0.8, 1.45):
+            batch = projection_weights(code, v, thetas, eps)
+            for k, theta in enumerate(thetas):
+                for got, want in zip(batch, reference_weights(code, v, theta, eps)):
+                    assert abs(got[k] - want) <= 1e-13
+
+    def test_one_point_wrapper_is_the_batch_path(self):
+        code = GnuParams(1, 4, 3)
+        thetas = np.array([-1.0, 0.25, 2.0])
+        w00, w11, w01 = projection_weights(code, 0.6, thetas, 0.2)
+        for k, theta in enumerate(thetas):
+            proj = codespace_projection(code, InputEnsemble(0.6, theta, 0.2))
+            assert abs(proj.w00 - w00[k]) <= 1e-15
+            assert abs(proj.w11 - w11[k]) <= 1e-15
+            assert abs(proj.w01 - w01[k]) <= 1e-15
+
+    def test_complementary_input_relation(self):
+        # The error state is the clean state at (pi/2 - v, theta + pi), so
+        # swapping eps <-> 1 - eps there reproduces the weights exactly.
+        rng = random.Random(20240607)
+        points = 0
+        for code in METAMORPHIC_CODES:
+            for _ in range(4):
+                v, eps = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 1.0)
+                thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(5)])
+                lhs = projection_weights(code, v, thetas, 1.0 - eps)
+                rhs = projection_weights(code, math.pi / 2 - v, thetas + math.pi, eps)
+                for a, b in zip(lhs, rhs):
+                    assert np.max(np.abs(a - b)) <= 1e-14
+                points += thetas.size
+        assert points == 200
+
+    @pytest.mark.parametrize("code", N_GT_1_ORACLE_CODES, ids=_code_id)
+    def test_n_gt_1_codes_match_dense_oracle(self, code):
+        for v, theta, eps in ((0.7, 0.4, 0.0), (1.2, -2.1, 0.3)):
+            ens = InputEnsemble(v, theta, eps)
+            dense = project_and_decode(build_rho_n(ens, code.num_qubits), code)
+            analytic = codespace_projection(code, ens)
+            assert abs(analytic.w00 - dense.w00) <= 1e-14
+            assert abs(analytic.w11 - dense.w11) <= 1e-14
+            assert abs(analytic.w01 - dense.w01) <= 1e-14
+
+
+class TestFinalStates:
+    def test_matches_final_state(self):
+        code = GnuParams(1, 2, 3)
+        thetas = np.linspace(-math.pi, math.pi, 9)
+        w00, w11, w01 = projection_weights(code, 0.5, thetas, 0.1)
+        accepted, m00, m11, m01 = final_states(w00, w11, w01)
+        assert accepted.all()
+        for k in range(thetas.size):
+            state = final_state(CodespaceProjection(w00[k], w11[k], w01[k]))
+            assert (state.m00, state.m11, state.m01) == (m00[k], m11[k], m01[k])
+
+    def test_zero_weight_points_are_not_accepted(self):
+        accepted, m00, _, _ = final_states(
+            np.array([0.0, 0.25]), np.array([1e-301, 0.5]), np.array([0j, 0.1 + 0j])
+        )
+        assert accepted.tolist() == [False, True]
+        assert m00.shape == (1,)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad", [(-1e-3, 0.5, 0.0), (0.9, 0.9, 0.0), (0.1, 0.1, 0.5), (math.nan, 0.5, 0.0)]
+    )
+    def test_rejects_what_the_scalar_path_rejects(self, bad):
+        with pytest.raises(OutOfRangeError):
+            final_state(CodespaceProjection(*bad))
+        w00, w11, w01 = (np.array([0.5, x]) for x in bad)
+        with pytest.raises(OutOfRangeError):
+            final_states(w00, w11, w01.astype(complex))
+
+
+class TestSolverGridRow:
+    THETAS = np.array([-math.pi + j * GRID_STEP for j in range(0, 400, 37)])
+
+    @pytest.mark.parametrize(
+        "code, kind",
+        [(U2, "XT"), (GnuParams(2, 1, 1), "T"), (GnuParams(1, 2, 3), "XH")],
+        ids=["1-1-2-XT", "2-1-1-T", "1-2-3-XH"],
+    )
+    def test_row_matches_point_residuals(self, code, kind):
+        target = TargetSpec(kind).density()
+        for v in (0.0, 0.1, 0.7, 1.3, math.pi / 2):
+            row = _residual_row(code, target, v, self.THETAS)
+            for value, theta in zip(row, self.THETAS):
+                state = distilled_state(code, InputEnsemble(v, theta, 0.0))
+                assert abs(value - trace_distance(state, target)) <= 1e-13
+
+    def test_row_without_weight_is_inf(self):
+        target = TargetSpec("XT").density()
+        # At v = pi/2 only cos(pi/2) ~ 6e-17 overlaps the codespace.  For
+        # (1, 1, 12) the weight ~ cos^22 underflows below
+        # MIN_SUCCESS_PROBABILITY; for (1, 1, 2) it is ~7.5e-33 and the
+        # state is still defined.
+        row = _residual_row(GnuParams(1, 1, 12), target, math.pi / 2, self.THETAS)
+        assert np.all(row == math.inf)
+        with pytest.raises(ZeroSuccessProbabilityError):
+            distilled_state(GnuParams(1, 1, 12), InputEnsemble(math.pi / 2, 0.3, 0.0))
+        assert np.all(np.isfinite(_residual_row(U2, target, math.pi / 2, self.THETAS)))
