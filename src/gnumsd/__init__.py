@@ -17,6 +17,7 @@ from .engine import (
     distilled_state,
     final_state,
     max_error,
+    max_errors,
     success_probability,
 )
 from .errors import (
@@ -66,6 +67,7 @@ __all__ = [
     "m2_density",
     "m2_pure",
     "max_error",
+    "max_errors",
     "pauli_expectations",
     "solve_for_magic",
     "solve_input_params",

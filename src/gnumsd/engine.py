@@ -11,11 +11,15 @@ weight-omega input string with the j-th logical Dicke component is
 e^{i g j theta} times a real amplitude, the x^{gj} coefficient of
 (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
 through the binomial weight of omega flipped inputs.  So one call builds the
-real (omega, j) amplitude table for one (v, eps), only for the omega whose
-noise weight is nonzero (omega = 0 alone at eps = 0), and contracts it with
-the phases e^{i g j theta} for a whole vector of theta at once.  The scalar
-`dicke_overlap` family spells the same sums out term by term; it is the
-reference the array path is tested against.
+real (omega, j) amplitude table for one v, only for the omega whose noise
+weight is nonzero (omega = 0 alone at eps = 0), and contracts it with the
+phases e^{i g j theta} and an (omega, column) table of noise weights.
+`projection_weights` takes one eps and a whole vector of theta;
+`max_errors` takes one theta and a whole vector of eps, which is how error
+curves evaluate a threshold grid or a figure's eps column in one call.  The
+scalar `dicke_overlap` family spells the same sums out term by term, and
+`max_error` is the one-point error curve; they are the references the array
+paths are tested against.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .qmath import (
     binomial,
     checked_density_arrays,
     trace_distance,
+    trace_distances,
 )
 
 # Below this total codespace weight the output state cannot be normalised.
@@ -173,23 +178,24 @@ def _coefficient_rows(degrees, a: float, b: float, width: int):
     return _BINOMIAL[degrees, :width] * a**excess * b**r
 
 
-def projection_weights(code: GnuParams, v: float, thetas, eps: float):
-    """Codespace weights (w00, w11, w01) at one (v, eps) for each angle in thetas.
+def _noise_weights(n_qubits: int, eps):
+    """Probability C(N, omega) eps^omega (1 - eps)^(N - omega) of omega flipped inputs.
 
-    thetas is a 1-D array and the weights are arrays of its length.  v and
-    eps must already lie in [0, pi/2] and [0, 1], as InputEnsemble ensures.
-    For each number omega of flipped inputs with nonzero noise weight, the
-    real amplitude of logical component j is the x^{gj} coefficient of
-    (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, scaled by
-    sqrt(C(n, j) / C(N, gj)); theta only multiplies it by e^{i g j theta}.
-    Both factors are tabulated per call, so a call holds O(N^2) numbers plus
-    O(N * n) per angle.  No zero-weight check happens here: see
-    codespace_projection and final_states.
+    omega runs along the last axis; eps is a float or a column of them.
+    """
+    omegas = np.arange(n_qubits + 1)
+    return _BINOMIAL[n_qubits, omegas] * eps**omegas * (1.0 - eps) ** omegas[::-1]
+
+
+def _projection(code: GnuParams, v: float, thetas, flips, noise):
+    """Codespace weights (w00, w11, w01) summed over the omega in flips.
+
+    noise holds the noise weights of those omega, one row each.  The
+    (omega, theta) logical sums are built once and broadcast against its
+    columns: a vector of theta against one noise column, or one theta
+    against a column per eps.
     """
     n_qubits, n, g = code.num_qubits, code.n, code.g
-    omegas = np.arange(n_qubits + 1)
-    noise = _BINOMIAL[n_qubits, omegas] * eps**omegas * (1.0 - eps) ** omegas[::-1]
-    flips = np.flatnonzero(noise)
     cos_v, sin_v = math.cos(v), math.sin(v)
     excitations = g * np.arange(n + 1)
     depth = min(int(flips[-1]), g * n) + 1
@@ -205,11 +211,29 @@ def projection_weights(code: GnuParams, v: float, thetas, eps: float):
     terms = amplitude[:, :, None] * np.exp(1j * np.multiply.outer(excitations, thetas))
     even = terms[:, 0::2].sum(axis=1)
     odd = terms[:, 1::2].sum(axis=1)
-    weight = 2.0 ** (-(n - 1)) * noise[flips, None]
+    weight = 2.0 ** (-(n - 1)) * noise
     w00 = (weight * (even.real**2 + even.imag**2)).sum(axis=0)
     w11 = (weight * (odd.real**2 + odd.imag**2)).sum(axis=0)
     w01 = (weight * (even * odd.conj())).sum(axis=0)
     return w00, w11, w01
+
+
+def projection_weights(code: GnuParams, v: float, thetas, eps: float):
+    """Codespace weights (w00, w11, w01) at one (v, eps) for each angle in thetas.
+
+    thetas is a 1-D array and the weights are arrays of its length.  v and
+    eps must already lie in [0, pi/2] and [0, 1], as InputEnsemble ensures.
+    For each number omega of flipped inputs with nonzero noise weight, the
+    real amplitude of logical component j is the x^{gj} coefficient of
+    (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, scaled by
+    sqrt(C(n, j) / C(N, gj)); theta only multiplies it by e^{i g j theta}.
+    Both factors are tabulated per call, so a call holds O(N^2) numbers plus
+    O(N * n) per angle.  No zero-weight check happens here: see
+    codespace_projection and final_states.
+    """
+    noise = _noise_weights(code.num_qubits, eps)
+    flips = np.flatnonzero(noise)
+    return _projection(code, v, thetas, flips, noise[flips, None])
 
 
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:
@@ -287,3 +311,35 @@ def max_error(
         trace_distance(distilled_state(code, InputEnsemble(v, theta, e)), target)
         for e in settings
     )
+
+
+def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatrix1Q):
+    """max_error at every eps of a 1-D array, from one amplitude table.
+
+    eps only enters through the noise weights of omega flipped inputs, so the
+    points share one (omega, j) amplitude table and differ only in the
+    (omega, eps) weight table contracted with it.  Raises OutOfRangeError
+    unless every eps is a finite number in [0, 1], and
+    ZeroSuccessProbabilityError where max_error would at any of the points.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim != 1:
+        raise OutOfRangeError(f"eps must be a 1-D array, got shape {eps.shape}")
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
+        raise OutOfRangeError("every eps must be a finite number in [0, 1]")
+    if eps.size == 0:
+        return np.empty(0)
+    ens = InputEnsemble(v, theta, 0.0)
+    settings = np.concatenate(([0.0], eps))
+    noise = _noise_weights(code.num_qubits, settings[:, None])
+    flips = np.flatnonzero(noise.any(axis=0))
+    weights = _projection(code, ens.v, np.array([ens.theta]), flips, noise[:, flips].T)
+    accepted, m00, m11, m01 = final_states(*weights)
+    if not accepted.all():
+        raise ZeroSuccessProbabilityError(
+            f"codespace weight at most {MIN_SUCCESS_PROBABILITY} at "
+            f"eps={settings[~accepted][0]} on (v={ens.v}, theta={ens.theta}) "
+            f"for (g={code.g}, n={code.n}, u={code.u})"
+        )
+    errors = trace_distances(m00, m11, m01, target)
+    return np.maximum(errors[1:], errors[0])

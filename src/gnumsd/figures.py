@@ -1,19 +1,22 @@
 """Figure-ready datasets: every headline curve as a (header, rows) table.
 
 Rows are plain lists of floats (math.nan marks a skipped singular point), so
-the CLI can render them as CSV without any further shaping.
+the CLI can render them as CSV without any further shaping.  The eps sweeps
+build each error-curve column with one `ErrorCurve.on_grid` call.
 """
 from __future__ import annotations
 
 import math
 from functools import partial
 
+import numpy as np
+
 from .codes import GnuParams
 from .errors import OutOfRangeError
 from .protocols import (
     bk_h_error,
     bk_t_error,
-    compose_total_error,
+    compose_total_errors,
     gnu_error_curve,
     repetition_error_curve,
 )
@@ -23,9 +26,14 @@ EPS_GRID_STEP = 1e-3
 V_GRID_STEP = math.pi / 1000
 
 
-def _eps_grid(grid_step: float) -> list[float]:
+def _eps_grid(grid_step: float) -> np.ndarray:
     steps = int(round(0.5 / grid_step))
-    return [k * grid_step for k in range(steps + 1)]
+    return np.arange(steps + 1) * grid_step
+
+
+def _eps_rows(grid: np.ndarray, columns) -> list[list[float]]:
+    """Rows of the eps column followed by one value from each column."""
+    return [list(row) for row in zip(grid.tolist(), *columns)]
 
 
 def _v_grid(grid_step: float) -> list[float]:
@@ -52,36 +60,29 @@ def error_dataset(
     x_kind = {"T": "XT", "H": "XH"}[kind]
     curves = [gnu_error_curve(GnuParams(1, 1, u), x_kind) for u in (2, 3, 4)]
     bk_fn = bk_t_error if kind == "T" else bk_h_error
-    rows = [
-        [eps, *(curve(eps) for curve in curves), bk_fn(eps)] for eps in _eps_grid(grid_step)
-    ]
-    return ["eps", "E_u2", "E_u3", "E_u4", "E_bk"], rows
+    grid = _eps_grid(grid_step)
+    columns = [curve.on_grid(grid).tolist() for curve in curves]
+    columns.append([bk_fn(eps) for eps in grid.tolist()])
+    return ["eps", "E_u2", "E_u3", "E_u4", "E_bk"], _eps_rows(grid, columns)
 
 
 def composition_dataset(
     grid_step: float = EPS_GRID_STEP,
 ) -> tuple[list[str], list[list[float]]]:
     """Combined two-stage error curves next to single reference rounds."""
-    rows = [
-        [
-            eps,
-            compose_total_error(eps, "T"),
-            compose_total_error(eps, "H"),
-            bk_t_error(eps),
-            bk_h_error(eps),
-        ]
-        for eps in _eps_grid(grid_step)
-    ]
-    return ["eps", "E_combined_T", "E_combined_H", "E_bk_T", "E_bk_H"], rows
+    grid = _eps_grid(grid_step)
+    columns = [compose_total_errors(grid, kind).tolist() for kind in ("T", "H")]
+    columns += [[bk_fn(eps) for eps in grid.tolist()] for bk_fn in (bk_t_error, bk_h_error)]
+    return ["eps", "E_combined_T", "E_combined_H", "E_bk_T", "E_bk_H"], _eps_rows(grid, columns)
 
 
 def repetition_dataset(
     grid_step: float = EPS_GRID_STEP,
 ) -> tuple[list[str], list[list[float]]]:
     """Two-qubit repetition-code error curves at the exact T/H reference parameters."""
-    curves = [repetition_error_curve(kind) for kind in ("T", "H")]
-    rows = [[eps, *(curve(eps) for curve in curves)] for eps in _eps_grid(grid_step)]
-    return ["eps", "E_T", "E_H"], rows
+    grid = _eps_grid(grid_step)
+    columns = [repetition_error_curve(kind).on_grid(grid).tolist() for kind in ("T", "H")]
+    return ["eps", "E_T", "E_H"], _eps_rows(grid, columns)
 
 
 FIGURE_BUILDERS = {

@@ -5,17 +5,26 @@ output error stops being smaller than the input error: the first fixed point
 of its error curve on (0, 0.5].  Searches use sign-change bracketing on a
 1e-3 grid followed by bisection; the curves are cheap, so robustness wins
 over cleverness.
+
+An `ErrorCurve` needs only its scalar map `fn`.  The library's gnu,
+repetition and combined curves also carry an array form, `grid`, so a search
+grid or a figure's eps column is one engine call (`engine.max_errors`)
+rather than one call per point; a curve without it is evaluated point by
+point.  Bisection always steps through `fn`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .codes import GnuParams
-from .engine import max_error
+from .engine import max_error, max_errors
 from .errors import NoCrossoverError, OutOfRangeError
+from .roots import bisect_sign_change
 from .solver import TargetSpec, solve_input_params
 
 GRID_STEP = 1e-3
@@ -26,14 +35,25 @@ FIXED_POINT_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class ErrorCurve:
-    """A scalar error map eps -> output error with its declared valid domain."""
+    """An error map eps -> output error.
+
+    fn maps one eps to the output error and is all a curve needs.  grid,
+    when given, maps a 1-D array of eps to the array of fn's values in one
+    call; searches and figure sweeps then evaluate whole grids through it.
+    """
 
     label: str
     fn: Callable[[float], float]
-    domain: tuple[float, float] = (0.0, 0.5)
+    grid: Callable[[np.ndarray], np.ndarray] | None = field(default=None, kw_only=True)
 
     def __call__(self, eps: float) -> float:
         return self.fn(eps)
+
+    def on_grid(self, eps: np.ndarray) -> np.ndarray:
+        """The curve at every eps of a 1-D array: one grid call, else fn per point."""
+        if self.grid is not None:
+            return self.grid(eps)
+        return np.array([self(e) for e in eps.tolist()], dtype=float)
 
 
 # --- reference protocols (Bravyi-Kitaev five- and 15-qubit rounds) --------
@@ -115,6 +135,7 @@ def gnu_error_curve(code: GnuParams, kind: str) -> ErrorCurve:
     return ErrorCurve(
         f"gnu({code.g},{code.n},{code.u:g})-{kind}",
         lambda eps: max_error(code, v, theta, eps, target),
+        grid=lambda eps: max_errors(code, v, theta, eps, target),
     )
 
 
@@ -140,6 +161,7 @@ def repetition_error_curve(kind: str) -> ErrorCurve:
     return ErrorCurve(
         f"repetition-{kind}",
         lambda eps: max_error(code, v, theta, eps, target),
+        grid=lambda eps: max_errors(code, v, theta, eps, target),
     )
 
 
@@ -157,6 +179,12 @@ def stage_a_curve(kind: str) -> ErrorCurve:
     return gnu_error_curve(GnuParams(1, 1, 2), _STAGE_A_KIND[kind])
 
 
+def _stage_b(kind: str) -> Callable[[float], float]:
+    if kind not in _STAGE_B:
+        raise OutOfRangeError(f"composition targets are T or H, got {kind!r}")
+    return _STAGE_B[kind]
+
+
 def compose_total_error(eps: float, kind: str) -> float:
     """Total error of stage A (two-qubit code) feeding stage B (reference round).
 
@@ -167,15 +195,22 @@ def compose_total_error(eps: float, kind: str) -> float:
     magic axis, stage A reports a trace distance); the scalar composition is
     used as-is.
     """
-    if kind not in _STAGE_B:
-        raise OutOfRangeError(f"composition targets are T or H, got {kind!r}")
-    return _STAGE_B[kind](stage_a_curve(kind)(eps))
+    return _stage_b(kind)(stage_a_curve(kind)(eps))
+
+
+def compose_total_errors(eps: np.ndarray, kind: str) -> np.ndarray:
+    """compose_total_error at every eps of a 1-D array, stage A in one grid call."""
+    stage_b = _stage_b(kind)
+    return np.array([stage_b(a) for a in stage_a_curve(kind).on_grid(eps).tolist()])
 
 
 def combined_curve(kind: str) -> ErrorCurve:
-    if kind not in _STAGE_B:
-        raise OutOfRangeError(f"composition targets are T or H, got {kind!r}")
-    return ErrorCurve(f"combined-{kind}", lambda eps: compose_total_error(eps, kind))
+    _stage_b(kind)  # reject an unknown kind here, not at the first evaluation
+    return ErrorCurve(
+        f"combined-{kind}",
+        lambda eps: compose_total_error(eps, kind),
+        grid=lambda eps: compose_total_errors(eps, kind),
+    )
 
 
 # --- threshold and crossover searches --------------------------------------
@@ -209,12 +244,9 @@ class ThresholdResult:
 
 def find_threshold(curve: ErrorCurve) -> ThresholdResult:
     """Smallest fixed point of an error curve on (0, 0.5]."""
-    evaluations = 0
-    diffs: list[tuple[float, float]] = []
-    for k in range(1, 501):
-        eps = k * GRID_STEP
-        diffs.append((eps, curve(eps) - eps))
-        evaluations += 1
+    grid = np.arange(1, 501) * GRID_STEP
+    diffs = list(zip(grid.tolist(), (curve.on_grid(grid) - grid).tolist()))
+    evaluations = len(diffs)
 
     if all(abs(d) <= FIXED_POINT_ATOL for _, d in diffs):
         return ThresholdResult(diffs[0][0], "degenerate_grid", 0.0, evaluations)
@@ -227,19 +259,10 @@ def find_threshold(curve: ErrorCurve) -> ThresholdResult:
                 return ThresholdResult(0.5, "certified_half", 0.0, evaluations)
             return ThresholdResult(eps, "fixed_point", 0.0, evaluations)
         if prev_d is not None and (d < 0.0) != (prev_d < 0.0):
-            lo, hi, f_lo = prev_eps, eps, prev_d
-            while hi - lo > BRACKET_WIDTH:
-                mid = 0.5 * (lo + hi)
-                f_mid = curve(mid) - mid
-                evaluations += 1
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (f_mid < 0.0) == (f_lo < 0.0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            return ThresholdResult(0.5 * (lo + hi), "fixed_point", hi - lo, evaluations)
+            root, width, steps = bisect_sign_change(
+                lambda e: curve(e) - e, prev_eps, eps, prev_d, BRACKET_WIDTH
+            )
+            return ThresholdResult(root, "fixed_point", width, evaluations + steps)
         prev_eps, prev_d = eps, d
 
     if all(d < 0.0 for _, d in diffs):
@@ -249,10 +272,8 @@ def find_threshold(curve: ErrorCurve) -> ThresholdResult:
 
 def find_crossover(f: ErrorCurve, g: ErrorCurve) -> float:
     """Smallest eps in (0, 0.5) where two error curves cross."""
-    diffs: list[tuple[float, float]] = []
-    for k in range(1, 500):
-        eps = k * GRID_STEP
-        diffs.append((eps, f(eps) - g(eps)))
+    grid = np.arange(1, 500) * GRID_STEP
+    diffs = list(zip(grid.tolist(), (f.on_grid(grid) - g.on_grid(grid)).tolist()))
 
     if all(abs(d) <= 1e-14 for _, d in diffs):
         raise NoCrossoverError("curves coincide on the whole grid")
@@ -262,16 +283,8 @@ def find_crossover(f: ErrorCurve, g: ErrorCurve) -> float:
         if abs(d) <= 1e-14:
             return eps
         if prev_d is not None and (d < 0.0) != (prev_d < 0.0):
-            lo, hi, f_lo = prev_eps, eps, prev_d
-            while hi - lo > BRACKET_WIDTH:
-                mid = 0.5 * (lo + hi)
-                f_mid = f(mid) - g(mid)
-                if f_mid == 0.0:
-                    return mid
-                if (f_mid < 0.0) == (f_lo < 0.0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            return bisect_sign_change(
+                lambda e: f(e) - g(e), prev_eps, eps, prev_d, BRACKET_WIDTH
+            )[0]
         prev_eps, prev_d = eps, d
     raise NoCrossoverError(f"no sign change between {f.label} and {g.label}")

@@ -42,6 +42,7 @@ from .qmath import (
     trace_distance,
     trace_distances,
 )
+from .roots import bisect_sign_change
 
 logger = logging.getLogger(__name__)
 
@@ -282,18 +283,7 @@ def solve_for_magic(code: GnuParams, theta: float, magic: float) -> float:
         if abs(m_lo - magic) <= 1e-12:
             return v_lo
         if (m_lo - magic) * (m_hi - magic) < 0.0 or abs(m_hi - magic) <= 1e-12:
-            lo, hi = v_lo, v_hi
-            f_lo = m_lo - magic
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                f_mid = offset(mid)
-                if f_mid == 0.0:
-                    return mid
-                if (f_mid < 0.0) == (f_lo < 0.0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            return bisect_sign_change(offset, v_lo, v_hi, m_lo - magic, 1e-10)[0]
     # The peak itself was the only match and sits on the final sample.
     last_v, last_m = points[-1]
     if abs(last_m - magic) <= 1e-12:

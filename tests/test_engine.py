@@ -18,6 +18,7 @@ from gnumsd.engine import (
     final_states,
     logical_component_overlap,
     max_error,
+    max_errors,
     projection_weights,
     success_probability,
     wrap_angle,
@@ -403,3 +404,49 @@ class TestSolverGridRow:
         with pytest.raises(ZeroSuccessProbabilityError):
             distilled_state(GnuParams(1, 1, 12), InputEnsemble(math.pi / 2, 0.3, 0.0))
         assert np.all(np.isfinite(_residual_row(U2, target, math.pi / 2, self.THETAS)))
+
+
+# The figure sweeps' eps grid plus the far end of the channel.
+FIGURE_EPS = np.append(np.arange(501) * 1e-3, 1.0)
+MAX_ERRORS_CODES = [
+    GnuParams(*shape)
+    for shape in ((1, 1, 2), (2, 1, 1), (1, 2, 6), (2, 2, 3), (3, 4, 5), (1, 4, 15), (1, 1, 60))
+]
+
+
+class TestMaxErrors:
+    @pytest.mark.parametrize("code", MAX_ERRORS_CODES, ids=_code_id)
+    def test_matches_max_error_per_point(self, code):
+        rng = random.Random(code.num_qubits * 100 + code.n)
+        v, theta = rng.uniform(0.3, 1.27), rng.uniform(-math.pi, math.pi)
+        target = t_state().density()
+        batch = max_errors(code, v, theta, FIGURE_EPS, target)
+        assert batch.shape == FIGURE_EPS.shape
+        for got, eps in zip(batch, FIGURE_EPS.tolist()):
+            assert abs(got - max_error(code, v, theta, eps, target)) <= 1e-14
+
+    def test_zero_weight_raises_like_max_error(self):
+        # At v = pi/2 the (1, 1, 12) noiseless weight underflows, and every
+        # max_error point includes the noiseless setting.
+        code, target = GnuParams(1, 1, 12), TargetSpec("XT").density()
+        with pytest.raises(ZeroSuccessProbabilityError):
+            max_error(code, math.pi / 2, 0.3, 0.0, target)
+        for eps in ([0.0], [0.2, 0.0, 0.4]):
+            with pytest.raises(ZeroSuccessProbabilityError):
+                max_errors(code, math.pi / 2, 0.3, np.array(eps), target)
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, math.inf, -math.inf])
+    def test_rejects_eps_outside_unit_interval_before_any_point(self, bad, monkeypatch):
+        target = TargetSpec("XT").density()
+        with pytest.raises(OutOfRangeError):
+            max_error(U2, 0.8, 0.1, bad, target)
+        # The range check runs once on the whole array, before any projection.
+        monkeypatch.setattr(
+            "gnumsd.engine._projection", lambda *args: pytest.fail("projected a bad eps")
+        )
+        with pytest.raises(OutOfRangeError):
+            max_errors(U2, 0.8, 0.1, np.array([0.1, bad, 0.2]), target)
+
+    def test_empty_grid(self):
+        target = TargetSpec("XT").density()
+        assert max_errors(U2, 0.8, 0.1, np.array([]), target).shape == (0,)

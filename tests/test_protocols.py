@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gnumsd.codes import GnuParams
@@ -178,3 +179,57 @@ class TestCanonicalParams:
     def test_curve_labels(self):
         assert gnu_error_curve(U2, "XT").label == "gnu(1,1,2)-XT"
         assert combined_curve("H").label == "combined-H"
+
+
+# Every library curve with grid, and the target of the reference round it
+# is compared with.
+LIBRARY_CURVES = [
+    *(
+        (gnu_error_curve(GnuParams(1, 1, u), kind), kind[1])
+        for u in (2, 3, 4)
+        for kind in ("XT", "XH")
+    ),
+    *((repetition_error_curve(kind), kind) for kind in ("T", "H")),
+    *((combined_curve(kind), kind) for kind in ("T", "H")),
+]
+REFERENCE_ROUND = {"T": bk_t_curve(), "H": bk_h_curve()}
+
+
+def _point_by_point(curve: ErrorCurve) -> ErrorCurve:
+    return ErrorCurve(curve.label, curve.fn)
+
+
+def _crossover_outcome(f: ErrorCurve, g: ErrorCurve):
+    try:
+        return find_crossover(f, g)
+    except NoCrossoverError:
+        return NoCrossoverError
+
+
+@pytest.mark.parametrize(
+    "curve, kind", LIBRARY_CURVES, ids=[curve.label for curve, _ in LIBRARY_CURVES]
+)
+class TestBatchedLibraryCurves:
+    def test_grid_matches_pointwise(self, curve, kind):
+        eps = np.arange(501) * 1e-3
+        assert curve.grid is not None
+        batch = curve.grid(eps)
+        for got, e in zip(batch, eps.tolist()):
+            assert abs(got - curve(e)) <= 1e-14
+
+    def test_threshold_matches_point_by_point_search(self, curve, kind):
+        batched = find_threshold(curve)
+        scalar = find_threshold(_point_by_point(curve))
+        assert batched.kind == scalar.kind
+        assert batched.evaluations == scalar.evaluations
+        assert batched.bracket_width == scalar.bracket_width
+        assert abs(batched.threshold - scalar.threshold) <= 1e-12
+
+    def test_crossover_matches_point_by_point_search(self, curve, kind):
+        reference = REFERENCE_ROUND[kind]
+        batched = _crossover_outcome(curve, reference)
+        scalar = _crossover_outcome(_point_by_point(curve), reference)
+        if scalar is NoCrossoverError:
+            assert batched is NoCrossoverError
+        else:
+            assert abs(batched - scalar) <= 1e-12

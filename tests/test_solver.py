@@ -16,6 +16,7 @@ from gnumsd.qmath import (
     t_state,
     trace_distance,
 )
+from gnumsd.roots import bisect_sign_change
 from gnumsd.solver import (
     TargetSpec,
     default_magic_grid,
@@ -155,3 +156,23 @@ class TestSolveForMagic:
     def test_negative_magic_rejected(self):
         with pytest.raises(OutOfRangeError):
             solve_for_magic(U2, math.pi / 4, -0.1)
+
+
+class TestBisectSignChange:
+    def test_halves_down_to_the_width(self):
+        root, width, evaluations = bisect_sign_change(
+            lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 1e-10
+        )
+        assert width <= 1e-10
+        assert evaluations == 34  # 2^-34 is the first halving of 1 below 1e-10
+        assert abs(root - math.sqrt(2.0)) <= 1e-10
+
+    def test_exact_zero_at_a_midpoint_stops_early(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x - 0.75
+
+        assert bisect_sign_change(fn, 0.0, 1.0, -0.75, 1e-8) == (0.75, 0.0, 2)
+        assert calls == [0.5, 0.75]
