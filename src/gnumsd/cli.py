@@ -37,13 +37,12 @@ from .protocols import (
     bk_h_curve,
     bk_t_curve,
     combined_curve,
-    compose_total_error,
+    compose_errors,
     find_threshold,
     gnu_error_curve,
-    stage_a_curve,
 )
 from .qmath import PureQubit, m2_density, trace_distance
-from .solver import TargetSpec, magic_curve, solve_input_params
+from .solver import TargetSpec, default_magic_grid, magic_curve, solve_input_params
 from .verify import run_verification
 
 _PI_LITERAL = re.compile(
@@ -113,6 +112,14 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
+def _emit_record(record: dict, args) -> None:
+    """Emit one record as a JSON object or a one-row CSV table, per --format."""
+    if args.format == "json":
+        _emit(_render_json(record), args.out)
+    else:
+        _emit(_render_csv(list(record), [list(record.values())]), args.out)
+
+
 def _add_code_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--g", type=int, default=1, help="code parameter g (default 1)")
     parser.add_argument("--n", type=int, default=1, help="code parameter n (default 1)")
@@ -176,11 +183,7 @@ def cmd_distill(args) -> int:
     target = _target_from_args(args)
     if target is not None:
         record["trace_distance_to_target"] = trace_distance(state, target.density())
-    if args.format == "json":
-        _emit(_render_json(record), args.out)
-    else:
-        header = list(record.keys())
-        _emit(_render_csv(header, [[record[key] for key in header]]), args.out)
+    _emit_record(record, args)
     return 0
 
 
@@ -213,11 +216,7 @@ def cmd_threshold(args) -> int:
         "bracket_width": result.bracket_width,
         "evaluations": result.evaluations,
     }
-    if args.format == "json":
-        _emit(_render_json(record), args.out)
-    else:
-        header = list(record.keys())
-        _emit(_render_csv(header, [[record[key] for key in header]]), args.out)
+    _emit_record(record, args)
     return 0
 
 
@@ -246,8 +245,7 @@ def cmd_solve(args) -> int:
 
 def cmd_magic_curve(args) -> int:
     code = _code_from_args(args)
-    steps = int(round((math.pi / 2.0) / args.grid_step))
-    grid = [k * args.grid_step for k in range(steps + 1)]
+    grid = default_magic_grid(args.grid_step)
     points = magic_curve(code, args.theta, grid)
     evaluated = dict(points)
     rows = [[v, evaluated.get(v, math.nan)] for v in grid]
@@ -256,18 +254,14 @@ def cmd_magic_curve(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    stage_a = stage_a_curve(args.target)(args.eps)
+    stage_a, total = compose_errors(args.eps, args.target)
     record = {
         "target": args.target,
         "eps": args.eps,
         "error_stage_a": stage_a,
-        "error_total": compose_total_error(args.eps, args.target),
+        "error_total": total,
     }
-    if args.format == "json":
-        _emit(_render_json(record), args.out)
-    else:
-        header = list(record.keys())
-        _emit(_render_csv(header, [[record[key] for key in header]]), args.out)
+    _emit_record(record, args)
     return 0
 
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError
-from .qmath import binomial
+from .qmath import MAX_QUBITS, binomial
 
 MAX_DENSE_QUBITS = 12
-MAX_QUBITS = 60
 
 
 @dataclass(frozen=True)

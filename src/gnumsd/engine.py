@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import MAX_QUBITS, GnuParams
+from .codes import GnuParams
 from .errors import OutOfRangeError, ZeroSuccessProbabilityError
 from .qmath import (
+    MAX_QUBITS,
     DensityMatrix1Q,
     PureQubit,
     binomial,

@@ -1,8 +1,9 @@
 """Figure-ready datasets: every headline curve as a (header, rows) table.
 
 Rows are plain lists of floats (math.nan marks a skipped singular point), so
-the CLI can render them as CSV without any further shaping.  The eps sweeps
-build each error-curve column with one `ErrorCurve.on_grid` call.
+the CLI can render them as CSV without any further shaping.  Sweeps are
+`roots.step_grid` grids; the eps sweeps build each error-curve column with
+one `ErrorCurve.on_grid` call.
 """
 from __future__ import annotations
 
@@ -20,15 +21,10 @@ from .protocols import (
     gnu_error_curve,
     repetition_error_curve,
 )
-from .solver import magic_curve
+from .roots import step_grid
+from .solver import MAGIC_GRID_STEP, default_magic_grid, magic_curve
 
 EPS_GRID_STEP = 1e-3
-V_GRID_STEP = math.pi / 1000
-
-
-def _eps_grid(grid_step: float) -> np.ndarray:
-    steps = int(round(0.5 / grid_step))
-    return np.arange(steps + 1) * grid_step
 
 
 def _eps_rows(grid: np.ndarray, columns) -> list[list[float]]:
@@ -36,14 +32,9 @@ def _eps_rows(grid: np.ndarray, columns) -> list[list[float]]:
     return [list(row) for row in zip(grid.tolist(), *columns)]
 
 
-def _v_grid(grid_step: float) -> list[float]:
-    steps = int(round((math.pi / 2.0) / grid_step))
-    return [k * grid_step for k in range(steps + 1)]
-
-
-def magic_dataset(grid_step: float = V_GRID_STEP) -> tuple[list[str], list[list[float]]]:
+def magic_dataset(grid_step: float = MAGIC_GRID_STEP) -> tuple[list[str], list[list[float]]]:
     """Magic of the noiseless distilled state vs v at theta = pi/4, u = 2, 3, 4."""
-    vs = _v_grid(grid_step)
+    vs = default_magic_grid(grid_step)
     curves = [dict(magic_curve(GnuParams(1, 1, u), math.pi / 4.0, vs)) for u in (2, 3, 4)]
     rows = [[v, *(curve.get(v, math.nan) for curve in curves)] for v in vs]
     return ["v", "M2_u2", "M2_u3", "M2_u4"], rows
@@ -60,7 +51,7 @@ def error_dataset(
     x_kind = {"T": "XT", "H": "XH"}[kind]
     curves = [gnu_error_curve(GnuParams(1, 1, u), x_kind) for u in (2, 3, 4)]
     bk_fn = bk_t_error if kind == "T" else bk_h_error
-    grid = _eps_grid(grid_step)
+    grid = step_grid(0.5, grid_step)
     columns = [curve.on_grid(grid).tolist() for curve in curves]
     columns.append([bk_fn(eps) for eps in grid.tolist()])
     return ["eps", "E_u2", "E_u3", "E_u4", "E_bk"], _eps_rows(grid, columns)
@@ -70,7 +61,7 @@ def composition_dataset(
     grid_step: float = EPS_GRID_STEP,
 ) -> tuple[list[str], list[list[float]]]:
     """Combined two-stage error curves next to single reference rounds."""
-    grid = _eps_grid(grid_step)
+    grid = step_grid(0.5, grid_step)
     columns = [compose_total_errors(grid, kind).tolist() for kind in ("T", "H")]
     columns += [[bk_fn(eps) for eps in grid.tolist()] for bk_fn in (bk_t_error, bk_h_error)]
     return ["eps", "E_combined_T", "E_combined_H", "E_bk_T", "E_bk_H"], _eps_rows(grid, columns)
@@ -80,7 +71,7 @@ def repetition_dataset(
     grid_step: float = EPS_GRID_STEP,
 ) -> tuple[list[str], list[list[float]]]:
     """Two-qubit repetition-code error curves at the exact T/H reference parameters."""
-    grid = _eps_grid(grid_step)
+    grid = step_grid(0.5, grid_step)
     columns = [repetition_error_curve(kind).on_grid(grid).tolist() for kind in ("T", "H")]
     return ["eps", "E_T", "E_H"], _eps_rows(grid, columns)
 

@@ -2,9 +2,10 @@
 
 The error threshold of a protocol is the smallest input error where the
 output error stops being smaller than the input error: the first fixed point
-of its error curve on (0, 0.5].  Searches use sign-change bracketing on a
-1e-3 grid followed by bisection; the curves are cheap, so robustness wins
-over cleverness.
+of its error curve on (0, 0.5].  Threshold and crossover searches sample a
+1e-3 grid and hand the samples to `roots.first_root` (first sample within a
+tolerance of zero, else bisect the first sign change); the curves are cheap,
+so robustness wins over cleverness.
 
 An `ErrorCurve` needs only its scalar map `fn`.  The library's gnu,
 repetition and combined curves also carry an array form, `grid`, so a search
@@ -24,7 +25,7 @@ import numpy as np
 from .codes import GnuParams
 from .engine import max_error, max_errors
 from .errors import NoCrossoverError, OutOfRangeError
-from .roots import bisect_sign_change
+from .roots import first_root, step_grid
 from .solver import TargetSpec, solve_input_params
 
 GRID_STEP = 1e-3
@@ -185,17 +186,24 @@ def _stage_b(kind: str) -> Callable[[float], float]:
     return _STAGE_B[kind]
 
 
-def compose_total_error(eps: float, kind: str) -> float:
-    """Total error of stage A (two-qubit code) feeding stage B (reference round).
+def compose_errors(eps: float, kind: str) -> tuple[float, float]:
+    """(stage A error, total error) of the two-stage protocol at one eps.
 
-    Stage A distils the X-conjugated target; relabelling to the plain target
-    is a free Clifford step that leaves the trace-distance error unchanged,
-    so stage A's worst-case output error is fed directly as the input error
-    of stage B.  The two noise models differ (stage B assumes noise along its
-    magic axis, stage A reports a trace distance); the scalar composition is
-    used as-is.
+    Stage A (the two-qubit code) distils the X-conjugated target for stage B
+    (a reference round); relabelling to the plain target is a free Clifford
+    step that leaves the trace-distance error unchanged, so stage A's
+    worst-case output error is fed directly as the input error of stage B.
+    The two noise models differ (stage B assumes noise along its magic axis,
+    stage A reports a trace distance); the scalar composition is used as-is.
     """
-    return _stage_b(kind)(stage_a_curve(kind)(eps))
+    stage_b = _stage_b(kind)
+    stage_a = stage_a_curve(kind)(eps)
+    return stage_a, stage_b(stage_a)
+
+
+def compose_total_error(eps: float, kind: str) -> float:
+    """Total error of the two-stage protocol; see compose_errors."""
+    return compose_errors(eps, kind)[1]
 
 
 def compose_total_errors(eps: np.ndarray, kind: str) -> np.ndarray:
@@ -244,47 +252,30 @@ class ThresholdResult:
 
 def find_threshold(curve: ErrorCurve) -> ThresholdResult:
     """Smallest fixed point of an error curve on (0, 0.5]."""
-    grid = np.arange(1, 501) * GRID_STEP
-    diffs = list(zip(grid.tolist(), (curve.on_grid(grid) - grid).tolist()))
-    evaluations = len(diffs)
+    grid = step_grid(0.5, GRID_STEP)[1:]
+    diffs = curve.on_grid(grid) - grid
+    evaluations = len(grid)
 
-    if all(abs(d) <= FIXED_POINT_ATOL for _, d in diffs):
-        return ThresholdResult(diffs[0][0], "degenerate_grid", 0.0, evaluations)
-
-    prev_eps, prev_d = None, None
-    for index, (eps, d) in enumerate(diffs):
-        if abs(d) <= FIXED_POINT_ATOL:
-            if index == len(diffs) - 1 and all(dd < 0.0 for _, dd in diffs[:-1]):
-                # Strict suppression everywhere below the exact endpoint touch.
-                return ThresholdResult(0.5, "certified_half", 0.0, evaluations)
-            return ThresholdResult(eps, "fixed_point", 0.0, evaluations)
-        if prev_d is not None and (d < 0.0) != (prev_d < 0.0):
-            root, width, steps = bisect_sign_change(
-                lambda e: curve(e) - e, prev_eps, eps, prev_d, BRACKET_WIDTH
-            )
-            return ThresholdResult(root, "fixed_point", width, evaluations + steps)
-        prev_eps, prev_d = eps, d
-
-    if all(d < 0.0 for _, d in diffs):
+    if np.all(np.abs(diffs) <= FIXED_POINT_ATOL):
+        return ThresholdResult(float(grid[0]), "degenerate_grid", 0.0, evaluations)
+    if np.all(diffs[:-1] < -FIXED_POINT_ATOL) and diffs[-1] <= FIXED_POINT_ATOL:
+        # Strict suppression everywhere below the endpoint, which may touch.
         return ThresholdResult(0.5, "certified_half", 0.0, evaluations)
-    return ThresholdResult(0.0, "no_suppression", 0.0, evaluations)
+    found = first_root(grid, diffs, lambda e: curve(e) - e, FIXED_POINT_ATOL, BRACKET_WIDTH)
+    if found is None:
+        return ThresholdResult(0.0, "no_suppression", 0.0, evaluations)
+    root, width, steps = found
+    return ThresholdResult(root, "fixed_point", width, evaluations + steps)
 
 
 def find_crossover(f: ErrorCurve, g: ErrorCurve) -> float:
     """Smallest eps in (0, 0.5) where two error curves cross."""
-    grid = np.arange(1, 500) * GRID_STEP
-    diffs = list(zip(grid.tolist(), (f.on_grid(grid) - g.on_grid(grid)).tolist()))
+    grid = step_grid(0.5, GRID_STEP)[1:-1]
+    diffs = f.on_grid(grid) - g.on_grid(grid)
 
-    if all(abs(d) <= 1e-14 for _, d in diffs):
+    if np.all(np.abs(diffs) <= 1e-14):
         raise NoCrossoverError("curves coincide on the whole grid")
-
-    prev_eps, prev_d = None, None
-    for eps, d in diffs:
-        if abs(d) <= 1e-14:
-            return eps
-        if prev_d is not None and (d < 0.0) != (prev_d < 0.0):
-            return bisect_sign_change(
-                lambda e: f(e) - g(e), prev_eps, eps, prev_d, BRACKET_WIDTH
-            )[0]
-        prev_eps, prev_d = eps, d
-    raise NoCrossoverError(f"no sign change between {f.label} and {g.label}")
+    found = first_root(grid, diffs, lambda e: f(e) - g(e), 1e-14, BRACKET_WIDTH)
+    if found is None:
+        raise NoCrossoverError(f"no sign change between {f.label} and {g.label}")
+    return found[0]

@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import OutOfRangeError
 
-MAX_BINOMIAL_N = 60
+# The package's one size cap: codes have N = g*n*u <= MAX_QUBITS qubits, and
+# binomial (so every combinatorial weight) is defined up to the same n.
+MAX_QUBITS = 60
 
 # T-type magic state angle, cos(2 beta) = 1/sqrt(3); Bloch vector (1,1,1)/sqrt(3).
 T_STATE_BETA = 0.5 * math.acos(1.0 / math.sqrt(3.0))
@@ -22,29 +24,17 @@ T_STATE_BETA = 0.5 * math.acos(1.0 / math.sqrt(3.0))
 H_STATE_ANGLE = math.pi / 8.0
 
 
-def _pascal_triangle(limit: int) -> list[list[int]]:
-    rows = [[1]]
-    for n in range(1, limit + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    return rows
-
-
-_PASCAL = _pascal_triangle(MAX_BINOMIAL_N)
-
-
 def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n <= 60.
+    """Exact binomial coefficient C(n, k) for 0 <= k <= n <= MAX_QUBITS.
 
-    Values come from an integer Pascal recurrence built once at import time,
-    so the combinatorial weights used by the projection sums carry no
-    floating-point error.
+    Integer arithmetic (math.comb), so the combinatorial weights used by the
+    projection sums carry no floating-point error.
     """
     if k < 0 or n < 0 or k > n:
         raise OutOfRangeError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    if n > MAX_BINOMIAL_N:
-        raise OutOfRangeError(f"binomial is capped at n <= {MAX_BINOMIAL_N}, got n={n}")
-    return _PASCAL[n][k]
+    if n > MAX_QUBITS:
+        raise OutOfRangeError(f"binomial is capped at n <= {MAX_QUBITS}, got n={n}")
+    return math.comb(n, k)
 
 
 def _require_finite(*values: complex) -> None:

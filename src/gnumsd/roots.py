@@ -1,10 +1,26 @@
-"""Bracketed root refinement shared by the solver and the protocol searches.
+"""Sampled grids and the one root search on them.
 
-`bisect_sign_change` is the package's one bisection: `solver.solve_for_magic`
-and the threshold and crossover searches in `protocols` each find a
-sign-change bracket on their own grid and refine it here.
+`step_grid` builds every sweep grid; `first_root` finds the first root of a
+curve sampled on one (the threshold, crossover and magic searches), bisecting
+through `bisect_sign_change`.
 """
 from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import OutOfRangeError
+
+
+def step_grid(stop: float, step: float) -> np.ndarray:
+    """The points k * step for k = 0 .. round(stop / step), a sweep of [0, stop].
+
+    Raises OutOfRangeError unless step is a positive finite number.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise OutOfRangeError(f"grid step must be a positive finite number, got {step!r}")
+    return np.arange(int(round(stop / step)) + 1) * step
 
 
 def bisect_sign_change(fn, lo: float, hi: float, f_lo: float, width: float):
@@ -27,3 +43,21 @@ def bisect_sign_change(fn, lo: float, hi: float, f_lo: float, width: float):
         else:
             hi = mid
     return 0.5 * (lo + hi), hi - lo, evaluations
+
+
+def first_root(xs, diffs, fn, atol: float, width: float):
+    """The first root of fn among its samples diffs[i] = fn(xs[i]), in order of i.
+
+    The first sample with |diff| <= atol is returned as (xs[i], 0.0, 0) unless
+    a sign change between neighbours comes first; that one is bisected through
+    fn down to width.  None when the samples neither touch zero nor change sign.
+    """
+    diffs = np.asarray(diffs, dtype=float)
+    touch = np.abs(diffs) <= atol
+    hits = np.flatnonzero(touch | np.r_[False, np.diff(diffs < 0.0)])
+    if hits.size == 0:
+        return None
+    i = hits[0]
+    if touch[i]:
+        return float(xs[i]), 0.0, 0
+    return bisect_sign_change(fn, float(xs[i - 1]), float(xs[i]), float(diffs[i - 1]), width)

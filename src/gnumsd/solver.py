@@ -12,7 +12,8 @@ phases e^{i g j theta}, so each v-row of the 101 x 400 solver grid is one
 `projection_weights` call over all 400 angles, and the magic curve is one
 single-angle call per v; `final_states` applies the scalar path's checks to
 whole rows.  Coordinate descent refines single points through
-`distilled_state`.
+`distilled_state`.  `solve_for_magic` searches the sampled magic curve with
+`roots.first_root`, the root search of the threshold and crossover searches.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .qmath import (
     trace_distance,
     trace_distances,
 )
-from .roots import bisect_sign_change
+from .roots import first_root, step_grid
 
 logger = logging.getLogger(__name__)
 
@@ -254,23 +255,24 @@ def magic_curve(
 
 
 def default_magic_grid(grid_step: float = MAGIC_GRID_STEP) -> list[float]:
-    steps = int(round(_HALF_PI / grid_step))
-    return [k * grid_step for k in range(steps + 1)]
+    """The v sweep k * grid_step of [0, pi/2]; see roots.step_grid."""
+    return step_grid(_HALF_PI, grid_step).tolist()
 
 
 def solve_for_magic(code: GnuParams, theta: float, magic: float) -> float:
     """Invert the magic curve: a v whose noiseless output magic equals `magic`.
 
-    Samples the curve on the pi/1000 grid, finds the first cell that brackets
-    the requested value (ties toward smaller v) and bisects inside it; the
-    returned point matches to within 1e-6 in magic.
+    Samples the curve on the pi/1000 grid and returns the first sample within
+    1e-12 of `magic`, or else bisects the first cell that brackets it (ties
+    toward smaller v); a bisected point matches to within 1e-6 in magic.
     """
     if magic < 0.0:
         raise OutOfRangeError(f"magic must be nonnegative, got {magic!r}")
     points = magic_curve(code, theta, default_magic_grid())
     if not points:
         raise ZeroSuccessProbabilityError("the whole magic curve is singular")
-    peak = max(value for _, value in points)
+    vs, values = zip(*points)
+    peak = max(values)
     if magic > peak:
         raise OutOfRangeError(
             f"requested magic {magic!r} exceeds the sampled maximum {peak!r}"
@@ -279,13 +281,7 @@ def solve_for_magic(code: GnuParams, theta: float, magic: float) -> float:
     def offset(v: float) -> float:
         return m2_density(distilled_state(code, InputEnsemble(v, theta, 0.0))) - magic
 
-    for (v_lo, m_lo), (v_hi, m_hi) in zip(points, points[1:]):
-        if abs(m_lo - magic) <= 1e-12:
-            return v_lo
-        if (m_lo - magic) * (m_hi - magic) < 0.0 or abs(m_hi - magic) <= 1e-12:
-            return bisect_sign_change(offset, v_lo, v_hi, m_lo - magic, 1e-10)[0]
-    # The peak itself was the only match and sits on the final sample.
-    last_v, last_m = points[-1]
-    if abs(last_m - magic) <= 1e-12:
-        return last_v
-    raise OutOfRangeError(f"no grid cell brackets magic {magic!r}")
+    found = first_root(vs, np.array(values) - magic, offset, 1e-12, 1e-10)
+    if found is None:
+        raise OutOfRangeError(f"no grid cell brackets magic {magic!r}")
+    return found[0]

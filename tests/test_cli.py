@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gnumsd import protocols
 from gnumsd.cli import main, parse_angle
 from gnumsd.codes import GnuParams
 from gnumsd.engine import InputEnsemble
@@ -101,6 +102,20 @@ class TestFigure:
         assert len(first.decode().strip().split("\n")) == 52
         assert not list(tmp_path.glob(".gnumsd-*"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "figure --id 2b --grid-step 0",
+            "figure --id 4 --grid-step -0.1",
+            "magic-curve --grid-step 0",
+        ],
+    )
+    def test_bad_grid_step_exits_2(self, argv, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gnumsd: invalid input: grid step" in captured.err
+
     def test_magic_dataset_columns(self, tmp_path):
         out = tmp_path / "fig1c.csv"
         assert main(["figure", "--id", "1c", "--grid-step", "pi/50", "--out", str(out)]) == 0
@@ -177,6 +192,16 @@ class TestComposeCommand:
         record = json.loads(capsys.readouterr().out)
         assert 0 < record["error_total"] < record["eps"]
         assert 0 < record["error_stage_a"] < record["eps"]
+
+    def test_stage_a_evaluated_once(self, capsys, monkeypatch):
+        calls = []
+        real = protocols.max_error
+        monkeypatch.setattr(
+            protocols, "max_error", lambda *args: calls.append(args) or real(*args)
+        )
+        assert main("compose --eps 0.05 --target H --format csv".split()) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from gnumsd.qmath import (
     t_state,
     trace_distance,
 )
-from gnumsd.roots import bisect_sign_change
+from gnumsd.roots import bisect_sign_change, first_root, step_grid
 from gnumsd.solver import (
     TargetSpec,
     default_magic_grid,
@@ -176,3 +177,71 @@ class TestBisectSignChange:
 
         assert bisect_sign_change(fn, 0.0, 1.0, -0.75, 1e-8) == (0.75, 0.0, 2)
         assert calls == [0.5, 0.75]
+
+
+def _never_called(x):
+    raise AssertionError(f"fn evaluated at {x!r}")
+
+
+class TestFirstRoot:
+    def test_exact_zero_sample_needs_no_evaluation(self):
+        found = first_root([0.0, 1.0, 2.0, 3.0], [-1.0, -0.5, 0.0, 1.0], _never_called, 0.0, 1e-8)
+        assert found == (2.0, 0.0, 0)
+
+    def test_sample_within_atol_is_the_root(self):
+        found = first_root([0.0, 1.0, 2.0], [-1.0, 1e-13, 1.0], _never_called, 1e-12, 1e-8)
+        assert found == (1.0, 0.0, 0)
+
+    def test_earlier_sign_change_wins_over_later_exact_zero(self):
+        found = first_root([0.0, 1.0, 2.0, 3.0], [-0.5, 0.5, 0.0, 1.0], lambda x: x - 0.5, 0.0, 1e-8)
+        assert found == (0.5, 0.0, 1)
+
+    def test_sign_change_is_bisected_through_fn(self):
+        root, width, evaluations = first_root(
+            [0.0, 1.0, 2.0], [-2.0, -1.0, 2.0], lambda x: x * x - 2.0, 0.0, 1e-10
+        )
+        assert (width, evaluations) == bisect_sign_change(
+            lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 1e-10
+        )[1:]
+        assert abs(root - math.sqrt(2.0)) <= 1e-10
+
+    @pytest.mark.parametrize("diffs", [[1.0, 2.0, 0.5], [-1.0, -2.0, -0.5], []])
+    def test_no_touch_and_no_sign_change_is_none(self, diffs):
+        xs = [float(i) for i in range(len(diffs))]
+        assert first_root(xs, diffs, _never_called, 1e-12, 1e-8) is None
+
+    def test_matches_a_sample_by_sample_scan(self):
+        rng = random.Random(4)
+        values = [-1.0, -1e-13, 0.0, 1e-13, 1.0, math.nan]
+        for _ in range(300):
+            diffs = [rng.choice(values) for _ in range(rng.randrange(8))]
+            xs = [0.25 * i for i in range(len(diffs))]
+            expected = None
+            for i, d in enumerate(diffs):
+                if abs(d) <= 1e-12:
+                    expected = (xs[i], 0.0, 0)
+                    break
+                if i and (d < 0.0) != (diffs[i - 1] < 0.0):
+                    expected = bisect_sign_change(abs, xs[i - 1], xs[i], diffs[i - 1], 0.1)
+                    break
+            assert first_root(xs, diffs, abs, 1e-12, 0.1) == expected, diffs
+
+    def test_solve_for_magic_returns_a_sampled_v_exactly(self):
+        points = magic_curve(U2, math.pi / 4, default_magic_grid())
+        for v, magic in (points[3], points[100]):
+            assert solve_for_magic(U2, math.pi / 4, magic) == v
+
+
+class TestStepGrid:
+    def test_points_are_k_times_step(self):
+        grid = step_grid(0.5, 1e-3)
+        assert len(grid) == 501
+        assert grid.tolist() == [k * 1e-3 for k in range(501)]
+        assert default_magic_grid() == [k * (math.pi / 1000) for k in range(501)]
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(OutOfRangeError):
+            step_grid(0.5, step)
+        with pytest.raises(OutOfRangeError):
+            default_magic_grid(step)
