@@ -11,13 +11,15 @@ weight-omega input string with the j-th logical Dicke component is
 e^{i g j theta} times a real amplitude, the x^{gj} coefficient of
 (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
 through the binomial weight of omega flipped inputs.  So one call builds the
-real (omega, j) amplitude table for one v, only for the omega whose noise
-weight is nonzero (omega = 0 alone at eps = 0), and contracts it with the
-phases e^{i g j theta} and an (omega, column) table of noise weights.
-`projection_weights` takes one eps and a whole vector of theta;
-`max_errors` takes one theta and a whole vector of eps, which is how error
-curves evaluate a threshold grid or a figure's eps column in one call.  The
-scalar `dicke_overlap` family spells the same sums out term by term, and
+real (v, omega, j) amplitude table, only for the omega whose noise weight is
+nonzero (omega = 0 alone at eps = 0), builds the phases e^{i g j theta} once,
+and contracts them with an (omega, column) table of noise weights.
+`projection_weights` takes one eps, a float or a whole vector of v, and a
+whole vector of theta, which is how the noiseless solver grid, the solver's
+neighbour probes and the magic curve evaluate many points in one call;
+`max_errors` takes one (v, theta) and a whole vector of eps, which is how
+error curves evaluate a threshold grid or a figure's eps column in one call.
+The scalar `dicke_overlap` family spells the same sums out term by term, and
 `max_error` is the one-point error curve; they are the references the array
 paths are tested against.
 """
@@ -172,8 +174,12 @@ def logical_component_overlap(
     )
 
 
-def _coefficient_rows(degrees, a: float, b: float, width: int):
-    """x^r coefficients, r < width, of (a + b x)^m for each m in degrees (one row per m)."""
+def _coefficient_rows(degrees, a, b, width: int):
+    """x^r coefficients, r < width, of (a + b x)^m for each m in degrees (one row per m).
+
+    a and b are arrays ending in two unit axes, which broadcast against the
+    (m, r) table.
+    """
     r = np.arange(width)
     excess = np.maximum(np.subtract.outer(degrees, r), 0)  # m - r where C(m, r) != 0
     return _BINOMIAL[degrees, :width] * a**excess * b**r
@@ -188,49 +194,56 @@ def _noise_weights(n_qubits: int, eps):
     return _BINOMIAL[n_qubits, omegas] * eps**omegas * (1.0 - eps) ** omegas[::-1]
 
 
-def _projection(code: GnuParams, v: float, thetas, flips, noise):
+def _projection(code: GnuParams, v, thetas, flips, noise):
     """Codespace weights (w00, w11, w01) summed over the omega in flips.
 
+    v is a float or an array of them, and leads the shape of the weights.
     noise holds the noise weights of those omega, one row each.  The
-    (omega, theta) logical sums are built once and broadcast against its
+    (v, omega, theta) logical sums are built once and broadcast against its
     columns: a vector of theta against one noise column, or one theta
     against a column per eps.
     """
     n_qubits, n, g = code.num_qubits, code.n, code.g
-    cos_v, sin_v = math.cos(v), math.sin(v)
+    # math.cos/math.sin per v, so a vector of v gives the same bits as one v.
+    v = np.asarray(v, dtype=float)
+    shape, flat = v.shape + (1, 1), v.ravel().tolist()
+    cos_v = np.array(list(map(math.cos, flat))).reshape(shape)
+    sin_v = np.array(list(map(math.sin, flat))).reshape(shape)
     excitations = g * np.arange(n + 1)
     depth = min(int(flips[-1]), g * n) + 1
     flipped = _coefficient_rows(flips, sin_v, -cos_v, depth)
     clean = _coefficient_rows(n_qubits - flips, cos_v, sin_v, g * n + 1)
-    amplitude = np.zeros((flips.size, n + 1))
+    amplitude = np.zeros(flipped.shape[:-1] + (n + 1,))
     for t in range(depth):
         first = -(-t // g)  # components with g*j >= t
-        amplitude[:, first:] += flipped[:, t, None] * clean[:, excitations[first:] - t]
+        amplitude[..., first:] += flipped[..., t, None] * clean[..., excitations[first:] - t]
     amplitude *= np.sqrt(_BINOMIAL[n, : n + 1] / _BINOMIAL[n_qubits, excitations])
-    # (omega, j, theta) terms, summed by broadcasting: matmul would load BLAS,
-    # about 0.4 MB of resident memory, for arrays this small.
-    terms = amplitude[:, :, None] * np.exp(1j * np.multiply.outer(excitations, thetas))
-    even = terms[:, 0::2].sum(axis=1)
-    odd = terms[:, 1::2].sum(axis=1)
+    # (v, omega, j, theta) terms, summed by broadcasting: matmul would load
+    # BLAS, about 0.4 MB of resident memory, for arrays this small.
+    phases = np.exp(1j * np.multiply.outer(excitations, thetas))
+    terms = amplitude[..., None] * phases
+    even = terms[..., 0::2, :].sum(axis=-2)
+    odd = terms[..., 1::2, :].sum(axis=-2)
     weight = 2.0 ** (-(n - 1)) * noise
-    w00 = (weight * (even.real**2 + even.imag**2)).sum(axis=0)
-    w11 = (weight * (odd.real**2 + odd.imag**2)).sum(axis=0)
-    w01 = (weight * (even * odd.conj())).sum(axis=0)
+    w00 = (weight * (even.real**2 + even.imag**2)).sum(axis=-2)
+    w11 = (weight * (odd.real**2 + odd.imag**2)).sum(axis=-2)
+    w01 = (weight * (even * odd.conj())).sum(axis=-2)
     return w00, w11, w01
 
 
-def projection_weights(code: GnuParams, v: float, thetas, eps: float):
-    """Codespace weights (w00, w11, w01) at one (v, eps) for each angle in thetas.
+def projection_weights(code: GnuParams, v, thetas, eps: float):
+    """Codespace weights (w00, w11, w01) at one eps for each v and each angle in thetas.
 
-    thetas is a 1-D array and the weights are arrays of its length.  v and
-    eps must already lie in [0, pi/2] and [0, 1], as InputEnsemble ensures.
-    For each number omega of flipped inputs with nonzero noise weight, the
-    real amplitude of logical component j is the x^{gj} coefficient of
-    (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, scaled by
-    sqrt(C(n, j) / C(N, gj)); theta only multiplies it by e^{i g j theta}.
-    Both factors are tabulated per call, so a call holds O(N^2) numbers plus
-    O(N * n) per angle.  No zero-weight check happens here: see
-    codespace_projection and final_states.
+    v is a float or an array of them and thetas a 1-D array; the weights are
+    arrays of shape np.shape(v) + thetas.shape, so a float v gives one
+    entry per angle.  v and eps must already lie in [0, pi/2] and [0, 1],
+    as InputEnsemble ensures.  For each number omega of flipped inputs with
+    nonzero noise weight, the real amplitude of logical component j is the
+    x^{gj} coefficient of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega,
+    scaled by sqrt(C(n, j) / C(N, gj)); theta only multiplies it by
+    e^{i g j theta}.  Both factors are tabulated per call, so a call holds
+    O(N^2) numbers per v plus O(N * n) per (v, angle) pair.  No zero-weight
+    check happens here: see codespace_projection and final_states.
     """
     noise = _noise_weights(code.num_qubits, eps)
     flips = np.flatnonzero(noise)

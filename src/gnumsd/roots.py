@@ -14,13 +14,19 @@ from .errors import OutOfRangeError
 
 
 def step_grid(stop: float, step: float) -> np.ndarray:
-    """The points k * step for k = 0 .. round(stop / step), a sweep of [0, stop].
+    """The points k * step for k = 0, 1, ... up to stop, a sweep of [0, stop].
 
-    Raises OutOfRangeError unless step is a positive finite number.
+    The last point may pass stop by rounding only, at most 4 ulps (a step
+    that divides the range can end an ulp above it), so a step that does not
+    divide the range ends short of stop.  Raises OutOfRangeError unless step
+    is a positive finite number.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise OutOfRangeError(f"grid step must be a positive finite number, got {step!r}")
-    return np.arange(int(round(stop / step)) + 1) * step
+    last = int(round(stop / step))
+    if last * step > stop + 4 * math.ulp(stop):
+        last -= 1
+    return np.arange(last + 1) * step
 
 
 def bisect_sign_change(fn, lo: float, hi: float, f_lo: float, width: float):

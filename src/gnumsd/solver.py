@@ -8,11 +8,12 @@ distilled state at fixed theta.
 
 Both scans run on the engine's array path.  At eps = 0 only the unflipped
 input string carries weight, and theta enters the output only through the
-phases e^{i g j theta}, so each v-row of the 101 x 400 solver grid is one
-`projection_weights` call over all 400 angles, and the magic curve is one
-single-angle call per v; `final_states` applies the scalar path's checks to
-whole rows.  Coordinate descent refines single points through
-`distilled_state`.  `solve_for_magic` searches the sampled magic curve with
+phases e^{i g j theta}, so `projection_weights` evaluates a whole v x theta
+grid per call: the 101 x 400 solver grid is filled in blocks of
+`GRID_BLOCK_ROWS` v-rows, each coordinate-descent round scores its four axis
+neighbours with one call, and the magic curve is one single-angle call over
+all of its v; `final_states` applies the scalar path's checks to whole
+arrays.  `solve_for_magic` searches the sampled magic curve with
 `roots.first_root`, the root search of the threshold and crossover searches.
 """
 from __future__ import annotations
@@ -50,6 +51,9 @@ logger = logging.getLogger(__name__)
 TARGET_KINDS = ("T", "H", "XT", "XH", "custom")
 
 GRID_STEP = math.pi / 200
+# v-rows of the solver grid per engine call.  The whole 101-row grid in one
+# call costs about 5 MB more peak memory than blocks of this size.
+GRID_BLOCK_ROWS = 16
 MAGIC_GRID_STEP = math.pi / 1000
 # Grid residuals above this mean the target is unreachable for the code.
 UNREACHABLE_RESIDUAL = 0.1
@@ -99,43 +103,72 @@ class SolvedInput:
     input_magic: float
 
 
-def _make_residual(code: GnuParams, target: DensityMatrix1Q):
-    def residual(v: float, theta: float) -> float:
-        try:
-            return trace_distance(
-                distilled_state(code, InputEnsemble(v, theta, 0.0)), target
-            )
-        except ZeroSuccessProbabilityError:
-            return math.inf
-
-    return residual
+def _residual(code: GnuParams, target: DensityMatrix1Q, v: float, theta: float) -> float:
+    """Noiseless trace distance to target at one input point; inf where no weight."""
+    try:
+        return trace_distance(distilled_state(code, InputEnsemble(v, theta, 0.0)), target)
+    except ZeroSuccessProbabilityError:
+        return math.inf
 
 
-def _residual_row(code: GnuParams, target: DensityMatrix1Q, v: float, thetas):
-    """Noiseless residual at one v for every angle in thetas; inf where no weight."""
+def _residual_row(code: GnuParams, target: DensityMatrix1Q, v, thetas):
+    """Noiseless residuals at each v for every angle in thetas; inf where no weight.
+
+    v is a float (one row) or a vector (one row per v).
+    """
     accepted, m00, m11, m01 = final_states(*projection_weights(code, v, thetas, 0.0))
-    row = np.full(thetas.shape, math.inf)
+    row = np.full(np.shape(v) + thetas.shape, math.inf)
     row[accepted] = trace_distances(m00, m11, m01, target)
     return row
 
 
-def _pattern_search(residual, v: float, theta: float, stop: float):
-    """Coordinate descent with shrinking steps; returns (v, theta, residual)."""
-    best = residual(v, theta)
-    step = GRID_STEP
-    while step > 1e-12 and best > stop:
-        move = None
+def _neighbour_residuals(
+    code: GnuParams, target: DensityMatrix1Q, v: float, theta: float, step: float
+):
+    """The four axis neighbours of (v, theta) at this step, as (v, theta, residual).
+
+    Each neighbour is clamped into [0, pi/2] x [-pi, pi) and scored as
+    _residual scores it, at its InputEnsemble's angles.  The two v-neighbours
+    share a theta and the two theta-neighbours a v, so one engine call over
+    the 3 x 3 grid of those angles holds all four.
+    """
+    neighbours = [
+        (min(max(cand_v, 0.0), _HALF_PI), wrap_angle(cand_theta))
         for cand_v, cand_theta in (
             (v + step, theta),
             (v - step, theta),
             (v, theta + step),
             (v, theta - step),
-        ):
-            cand_v = min(max(cand_v, 0.0), _HALF_PI)
-            cand_theta = wrap_angle(cand_theta)
-            value = residual(cand_v, cand_theta)
-            if value < (move[2] if move else best):
-                move = (cand_v, cand_theta, value)
+        )
+    ]
+    up, down, right, left = (InputEnsemble(*cand, 0.0) for cand in neighbours)
+    weights = projection_weights(
+        code,
+        np.array([up.v, down.v, right.v]),
+        np.array([up.theta, right.theta, left.theta]),
+        0.0,
+    )
+    rows, cols = [0, 1, 2, 2], [0, 0, 1, 2]
+    accepted, m00, m11, m01 = final_states(*(w[rows, cols] for w in weights))
+    # The scalar trace_distance: trace_distances can differ from it by 2 ulps.
+    states = zip(m00.tolist(), m11.tolist(), m01.tolist())
+    return [
+        (*cand, trace_distance(DensityMatrix1Q(*next(states)), target) if kept else math.inf)
+        for cand, kept in zip(neighbours, accepted)
+    ]
+
+
+def _pattern_search(
+    code: GnuParams, target: DensityMatrix1Q, v: float, theta: float, stop: float
+):
+    """Coordinate descent with shrinking steps; returns (v, theta, residual)."""
+    best = _residual(code, target, v, theta)
+    step = GRID_STEP
+    while step > 1e-12 and best > stop:
+        move = None
+        for cand in _neighbour_residuals(code, target, v, theta, step):
+            if cand[2] < (move[2] if move else best):
+                move = cand
         if move:
             v, theta, best = move
         else:
@@ -166,17 +199,18 @@ def solve_to_density(
     """
     if tol < 1e-10:
         raise OutOfRangeError(f"tol must be at least 1e-10, got {tol!r}")
-    residual = _make_residual(code, target)
 
     n_v = int(round(_HALF_PI / GRID_STEP))
     n_theta = int(round(2.0 * math.pi / GRID_STEP))
     vs = [i * GRID_STEP for i in range(n_v + 1)]
     thetas = [-math.pi + j * GRID_STEP for j in range(n_theta)]
     theta_row = np.array(thetas)
+    # The last row overshoots pi/2 by rounding; InputEnsemble clamps it too.
+    grid_vs = np.minimum(vs, _HALF_PI)
     grid = np.empty((n_v + 1, n_theta))
-    for i, v in enumerate(vs):
-        # The last row overshoots pi/2 by rounding; InputEnsemble clamps it too.
-        grid[i] = _residual_row(code, target, min(v, _HALF_PI), theta_row)
+    for i in range(0, n_v + 1, GRID_BLOCK_ROWS):
+        block = slice(i, i + GRID_BLOCK_ROWS)
+        grid[block] = _residual_row(code, target, grid_vs[block], theta_row)
 
     grid_min = grid.min()
     if grid_min > UNREACHABLE_RESIDUAL:
@@ -196,7 +230,7 @@ def solve_to_density(
 
     refined = []
     for v0, theta0 in candidates:
-        v, theta, value = _pattern_search(residual, v0, theta0, stop=tol * 1e-3)
+        v, theta, value = _pattern_search(code, target, v0, theta0, stop=tol * 1e-3)
         if value <= tol:
             refined.append(
                 SolvedInput(
@@ -237,13 +271,12 @@ def magic_curve(
     Grid points where the projection has no weight (the post-selection can
     never accept) are skipped and logged.
     """
-    w00, w11 = np.empty(len(v_grid)), np.empty(len(v_grid))
-    w01 = np.empty(len(v_grid), dtype=complex)
-    for i, v in enumerate(v_grid):
-        ens = InputEnsemble(v, theta, 0.0)
-        point = projection_weights(code, ens.v, np.array([ens.theta]), 0.0)
-        w00[i], w11[i], w01[i] = (w[0] for w in point)
-    accepted, m00, m11, m01 = final_states(w00, w11, w01)
+    ensembles = [InputEnsemble(v, theta, 0.0) for v in v_grid]
+    if not ensembles:
+        return []
+    vs = np.array([ens.v for ens in ensembles])
+    weights = projection_weights(code, vs, np.array([ensembles[0].theta]), 0.0)
+    accepted, m00, m11, m01 = final_states(*(w[:, 0] for w in weights))
     states = zip(m00.tolist(), m11.tolist(), m01.tolist())
     points = []
     for v, kept in zip(v_grid, accepted):

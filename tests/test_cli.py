@@ -116,6 +116,11 @@ class TestFigure:
         assert captured.out == ""
         assert "gnumsd: invalid input: grid step" in captured.err
 
+    def test_step_that_does_not_divide_the_range_stays_inside_it(self, capsys):
+        assert main("figure --id 4 --grid-step 0.3".split()) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.3"]
+
     def test_magic_dataset_columns(self, tmp_path):
         out = tmp_path / "fig1c.csv"
         assert main(["figure", "--id", "1c", "--grid-step", "pi/50", "--out", str(out)]) == 0
@@ -184,6 +189,12 @@ class TestMagicCurveCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "v,M2"
         assert len(lines) == 52
+
+    def test_step_that_does_not_divide_the_range_stays_inside_it(self, capsys):
+        argv = "magic-curve --g 1 --n 1 --u 2 --theta pi/4 --grid-step 1".split()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[0] for line in lines] == ["v", "0", "1"]
 
 
 class TestComposeCommand:

@@ -290,6 +290,10 @@ N_GT_1_ORACLE_CODES = [
     GnuParams(*shape)
     for shape in ((1, 2, 1), (2, 2, 1), (1, 3, 2), (3, 2, 2), (2, 3, 2), (1, 4, 2.5))
 ]
+V_AXIS_CODES = [
+    GnuParams(*shape)
+    for shape in ((1, 1, 2), (2, 1, 1), (1, 1, 60), (1, 2, 3), (3, 2, 2), (1, 4, 2.5))
+]
 METAMORPHIC_CODES = [
     GnuParams(*shape)
     for shape in (
@@ -319,6 +323,26 @@ class TestProjectionWeights:
             assert abs(proj.w00 - w00[k]) <= 1e-15
             assert abs(proj.w11 - w11[k]) <= 1e-15
             assert abs(proj.w01 - w01[k]) <= 1e-15
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.37])
+    @pytest.mark.parametrize("code", V_AXIS_CODES, ids=_code_id)
+    def test_vector_of_v_matches_one_v_calls(self, code, eps):
+        rng = random.Random(code.num_qubits * 10 + code.n)
+        vs = np.array([0.0, *(rng.uniform(0.0, math.pi / 2) for _ in range(6)), math.pi / 2])
+        for n_theta in (1, 5):
+            thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(n_theta)])
+            batch = projection_weights(code, vs, thetas, eps)
+            square = projection_weights(code, vs.reshape(2, 4), thetas, eps)
+            for got, grid in zip(batch, square):
+                assert got.shape == (vs.size, n_theta)
+                assert np.array_equal(grid.reshape(got.shape), got)
+            for i, v in enumerate(vs.tolist()):
+                for got, want in zip(batch, projection_weights(code, v, thetas, eps)):
+                    if eps == 0.0:
+                        assert np.array_equal(got[i], want)
+                    else:
+                        # The omega sum may run in another order: not bitwise.
+                        assert np.max(np.abs(got[i] - want)) <= 1e-15
 
     def test_complementary_input_relation(self):
         # The error state is the clean state at (pi/2 - v, theta + pi), so

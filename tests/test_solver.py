@@ -1,11 +1,12 @@
 import cmath
+import logging
 import math
 import random
 
 import pytest
 
 from gnumsd.codes import GnuParams
-from gnumsd.engine import InputEnsemble, distilled_state, final_state
+from gnumsd.engine import InputEnsemble, distilled_state, final_state, wrap_angle
 from gnumsd.errors import NoSolutionError, OutOfRangeError, ZeroSuccessProbabilityError
 from gnumsd.oracle import build_rho_n, project_and_decode
 from gnumsd.qmath import (
@@ -19,7 +20,11 @@ from gnumsd.qmath import (
 )
 from gnumsd.roots import bisect_sign_change, first_root, step_grid
 from gnumsd.solver import (
+    GRID_STEP,
     TargetSpec,
+    _neighbour_residuals,
+    _pattern_search,
+    _residual,
     default_magic_grid,
     magic_curve,
     solve_for_magic,
@@ -108,7 +113,95 @@ class TestSolveInputParams:
             solve_input_params(U2, TargetSpec("T"), tol=1e-12)
 
 
+def _reference_pattern_search(code, target, v, theta, stop):
+    """_pattern_search probing one neighbour at a time through _residual."""
+    best = _residual(code, target, v, theta)
+    step = GRID_STEP
+    while step > 1e-12 and best > stop:
+        move = None
+        for cand_v, cand_theta in (
+            (v + step, theta),
+            (v - step, theta),
+            (v, theta + step),
+            (v, theta - step),
+        ):
+            cand_v = min(max(cand_v, 0.0), math.pi / 2)
+            cand_theta = wrap_angle(cand_theta)
+            value = _residual(code, target, cand_v, cand_theta)
+            if value < (move[2] if move else best):
+                move = (cand_v, cand_theta, value)
+        if move:
+            v, theta, best = move
+        else:
+            step *= 0.5
+    return v, theta, best
+
+
+NEIGHBOUR_CODES = [
+    GnuParams(*shape)
+    for shape in ((1, 1, 2), (2, 1, 1), (1, 1, 12), (1, 2, 3), (3, 2, 2), (1, 4, 2.5))
+]
+
+
+class TestNeighbourResiduals:
+    XT = TargetSpec("XT").density()
+
+    def _check(self, code, v, theta, step):
+        """The four neighbours, each checked bitwise against the scalar residual."""
+        neighbours = _neighbour_residuals(code, self.XT, v, theta, step)
+        axis = ((v + step, theta), (v - step, theta), (v, theta + step), (v, theta - step))
+        assert len(neighbours) == 4
+        for (cand_v, cand_theta, value), (raw_v, raw_theta) in zip(neighbours, axis):
+            assert cand_v == min(max(raw_v, 0.0), math.pi / 2)
+            assert cand_theta == wrap_angle(raw_theta)
+            assert value == _residual(code, self.XT, cand_v, cand_theta)
+        return neighbours
+
+    @pytest.mark.parametrize("code", NEIGHBOUR_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
+    def test_seeded_points_match_scalar_residual(self, code):
+        rng = random.Random(code.num_qubits * 10 + code.g)
+        for _ in range(50):
+            step = GRID_STEP * 0.5 ** rng.randrange(40)
+            self._check(code, rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi), step)
+
+    def test_v_clamps_and_theta_wraps(self):
+        low = self._check(U2, 0.001, -math.pi + 0.001, GRID_STEP)
+        assert low[1][0] == 0.0 and low[3][1] > 3.1
+        high = self._check(U2, math.pi / 2 - 0.001, math.pi - 0.002, GRID_STEP)
+        assert high[0][0] == math.pi / 2 and high[2][1] < -3.1
+
+    def test_zero_weight_neighbour_is_inf(self):
+        # The (1, 1, 12) weight underflows at v = pi/2 only.
+        code = GnuParams(1, 1, 12)
+        neighbours = self._check(code, math.pi / 2 - GRID_STEP / 2, 0.3, GRID_STEP)
+        assert neighbours[0][0] == math.pi / 2 and neighbours[0][2] == math.inf
+        assert all(math.isfinite(value) for _, _, value in neighbours[1:])
+
+    @pytest.mark.parametrize("code", NEIGHBOUR_CODES[:4], ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
+    def test_pattern_search_matches_one_probe_at_a_time(self, code):
+        rng = random.Random(code.num_qubits)
+        for kind in ("XT", "XH"):
+            target = TargetSpec(kind).density()
+            for _ in range(2):
+                start = (rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi))
+                assert _pattern_search(code, target, *start, 1e-12) == _reference_pattern_search(
+                    code, target, *start, 1e-12
+                )
+
+
 class TestMagicCurve:
+    def test_empty_grid(self):
+        assert magic_curve(U2, math.pi / 4, []) == []
+
+    def test_singular_point_is_skipped_and_logged(self, caplog):
+        code = GnuParams(1, 1, 12)
+        with caplog.at_level(logging.WARNING, logger="gnumsd.solver"):
+            points = magic_curve(code, math.pi / 4, [0.7, math.pi / 2, 0.0])
+        assert [v for v, _ in points] == [0.7, 0.0]
+        state = distilled_state(code, InputEnsemble(0.7, math.pi / 4, 0.0))
+        assert points[0][1] == m2_density(state)
+        assert caplog.messages == [f"magic_curve: skipped singular grid point v={math.pi / 2!r}"]
+
     def test_zero_angle_gives_zero_magic(self):
         points = magic_curve(U2, math.pi / 4, [0.0])
         assert points == [(0.0, 0.0)]
@@ -238,6 +331,27 @@ class TestStepGrid:
         assert len(grid) == 501
         assert grid.tolist() == [k * 1e-3 for k in range(501)]
         assert default_magic_grid() == [k * (math.pi / 1000) for k in range(501)]
+
+    @pytest.mark.parametrize(
+        "stop, step, count",
+        [
+            (0.5, 1e-3, 501),
+            (math.pi / 2, math.pi / 1000, 501),
+            (math.pi / 2, math.pi / 100, 51),
+            (0.5, 0.0007, 715),
+            (0.5, 0.013, 39),
+            (0.5, 0.3, 2),
+            (math.pi / 2, 1.0, 2),
+        ],
+    )
+    def test_stops_at_the_range_end_up_to_rounding(self, stop, step, count):
+        grid = step_grid(stop, step)
+        assert grid.tolist() == [k * step for k in range(count)]
+        # Rounding may carry a divisor step's last point an ulp past stop.
+        assert grid[-1] <= stop + 4 * math.ulp(stop)
+
+    def test_pi_over_100_grid_ends_an_ulp_above_half_pi(self):
+        assert step_grid(math.pi / 2, math.pi / 100)[-1] == math.nextafter(math.pi / 2, 2.0)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
     def test_step_must_be_positive_and_finite(self, step):
