@@ -60,6 +60,8 @@ def parse_angle(text: str) -> float:
         if match.group("mult"):
             value *= float(match.group("mult"))
         if match.group("div"):
+            if float(match.group("div")) == 0.0:
+                raise argparse.ArgumentTypeError(f"zero divisor in angle {text!r}")
             value /= float(match.group("div"))
         return -value if match.group("sign") == "-" else value
     try:

@@ -18,6 +18,9 @@ from .errors import OutOfRangeError
 # binomial (so every combinatorial weight) is defined up to the same n.
 MAX_QUBITS = 60
 
+# Rounding slack of every state check (populations, traces, coherences).
+STATE_TOLERANCE = 1e-12
+
 # T-type magic state angle, cos(2 beta) = 1/sqrt(3); Bloch vector (1,1,1)/sqrt(3).
 T_STATE_BETA = 0.5 * math.acos(1.0 / math.sqrt(3.0))
 # H-type magic state sits at pi/8 in the x-z plane.
@@ -35,6 +38,11 @@ def binomial(n: int, k: int) -> int:
     if n > MAX_QUBITS:
         raise OutOfRangeError(f"binomial is capped at n <= {MAX_QUBITS}, got n={n}")
     return math.comb(n, k)
+
+
+def squared_modulus(z):
+    """|z|^2 without hypot, whose math and numpy forms can differ by 1 ulp."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def _require_finite(*values: complex) -> None:
@@ -56,7 +64,7 @@ class PureQubit:
         object.__setattr__(self, "c1", complex(self.c1))
         _require_finite(self.c0, self.c1)
         norm = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > STATE_TOLERANCE:
             raise OutOfRangeError(f"state is not normalised: |c0|^2 + |c1|^2 = {norm!r}")
 
     def density(self) -> "DensityMatrix1Q":
@@ -69,9 +77,9 @@ class PureQubit:
 class DensityMatrix1Q:
     """Single-qubit density matrix; m10 is the conjugate of m01.
 
-    Populations down to -1e-12 are clamped to zero (rounding tolerance);
-    anything more negative, a trace away from one, or a coherence violating
-    positive semidefiniteness is rejected as a logic error upstream.
+    Populations down to -STATE_TOLERANCE are clamped to zero; anything more
+    negative, a trace away from one, or a coherence violating positive
+    semidefiniteness is rejected as a logic error upstream.
     """
 
     m00: float
@@ -81,12 +89,12 @@ class DensityMatrix1Q:
     def __post_init__(self) -> None:
         m00, m11, m01 = float(self.m00), float(self.m11), complex(self.m01)
         _require_finite(m00, m11, m01)
-        if m00 < -1e-12 or m11 < -1e-12:
+        if m00 < -STATE_TOLERANCE or m11 < -STATE_TOLERANCE:
             raise OutOfRangeError(f"negative population: m00={m00!r}, m11={m11!r}")
         m00, m11 = max(m00, 0.0), max(m11, 0.0)
-        if abs(m00 + m11 - 1.0) > 1e-12:
+        if abs(m00 + m11 - 1.0) > STATE_TOLERANCE:
             raise OutOfRangeError(f"trace is {m00 + m11!r}, expected 1")
-        if abs(m01) ** 2 > m00 * m11 + 1e-12:
+        if squared_modulus(m01) > m00 * m11 + STATE_TOLERANCE:
             raise OutOfRangeError("coherence violates positive semidefiniteness")
         object.__setattr__(self, "m00", m00)
         object.__setattr__(self, "m11", m11)
@@ -97,16 +105,18 @@ def checked_density_arrays(m00, m11, m01):
     """DensityMatrix1Q's checks and clamping applied to arrays of matrix elements.
 
     Raises OutOfRangeError if any entry would be rejected; returns the
-    clamped (m00, m11, m01).
+    clamped (m00, m11, m01).  The dataclass keeps its own copy: it is the
+    per-state path, a few us against tens for one point here.
     """
     if not (np.isfinite(m00).all() and np.isfinite(m11).all() and np.isfinite(m01).all()):
         raise OutOfRangeError("non-finite component")
-    if np.any((m00 < -1e-12) | (m11 < -1e-12)):
+    if ((m00 < -STATE_TOLERANCE) | (m11 < -STATE_TOLERANCE)).any():
         raise OutOfRangeError("negative population")
-    m00, m11 = np.maximum(m00, 0.0), np.maximum(m11, 0.0)
-    if np.any(np.abs(m00 + m11 - 1.0) > 1e-12):
+    # max(x, 0.0) as the dataclass takes it: np.maximum may turn -0.0 into +0.0.
+    m00, m11 = np.where(m00 < 0.0, 0.0, m00), np.where(m11 < 0.0, 0.0, m11)
+    if (np.abs(m00 + m11 - 1.0) > STATE_TOLERANCE).any():
         raise OutOfRangeError("trace is not 1")
-    if np.any(np.abs(m01) ** 2 > m00 * m11 + 1e-12):
+    if (squared_modulus(m01) > m00 * m11 + STATE_TOLERANCE).any():
         raise OutOfRangeError("coherence violates positive semidefiniteness")
     return m00, m11, m01
 
@@ -124,29 +134,24 @@ def h_state() -> PureQubit:
     return PureQubit(math.cos(H_STATE_ANGLE), math.sin(H_STATE_ANGLE))
 
 
-def trace_distance(rho: DensityMatrix1Q, sigma: DensityMatrix1Q) -> float:
-    """(1/2) * sum of |eigenvalues| of rho - sigma, via the closed 2x2 form."""
-    d0 = rho.m00 - sigma.m00
-    d1 = rho.m11 - sigma.m11
-    q = rho.m01 - sigma.m01
-    mean = 0.5 * (d0 + d1)
-    radius = math.hypot(0.5 * (d0 - d1), abs(q))
-    dist = 0.5 * (abs(mean + radius) + abs(mean - radius))
-    return min(max(dist, 0.0), 1.0)
-
-
 def trace_distances(m00, m11, m01, sigma: DensityMatrix1Q):
-    """trace_distance to sigma from each state given by arrays of matrix elements.
+    """(1/2) * sum of |eigenvalues| of rho - sigma for each state given by arrays.
 
-    Agrees with trace_distance to within 2 ulps, not bitwise: np.hypot and
-    math.hypot can differ by 1 ulp.
+    Closed 2x2 form with only IEEE +, *, abs and sqrt (entries are at most 1,
+    so no overflow): an entry's bits do not depend on the arrays' shape.
     """
     d0 = m00 - sigma.m00
     d1 = m11 - sigma.m11
     q = m01 - sigma.m01
     mean = 0.5 * (d0 + d1)
-    radius = np.hypot(0.5 * (d0 - d1), np.abs(q))
+    half_gap = 0.5 * (d0 - d1)
+    radius = np.sqrt(half_gap * half_gap + squared_modulus(q))
     return np.clip(0.5 * (np.abs(mean + radius) + np.abs(mean - radius)), 0.0, 1.0)
+
+
+def trace_distance(rho: DensityMatrix1Q, sigma: DensityMatrix1Q) -> float:
+    """trace_distances at the single state rho."""
+    return float(trace_distances(rho.m00, rho.m11, rho.m01, sigma))
 
 
 def pauli_expectations(rho: DensityMatrix1Q) -> tuple[float, float, float, float]:
@@ -164,8 +169,8 @@ def density_from_pauli(x: float, y: float, z: float) -> DensityMatrix1Q:
     return DensityMatrix1Q(0.5 * (1.0 + z), 0.5 * (1.0 - z), complex(x, -y) / 2.0)
 
 
-def m2_density(rho: DensityMatrix1Q) -> float:
-    """Stabiliser 2-Renyi magic of a density matrix.
+def m2_densities(m00, m11, m01):
+    """Stabiliser 2-Renyi magic of each state given by arrays of matrix elements.
 
     Computes -log2((1/4) * sum_P Tr(P rho)^4) - log2(2) over the single-qubit
     Pauli group.  The same fourth-power formula is applied to mixed states as
@@ -173,9 +178,14 @@ def m2_density(rho: DensityMatrix1Q) -> float:
     maximally mixed state evaluates to 1); callers that need a monotone on
     mixed inputs should be aware of this.
     """
-    e_i, e_x, e_y, e_z = pauli_expectations(rho)
+    e_i, e_x, e_y, e_z = m00 + m11, 2.0 * m01.real, -2.0 * m01.imag, m00 - m11
     fourth_power_sum = e_i**4 + e_x**4 + e_y**4 + e_z**4
-    return -math.log2(0.25 * fourth_power_sum) - 1.0
+    return -np.log2(0.25 * fourth_power_sum) - 1.0
+
+
+def m2_density(rho: DensityMatrix1Q) -> float:
+    """m2_densities at rho as one-element arrays (on floats, ** and log2 round otherwise)."""
+    return float(m2_densities(*(np.array([x]) for x in (rho.m00, rho.m11, rho.m01)))[0])
 
 
 def m2_pure(psi: PureQubit) -> float:

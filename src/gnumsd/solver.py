@@ -13,8 +13,9 @@ grid per call: the 101 x 400 solver grid is filled in blocks of
 `GRID_BLOCK_ROWS` v-rows, each coordinate-descent round scores its four axis
 neighbours with one call, and the magic curve is one single-angle call over
 all of its v; `final_states` applies the scalar path's checks to whole
-arrays.  `solve_for_magic` searches the sampled magic curve with
-`roots.first_root`, the root search of the threshold and crossover searches.
+arrays, and `_residual_row` scores the grid and the neighbours alike.
+`solve_for_magic` searches the sampled magic curve with `roots.first_root`,
+the root search of the threshold and crossover searches.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .qmath import (
     DensityMatrix1Q,
     PureQubit,
     h_state,
+    m2_densities,
     m2_density,
     m2_pure,
     t_state,
@@ -127,10 +130,10 @@ def _neighbour_residuals(
 ):
     """The four axis neighbours of (v, theta) at this step, as (v, theta, residual).
 
-    Each neighbour is clamped into [0, pi/2] x [-pi, pi) and scored as
-    _residual scores it, at its InputEnsemble's angles.  The two v-neighbours
-    share a theta and the two theta-neighbours a v, so one engine call over
-    the 3 x 3 grid of those angles holds all four.
+    Each neighbour is clamped into [0, pi/2] x [-pi, pi) and scored at its
+    InputEnsemble's angles.  The two v-neighbours share a theta and the two
+    theta-neighbours a v, so one _residual_row call over the 3 x 3 grid of
+    those angles holds all four.
     """
     neighbours = [
         (min(max(cand_v, 0.0), _HALF_PI), wrap_angle(cand_theta))
@@ -142,20 +145,10 @@ def _neighbour_residuals(
         )
     ]
     up, down, right, left = (InputEnsemble(*cand, 0.0) for cand in neighbours)
-    weights = projection_weights(
-        code,
-        np.array([up.v, down.v, right.v]),
-        np.array([up.theta, right.theta, left.theta]),
-        0.0,
-    )
-    rows, cols = [0, 1, 2, 2], [0, 0, 1, 2]
-    accepted, m00, m11, m01 = final_states(*(w[rows, cols] for w in weights))
-    # The scalar trace_distance: trace_distances can differ from it by 2 ulps.
-    states = zip(m00.tolist(), m11.tolist(), m01.tolist())
-    return [
-        (*cand, trace_distance(DensityMatrix1Q(*next(states)), target) if kept else math.inf)
-        for cand, kept in zip(neighbours, accepted)
-    ]
+    vs = np.array([up.v, down.v, right.v])
+    thetas = np.array([up.theta, right.theta, left.theta])
+    residuals = _residual_row(code, target, vs, thetas)[[0, 1, 2, 2], [0, 0, 1, 2]].tolist()
+    return [(*cand, residual) for cand, residual in zip(neighbours, residuals)]
 
 
 def _pattern_search(
@@ -277,14 +270,9 @@ def magic_curve(
     vs = np.array([ens.v for ens in ensembles])
     weights = projection_weights(code, vs, np.array([ensembles[0].theta]), 0.0)
     accepted, m00, m11, m01 = final_states(*(w[:, 0] for w in weights))
-    states = zip(m00.tolist(), m11.tolist(), m01.tolist())
-    points = []
-    for v, kept in zip(v_grid, accepted):
-        if kept:
-            points.append((v, m2_density(DensityMatrix1Q(*next(states)))))
-        else:
-            logger.warning("magic_curve: skipped singular grid point v=%r", v)
-    return points
+    for v in compress(v_grid, ~accepted):
+        logger.warning("magic_curve: skipped singular grid point v=%r", v)
+    return list(zip(compress(v_grid, accepted), m2_densities(m00, m11, m01).tolist()))
 
 
 def default_magic_grid(grid_step: float = MAGIC_GRID_STEP) -> list[float]:

@@ -34,6 +34,23 @@ class TestParseAngle:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_angle("onepi")
 
+    @pytest.mark.parametrize("text", ["pi/0", "3pi/0.0", "-pi/0"])
+    def test_rejects_zero_divisor(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_angle(text)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [("distill --v pi/0", "--v"), ("magic-curve --grid-step pi/0", "--grid-step")],
+    )
+    def test_zero_divisor_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"argument {flag}: zero divisor in angle 'pi/0'\n")
+
 
 class TestDistill:
     def test_hand_point_record(self, capsys):
@@ -203,6 +220,16 @@ class TestComposeCommand:
         record = json.loads(capsys.readouterr().out)
         assert 0 < record["error_total"] < record["eps"]
         assert 0 < record["error_stage_a"] < record["eps"]
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [("1.5", "eps must lie in [0, 1], got 1.5"), ("nan", "ensemble parameters must be finite")],
+    )
+    def test_bad_eps_message(self, eps, message, capsys):
+        assert main(["compose", "--eps", eps, "--target", "T"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gnumsd: invalid input: {message}\n"
 
     def test_stage_a_evaluated_once(self, capsys, monkeypatch):
         calls = []

@@ -8,6 +8,7 @@ import pytest
 
 from gnumsd.codes import GnuParams
 from gnumsd.engine import (
+    MIN_SUCCESS_PROBABILITY,
     CodespaceProjection,
     InputEnsemble,
     codespace_projection,
@@ -25,7 +26,13 @@ from gnumsd.engine import (
 )
 from gnumsd.errors import OutOfRangeError, ZeroSuccessProbabilityError
 from gnumsd.oracle import build_rho_n, product_state_vector, project_and_decode
-from gnumsd.qmath import t_state, trace_distance
+from gnumsd.qmath import (
+    STATE_TOLERANCE,
+    DensityMatrix1Q,
+    checked_density_arrays,
+    t_state,
+    trace_distance,
+)
 from gnumsd.solver import GRID_STEP, TargetSpec, _residual_row
 
 HAND_POINT = InputEnsemble(math.pi / 4, 0.0, 0.0)
@@ -401,6 +408,106 @@ class TestFinalStates:
             final_states(w00, w11, w01.astype(complex))
 
 
+def tolerance_edges():
+    """(kind, (a, b, c)) triples straddling each state check's tolerance.
+
+    Read as (m00, m11, m01) or (w00, w11, w01): a population at -tol + d
+    beside a population of 1, a trace or total weight at 1 +- (tol + d),
+    |c|^2 within a few ulps of a * b + tol at many phases (also at a tenth of
+    the weight, where only the normalised state breaks it), and nan or +-inf
+    in each real component.
+    """
+    tol = STATE_TOLERANCE
+    for d in (-1e-14, -1e-15, -1e-16, 0.0, 1e-16, 1e-15, 1e-14):
+        p = -tol + d
+        yield "population", (p, 1.0, 0j)
+        yield "population", (1.0, p, 0j)
+        for sign in (1.0, -1.0):
+            yield "trace", (0.5, 0.5 + sign * (tol + d), 0j)
+    yield "population", (-0.0, 1.0, 0j)
+    phases = np.linspace(-math.pi, math.pi, 24, endpoint=False).tolist()
+    for scale in (1.0, 0.1):
+        a, b = 0.3 * scale, 0.7 * scale
+        edge = math.sqrt(a * b + tol)
+        for k in range(-4, 5):
+            for phase in phases:
+                yield "coherence", (a, b, cmath.rect(edge + k * math.ulp(edge), phase))
+    for bad in (math.nan, math.inf, -math.inf):
+        yield "non-finite", (bad, 0.5, 0j)
+        yield "non-finite", (0.5, bad, 0j)
+        yield "non-finite", (0.5, 0.5, complex(bad, 0.0))
+        yield "non-finite", (0.5, 0.5, complex(0.0, bad))
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _embedded(triple):
+    """The triple as entry 1 of three-entry arrays between two valid states."""
+    return tuple(np.array([fill, x, fill]) for fill, x in zip((0.4, 0.6, 0.2 + 0.1j), triple))
+
+
+class TestCheckPairsAtTolerance:
+    """The scalar checks and their array forms accept, reject and clamp alike."""
+
+    @staticmethod
+    def _outcome(check, *args):
+        """The clamped state's bits, or the class of the error raised."""
+        try:
+            return _bits(*check(*args))
+        except (OutOfRangeError, ZeroSuccessProbabilityError) as exc:
+            return type(exc)
+
+    def _verdicts(self, scalar, array):
+        """Each edge kind's set of outcomes (True: rejected), after comparing both paths."""
+        verdicts = {}
+        for kind, triple in tolerance_edges():
+            want = self._outcome(scalar, *triple)
+            assert self._outcome(array, *_embedded(triple)) == want, (kind, triple)
+            verdicts.setdefault(kind, set()).add(not isinstance(want, bytes))
+        return verdicts
+
+    def test_density_checks(self):
+        def scalar(a, b, c):
+            rho = DensityMatrix1Q(a, b, c)
+            return rho.m00, rho.m11, rho.m01
+
+        def array(m00, m11, m01):
+            return (x[1] for x in checked_density_arrays(m00, m11, m01))
+
+        verdicts = self._verdicts(scalar, array)
+        # Every edge but the non-finite one is seen from both sides.
+        assert verdicts == {
+            "population": {True, False},
+            "trace": {True, False},
+            "coherence": {True, False},
+            "non-finite": {True},
+        }
+
+    def test_projection_checks(self):
+        # codespace_projection's zero-weight check, then the pair.
+        def scalar(a, b, c):
+            if a + b <= MIN_SUCCESS_PROBABILITY:
+                raise ZeroSuccessProbabilityError("zero weight")
+            rho = final_state(CodespaceProjection(a, b, c))
+            return rho.m00, rho.m11, rho.m01
+
+        def array(w00, w11, w01):
+            accepted, m00, m11, m01 = final_states(w00, w11, w01)
+            if not accepted[1]:
+                raise ZeroSuccessProbabilityError("zero weight")
+            return m00[1], m11[1], m01[1]
+
+        verdicts = self._verdicts(scalar, array)
+        assert verdicts == {
+            "population": {True, False},
+            "trace": {True, False},
+            "coherence": {True, False},
+            "non-finite": {True},
+        }
+
+
 class TestSolverGridRow:
     THETAS = np.array([-math.pi + j * GRID_STEP for j in range(0, 400, 37)])
 
@@ -440,14 +547,28 @@ MAX_ERRORS_CODES = [
 
 class TestMaxErrors:
     @pytest.mark.parametrize("code", MAX_ERRORS_CODES, ids=_code_id)
-    def test_matches_max_error_per_point(self, code):
+    def test_matches_distilled_states_per_point(self, code):
         rng = random.Random(code.num_qubits * 100 + code.n)
         v, theta = rng.uniform(0.3, 1.27), rng.uniform(-math.pi, math.pi)
         target = t_state().density()
         batch = max_errors(code, v, theta, FIGURE_EPS, target)
         assert batch.shape == FIGURE_EPS.shape
         for got, eps in zip(batch, FIGURE_EPS.tolist()):
-            assert abs(got - max_error(code, v, theta, eps, target)) <= 1e-14
+            want = max(
+                trace_distance(distilled_state(code, InputEnsemble(v, theta, e)), target)
+                for e in (0.0, eps)
+            )
+            assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("code", MAX_ERRORS_CODES, ids=_code_id)
+    def test_max_error_is_one_point_of_max_errors(self, code):
+        rng = random.Random(code.num_qubits * 7 + code.g)
+        target = t_state().density()
+        for _ in range(3):
+            v, theta = rng.uniform(0.3, 1.27), rng.uniform(-math.pi, math.pi)
+            for eps in (0.0, 0.1, 1.0):
+                (want,) = max_errors(code, v, theta, np.array([eps]), target).tolist()
+                assert max_error(code, v, theta, eps, target) == want
 
     def test_zero_weight_raises_like_max_error(self):
         # At v = pi/2 the (1, 1, 12) noiseless weight underflows, and every
@@ -470,6 +591,17 @@ class TestMaxErrors:
         )
         with pytest.raises(OutOfRangeError):
             max_errors(U2, 0.8, 0.1, np.array([0.1, bad, 0.2]), target)
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.5, math.nan, math.inf])
+    def test_reports_the_first_bad_eps_as_input_ensemble_does(self, bad):
+        with pytest.raises(OutOfRangeError) as scalar:
+            InputEnsemble(0.8, 0.1, bad)
+        target = TargetSpec("XT").density()
+        with pytest.raises(OutOfRangeError) as one_point:
+            max_error(U2, 0.8, 0.1, bad, target)
+        with pytest.raises(OutOfRangeError) as batch:
+            max_errors(U2, 0.8, 0.1, np.array([0.1, bad, 2.0, -1.0]), target)
+        assert str(one_point.value) == str(batch.value) == str(scalar.value)
 
     def test_empty_grid(self):
         target = TargetSpec("XT").density()

@@ -10,11 +10,14 @@ from gnumsd.qmath import (
     binomial,
     density_from_pauli,
     h_state,
+    m2_densities,
     m2_density,
     m2_pure,
     pauli_expectations,
+    squared_modulus,
     t_state,
     trace_distance,
+    trace_distances,
 )
 
 
@@ -161,6 +164,43 @@ class TestMagicMonotone:
             ]
             for rho in conjugated:
                 assert m2_density(rho) == pytest.approx(base, abs=1e-10)
+
+
+def seeded_states(seed: int, count: int):
+    """Matrix-element arrays of `count` seeded states: mixed ones, then pure ones."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=(3, count))
+    direction /= np.linalg.norm(direction, axis=0)
+    radius = np.concatenate([rng.uniform(0.0, 1.0, count - count // 4), np.ones(count // 4)])
+    x, y, z = direction * radius
+    return 0.5 * (1.0 + z), 0.5 * (1.0 - z), 0.5 * (x - 1j * y)
+
+
+class TestOnePointForms:
+    """The scalars are one-point calls of the array forms: the same bits."""
+
+    STATES = seeded_states(2024, 4000)
+
+    @pytest.mark.parametrize("sigma", [t_state().density(), h_state().density(), MIXED, KET1])
+    def test_trace_distance_equals_trace_distances(self, sigma):
+        m00, m11, m01 = self.STATES
+        batch = trace_distances(m00, m11, m01, sigma)
+        for k, state in enumerate(zip(m00.tolist(), m11.tolist(), m01.tolist())):
+            assert trace_distance(DensityMatrix1Q(*state), sigma) == batch[k]
+
+    def test_m2_density_equals_m2_densities(self):
+        m00, m11, m01 = self.STATES
+        batch = m2_densities(m00, m11, m01)
+        for k, state in enumerate(zip(m00.tolist(), m11.tolist(), m01.tolist())):
+            assert m2_density(DensityMatrix1Q(*state)) == batch[k]
+        # An entry does not depend on where it sits in the array.
+        assert np.array_equal(m2_densities(m00[3:], m11[3:], m01[3:]), batch[3:])
+
+    def test_squared_modulus_of_scalar_equals_array_entry(self):
+        _, _, m01 = self.STATES
+        batch = squared_modulus(m01)
+        for k, z in enumerate(m01.tolist()):
+            assert squared_modulus(z) == batch[k]
 
 
 class TestTypeInvariants:

@@ -202,6 +202,16 @@ class TestMagicCurve:
         assert points[0][1] == m2_density(state)
         assert caplog.messages == [f"magic_curve: skipped singular grid point v={math.pi / 2!r}"]
 
+    @pytest.mark.parametrize("code", NEIGHBOUR_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
+    def test_seeded_grid_matches_scalar_magic_bitwise(self, code):
+        # solve_for_magic samples this curve and bisects with m2_density on
+        # distilled_state, so the two paths must agree to the bit.
+        rng = random.Random(code.num_qubits * 3 + code.n)
+        theta = rng.uniform(-math.pi, math.pi)
+        grid = sorted(rng.uniform(0.0, math.pi / 2) for _ in range(40))
+        for v, value in magic_curve(code, theta, grid):
+            assert value == m2_density(distilled_state(code, InputEnsemble(v, theta, 0.0)))
+
     def test_zero_angle_gives_zero_magic(self):
         points = magic_curve(U2, math.pi / 4, [0.0])
         assert points == [(0.0, 0.0)]
