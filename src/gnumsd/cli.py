@@ -34,15 +34,22 @@ from .errors import (
 )
 from .figures import FIGURE_BUILDERS, build_figure
 from .protocols import (
-    bk_h_curve,
-    bk_t_curve,
+    PAIRINGS,
     combined_curve,
     compose_errors,
     find_threshold,
     gnu_error_curve,
+    pairing,
 )
 from .qmath import PureQubit, m2_density, trace_distance
-from .solver import TargetSpec, default_magic_grid, magic_curve, solve_input_params
+from .solver import (
+    MAGIC_GRID_STEP,
+    TARGET_KINDS,
+    TargetSpec,
+    default_magic_grid,
+    magic_curve,
+    solve_input_params,
+)
 from .verify import run_verification
 
 _PI_LITERAL = re.compile(
@@ -197,12 +204,8 @@ def cmd_figure(args) -> int:
 
 def _curve_from_args(args):
     if args.protocol == "bk":
-        if args.target not in ("T", "H"):
-            raise OutOfRangeError("reference-protocol curves exist for targets T and H")
-        return bk_t_curve() if args.target == "T" else bk_h_curve()
+        return pairing(args.target)[1]
     if args.protocol == "combined":
-        if args.target not in ("T", "H"):
-            raise OutOfRangeError("combined curves exist for targets T and H")
         return combined_curve(args.target)
     return gnu_error_curve(_code_from_args(args), args.target)
 
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=parse_angle, required=True, help="input angle v in [0, pi/2]")
     p.add_argument("--theta", type=parse_angle, default=0.0, help="input angle theta (default 0)")
     p.add_argument("--eps", type=float, default=0.0, help="input error weight in [0, 1]")
-    p.add_argument("--target", choices=("T", "H", "XT", "XH", "custom"), default=None)
+    p.add_argument("--target", choices=TARGET_KINDS, default=None)
     p.add_argument("--custom-state", default=None, help="c0re,c0im,c1re,c1im for --target custom")
     _add_out_flags(p)
     p.set_defaults(func=cmd_distill)
@@ -308,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="gnu",
         help="curve family (default gnu)",
     )
-    p.add_argument("--target", choices=("T", "H", "XT", "XH"), required=True)
+    p.add_argument("--target", choices=[k for k in TARGET_KINDS if k != "custom"], required=True)
     _add_code_flags(p)
     _add_out_flags(p)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("solve", help="find input parameters that distil a target")
     _add_code_flags(p)
-    p.add_argument("--target", choices=("T", "H", "XT", "XH", "custom"), required=True)
+    p.add_argument("--target", choices=TARGET_KINDS, required=True)
     p.add_argument("--custom-state", default=None, help="c0re,c0im,c1re,c1im for --target custom")
     p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance (default 1e-9)")
     _add_out_flags(p)
@@ -324,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("magic-curve", help="magic of the noiseless output vs input angle v")
     _add_code_flags(p)
     p.add_argument("--theta", type=parse_angle, default=math.pi / 4.0, help="default pi/4")
-    p.add_argument("--grid-step", type=parse_angle, default=math.pi / 1000.0)
+    p.add_argument("--grid-step", type=parse_angle, default=MAGIC_GRID_STEP)
     _add_out_flags(p, formats=())
     p.set_defaults(func=cmd_magic_curve)
 
     p = sub.add_parser("compose", help="total error of the two-stage protocol at one eps")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--target", choices=("T", "H"), required=True)
+    p.add_argument("--target", choices=tuple(PAIRINGS), required=True)
     _add_out_flags(p)
     p.set_defaults(func=cmd_compose)
 

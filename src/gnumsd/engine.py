@@ -114,6 +114,8 @@ class CodespaceProjection:
 
     def __post_init__(self) -> None:
         w00, w11, w01 = float(self.w00), float(self.w11), complex(self.w01)
+        if not all(map(math.isfinite, (w00, w11, w01.real, w01.imag))):
+            raise OutOfRangeError("projection weights must be finite")
         if w00 < -STATE_TOLERANCE or w11 < -STATE_TOLERANCE:
             raise OutOfRangeError(f"negative projection weight: {w00!r}, {w11!r}")
         w00, w11 = max(w00, 0.0), max(w11, 0.0)
@@ -296,9 +298,11 @@ def final_states(w00, w11, w01):
     """
     accepted = ~(w00 + w11 <= MIN_SUCCESS_PROBABILITY)
     w00, w11, w01 = w00[accepted], w11[accepted], w01[accepted]
+    if not (np.isfinite(w00) & np.isfinite(w11) & np.isfinite(w01)).all():
+        raise OutOfRangeError("projection weights must be finite")
     if ((w00 < -STATE_TOLERANCE) | (w11 < -STATE_TOLERANCE)).any():
         raise OutOfRangeError("negative projection weight")
-    # max(x, 0.0) as CodespaceProjection takes it (-0.0 and nan stay).
+    # max(x, 0.0) as CodespaceProjection takes it (-0.0 stays).
     w00, w11 = np.where(w00 < 0.0, 0.0, w00), np.where(w11 < 0.0, 0.0, w11)
     total = w00 + w11
     if (total > 1.0 + STATE_TOLERANCE).any():

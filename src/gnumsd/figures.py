@@ -2,34 +2,32 @@
 
 Rows are plain lists of floats (math.nan marks a skipped singular point), so
 the CLI can render them as CSV without any further shaping.  Sweeps are
-`roots.step_grid` grids; the eps sweeps build each error-curve column with
-one `ErrorCurve.on_grid` call.
+`roots.step_grid` grids.  Every eps figure is `_curve_dataset` over a list of
+`protocols.ErrorCurve`s, reference rounds included, and each column is one
+`on_grid` call.  Which target and which reference round a plain T or H pairs
+with is read from `protocols.pairing`, not decided here.
 """
 from __future__ import annotations
 
 import math
 from functools import partial
 
-import numpy as np
-
 from .codes import GnuParams
 from .errors import OutOfRangeError
-from .protocols import (
-    bk_h_error,
-    bk_t_error,
-    compose_total_errors,
-    gnu_error_curve,
-    repetition_error_curve,
-)
+from .protocols import combined_curve, gnu_error_curve, pairing, repetition_error_curve
 from .roots import step_grid
 from .solver import MAGIC_GRID_STEP, default_magic_grid, magic_curve
 
 EPS_GRID_STEP = 1e-3
 
 
-def _eps_rows(grid: np.ndarray, columns) -> list[list[float]]:
-    """Rows of the eps column followed by one value from each column."""
-    return [list(row) for row in zip(grid.tolist(), *columns)]
+def _curve_dataset(
+    header: list[str], curves, grid_step: float
+) -> tuple[list[str], list[list[float]]]:
+    """The eps sweep of [0, 0.5] followed by one column per error curve."""
+    grid = step_grid(0.5, grid_step)
+    columns = [curve.on_grid(grid).tolist() for curve in curves]
+    return header, [list(row) for row in zip(grid.tolist(), *columns)]
 
 
 def magic_dataset(grid_step: float = MAGIC_GRID_STEP) -> tuple[list[str], list[list[float]]]:
@@ -45,35 +43,30 @@ def error_dataset(
 ) -> tuple[list[str], list[list[float]]]:
     """Worst-case output error vs input error for u = 2, 3, 4, plus the reference curve.
 
-    kind "T" aims the codes at the X-conjugated T-type target, "H" at the
-    X-conjugated H-type target, mirroring the solved-parameter tables.
+    kind "T" or "H" aims the codes at the X-conjugated target and compares
+    them with the reference round of the same type, as `protocols.pairing` says.
     """
-    x_kind = {"T": "XT", "H": "XH"}[kind]
+    x_kind, reference = pairing(kind)
     curves = [gnu_error_curve(GnuParams(1, 1, u), x_kind) for u in (2, 3, 4)]
-    bk_fn = bk_t_error if kind == "T" else bk_h_error
-    grid = step_grid(0.5, grid_step)
-    columns = [curve.on_grid(grid).tolist() for curve in curves]
-    columns.append([bk_fn(eps) for eps in grid.tolist()])
-    return ["eps", "E_u2", "E_u3", "E_u4", "E_bk"], _eps_rows(grid, columns)
+    return _curve_dataset(["eps", "E_u2", "E_u3", "E_u4", "E_bk"], [*curves, reference], grid_step)
 
 
 def composition_dataset(
     grid_step: float = EPS_GRID_STEP,
 ) -> tuple[list[str], list[list[float]]]:
     """Combined two-stage error curves next to single reference rounds."""
-    grid = step_grid(0.5, grid_step)
-    columns = [compose_total_errors(grid, kind).tolist() for kind in ("T", "H")]
-    columns += [[bk_fn(eps) for eps in grid.tolist()] for bk_fn in (bk_t_error, bk_h_error)]
-    return ["eps", "E_combined_T", "E_combined_H", "E_bk_T", "E_bk_H"], _eps_rows(grid, columns)
+    curves = [combined_curve(kind) for kind in ("T", "H")]
+    curves += [pairing(kind)[1] for kind in ("T", "H")]
+    header = ["eps", "E_combined_T", "E_combined_H", "E_bk_T", "E_bk_H"]
+    return _curve_dataset(header, curves, grid_step)
 
 
 def repetition_dataset(
     grid_step: float = EPS_GRID_STEP,
 ) -> tuple[list[str], list[list[float]]]:
     """Two-qubit repetition-code error curves at the exact T/H reference parameters."""
-    grid = step_grid(0.5, grid_step)
-    columns = [repetition_error_curve(kind).on_grid(grid).tolist() for kind in ("T", "H")]
-    return ["eps", "E_T", "E_H"], _eps_rows(grid, columns)
+    curves = [repetition_error_curve(kind) for kind in ("T", "H")]
+    return _curve_dataset(["eps", "E_T", "E_H"], curves, grid_step)
 
 
 FIGURE_BUILDERS = {

@@ -10,8 +10,14 @@ so robustness wins over cleverness.
 An `ErrorCurve` needs only its scalar map `fn`.  The library's gnu,
 repetition and combined curves also carry an array form, `grid`, so a search
 grid or a figure's eps column is one engine call (`engine.max_errors`)
-rather than one call per point; a curve without it is evaluated point by
-point.  Bisection always steps through `fn`.
+rather than one call per point; a curve without it, such as a reference
+round, is evaluated point by point by `on_grid`.  Bisection always steps
+through `fn`.
+
+`PAIRINGS` is the one place where a plain target T or H meets its partners:
+the X-conjugated kind (XT or XH) the two-qubit code is aimed at, and the
+reference round of the same type it is compared with and composed with.
+The composition, the figures and the CLI all read it through `pairing`.
 """
 from __future__ import annotations
 
@@ -119,6 +125,16 @@ def bk_h_curve() -> ErrorCurve:
     return ErrorCurve("bk-H", bk_h_error)
 
 
+PAIRINGS = {"T": ("XT", bk_t_curve()), "H": ("XH", bk_h_curve())}
+
+
+def pairing(kind: str) -> tuple[str, ErrorCurve]:
+    """(kind the two-qubit code is aimed at, reference round) of a plain target T or H."""
+    if kind not in PAIRINGS:
+        raise OutOfRangeError(f"reference rounds exist for targets T and H, got {kind!r}")
+    return PAIRINGS[kind]
+
+
 # --- this protocol's curves ------------------------------------------------
 
 
@@ -129,15 +145,20 @@ def canonical_params(code: GnuParams, kind: str) -> tuple[float, float]:
     return head.v, head.theta
 
 
-def gnu_error_curve(code: GnuParams, kind: str) -> ErrorCurve:
-    """Worst-case output-error curve of a gnu code aimed at a named target."""
-    v, theta = canonical_params(code, kind)
+def _engine_curve(label: str, code: GnuParams, v: float, theta: float, kind: str) -> ErrorCurve:
+    """The worst-case error curve of a code at fixed (v, theta), through the engine."""
     target = TargetSpec(kind).density()
     return ErrorCurve(
-        f"gnu({code.g},{code.n},{code.u:g})-{kind}",
+        label,
         lambda eps: max_error(code, v, theta, eps, target),
         grid=lambda eps: max_errors(code, v, theta, eps, target),
     )
+
+
+def gnu_error_curve(code: GnuParams, kind: str) -> ErrorCurve:
+    """Worst-case output-error curve of a gnu code aimed at a named target."""
+    v, theta = canonical_params(code, kind)
+    return _engine_curve(f"gnu({code.g},{code.n},{code.u:g})-{kind}", code, v, theta, kind)
 
 
 def repetition_reference_params(kind: str) -> tuple[float, float]:
@@ -157,33 +178,16 @@ def repetition_reference_params(kind: str) -> tuple[float, float]:
 def repetition_error_curve(kind: str) -> ErrorCurve:
     """Error curve of the two-qubit repetition code at its reference parameters."""
     v, theta = repetition_reference_params(kind)
-    code = GnuParams(2, 1, 1)
-    target = TargetSpec(kind).density()
-    return ErrorCurve(
-        f"repetition-{kind}",
-        lambda eps: max_error(code, v, theta, eps, target),
-        grid=lambda eps: max_errors(code, v, theta, eps, target),
-    )
+    return _engine_curve(f"repetition-{kind}", GnuParams(2, 1, 1), v, theta, kind)
 
 
 # --- composition: this protocol (A) feeding a reference round (B) ----------
-
-_STAGE_B = {"T": bk_t_error, "H": bk_h_error}
-_STAGE_A_KIND = {"T": "XT", "H": "XH"}
 
 
 @lru_cache(maxsize=None)
 def stage_a_curve(kind: str) -> ErrorCurve:
     """Error curve of the first stage: the two-qubit code aimed at X-kind."""
-    if kind not in _STAGE_A_KIND:
-        raise OutOfRangeError(f"composition targets are T or H, got {kind!r}")
-    return gnu_error_curve(GnuParams(1, 1, 2), _STAGE_A_KIND[kind])
-
-
-def _stage_b(kind: str) -> Callable[[float], float]:
-    if kind not in _STAGE_B:
-        raise OutOfRangeError(f"composition targets are T or H, got {kind!r}")
-    return _STAGE_B[kind]
+    return gnu_error_curve(GnuParams(1, 1, 2), pairing(kind)[0])
 
 
 def compose_errors(eps: float, kind: str) -> tuple[float, float]:
@@ -196,7 +200,7 @@ def compose_errors(eps: float, kind: str) -> tuple[float, float]:
     The two noise models differ (stage B assumes noise along its magic axis,
     stage A reports a trace distance); the scalar composition is used as-is.
     """
-    stage_b = _stage_b(kind)
+    stage_b = pairing(kind)[1]
     stage_a = stage_a_curve(kind)(eps)
     return stage_a, stage_b(stage_a)
 
@@ -206,18 +210,13 @@ def compose_total_error(eps: float, kind: str) -> float:
     return compose_errors(eps, kind)[1]
 
 
-def compose_total_errors(eps: np.ndarray, kind: str) -> np.ndarray:
-    """compose_total_error at every eps of a 1-D array, stage A in one grid call."""
-    stage_b = _stage_b(kind)
-    return np.array([stage_b(a) for a in stage_a_curve(kind).on_grid(eps).tolist()])
-
-
 def combined_curve(kind: str) -> ErrorCurve:
-    _stage_b(kind)  # reject an unknown kind here, not at the first evaluation
+    """The two-stage curve; its grid form runs stage A in one grid call."""
+    stage_b = pairing(kind)[1]  # reject an unknown kind here, not at the first evaluation
     return ErrorCurve(
         f"combined-{kind}",
         lambda eps: compose_total_error(eps, kind),
-        grid=lambda eps: compose_total_errors(eps, kind),
+        grid=lambda eps: stage_b.on_grid(stage_a_curve(kind).on_grid(eps)),
     )
 
 

@@ -190,20 +190,17 @@ def solve_to_density(
     signals a target outside the code's reachable set rather than a grid that
     is merely too coarse.
     """
-    if tol < 1e-10:
-        raise OutOfRangeError(f"tol must be at least 1e-10, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= 1e-10):
+        raise OutOfRangeError(f"tol must be a finite number of at least 1e-10, got {tol!r}")
 
-    n_v = int(round(_HALF_PI / GRID_STEP))
-    n_theta = int(round(2.0 * math.pi / GRID_STEP))
-    vs = [i * GRID_STEP for i in range(n_v + 1)]
-    thetas = [-math.pi + j * GRID_STEP for j in range(n_theta)]
-    theta_row = np.array(thetas)
+    vs = step_grid(_HALF_PI, GRID_STEP)
+    thetas = -math.pi + step_grid(2.0 * math.pi, GRID_STEP)[:-1]
     # The last row overshoots pi/2 by rounding; InputEnsemble clamps it too.
     grid_vs = np.minimum(vs, _HALF_PI)
-    grid = np.empty((n_v + 1, n_theta))
-    for i in range(0, n_v + 1, GRID_BLOCK_ROWS):
+    grid = np.empty((vs.size, thetas.size))
+    for i in range(0, vs.size, GRID_BLOCK_ROWS):
         block = slice(i, i + GRID_BLOCK_ROWS)
-        grid[block] = _residual_row(code, target, grid_vs[block], theta_row)
+        grid[block] = _residual_row(code, target, grid_vs[block], thetas)
 
     grid_min = grid.min()
     if grid_min > UNREACHABLE_RESIDUAL:
@@ -219,7 +216,7 @@ def solve_to_density(
     )
     is_min[1:] &= grid[1:] <= grid[:-1]
     is_min[:-1] &= grid[:-1] <= grid[1:]
-    candidates = [(vs[i], thetas[j]) for i, j in zip(*np.nonzero(is_min))]
+    candidates = [(float(vs[i]), float(thetas[j])) for i, j in zip(*np.nonzero(is_min))]
 
     refined = []
     for v0, theta0 in candidates:

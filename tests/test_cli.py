@@ -175,9 +175,16 @@ class TestThresholdCommand:
         assert record["threshold"] == 0.5
         assert record["certified_at_half"] is True
 
-    def test_bk_requires_plain_target(self, capsys):
-        assert main("threshold --protocol bk --target XT".split()) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "protocol, target", [("bk", "XT"), ("combined", "XH")], ids=["bk-XT", "combined-XH"]
+    )
+    def test_reference_round_requires_plain_target(self, protocol, target, capsys):
+        assert main(["threshold", "--protocol", protocol, "--target", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gnumsd: invalid input: reference rounds exist for targets T and H, got '{target}'\n"
+        )
 
 
 class TestSolveCommand:
@@ -198,6 +205,15 @@ class TestSolveCommand:
     def test_custom_target_requires_state(self, capsys):
         assert main("solve --g 1 --n 1 --u 2 --target custom".split()) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, tol, capsys):
+        assert main(["solve", "--target", "XT", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gnumsd: invalid input: tol must be a finite number of at least 1e-10, got {tol}\n"
+        )
 
 
 class TestMagicCurveCommand:

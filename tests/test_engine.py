@@ -508,6 +508,37 @@ class TestCheckPairsAtTolerance:
         }
 
 
+    def test_projection_rejects_non_finite_weights(self):
+        # CodespaceProjection on its own, not masked by final_state's density check.
+        def outcome(check, *args):
+            try:
+                check(*args)
+            except (OutOfRangeError, ZeroSuccessProbabilityError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        def scalar(a, b, c):
+            if a + b <= MIN_SUCCESS_PROBABILITY:
+                raise ZeroSuccessProbabilityError("zero weight")
+            CodespaceProjection(a, b, c)
+
+        def array(w00, w11, w01):
+            if not final_states(w00, w11, w01)[0][1]:
+                raise ZeroSuccessProbabilityError("zero weight")
+
+        outcomes = set()
+        for kind, triple in tolerance_edges():
+            if kind == "non-finite":
+                want = outcome(scalar, *triple)
+                assert outcome(array, *_embedded(triple)) == want, triple
+                outcomes.add(want)
+        # A -inf weight takes the total below the zero-weight floor first.
+        assert outcomes == {
+            (OutOfRangeError, "projection weights must be finite"),
+            (ZeroSuccessProbabilityError, "zero weight"),
+        }
+
+
 class TestSolverGridRow:
     THETAS = np.array([-math.pi + j * GRID_STEP for j in range(0, 400, 37)])
 

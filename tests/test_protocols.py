@@ -17,10 +17,12 @@ from gnumsd.protocols import (
     bk_t_ps,
     canonical_params,
     combined_curve,
+    compose_errors,
     compose_total_error,
     find_crossover,
     find_threshold,
     gnu_error_curve,
+    pairing,
     repetition_error_curve,
     repetition_reference_params,
 )
@@ -165,6 +167,22 @@ class TestRepetitionCode:
     def test_unknown_kind(self):
         with pytest.raises(OutOfRangeError):
             repetition_reference_params("XT")
+
+
+class TestPairings:
+    def test_plain_targets(self):
+        for kind, stage_a_kind, label in (("T", "XT", "bk-T"), ("H", "XH", "bk-H")):
+            paired_kind, reference = pairing(kind)
+            assert paired_kind == stage_a_kind
+            assert reference.label == label
+
+    @pytest.mark.parametrize("kind", ["XT", "XH", "custom", "t"])
+    def test_lookup_rejects_other_kinds(self, kind):
+        message = f"reference rounds exist for targets T and H, got {kind!r}"
+        for call in (pairing, combined_curve, lambda k: compose_errors(0.1, k)):
+            with pytest.raises(OutOfRangeError) as excinfo:
+                call(kind)
+            assert str(excinfo.value) == message
 
 
 class TestCanonicalParams:

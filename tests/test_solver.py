@@ -108,9 +108,10 @@ class TestSolveInputParams:
         with pytest.raises(NoSolutionError):
             solve_to_density(U2, DensityMatrix1Q(0.5, 0.5, 0.0), 1e-9)
 
-    def test_tol_validation(self):
-        with pytest.raises(OutOfRangeError):
-            solve_input_params(U2, TargetSpec("T"), tol=1e-12)
+    @pytest.mark.parametrize("tol", [1e-12, 0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_tol_validation(self, tol):
+        with pytest.raises(OutOfRangeError, match="tol must be a finite number of at least 1e-10"):
+            solve_input_params(U2, TargetSpec("T"), tol=tol)
 
 
 def _reference_pattern_search(code, target, v, theta, stop):
