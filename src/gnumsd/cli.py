@@ -50,7 +50,6 @@ from .solver import (
     magic_curve,
     solve_input_params,
 )
-from .verify import run_verification
 
 _PI_LITERAL = re.compile(
     r"^(?P<sign>[+-]?)(?P<mult>\d+(?:\.\d*)?)?\*?pi(?:/(?P<div>\d+(?:\.\d*)?))?$",
@@ -129,11 +128,23 @@ def _emit_record(record: dict, args) -> None:
         _emit(_render_csv(list(record), [list(record.values())]), args.out)
 
 
+# Defaults of the code flags.  `threshold` parses them with None defaults
+# instead, so that --protocol bk and combined can refuse the flags given.
+_CODE_DEFAULTS = {"g": 1, "n": 1, "u": 2}
+
+
 def _add_code_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--g", type=int, default=1, help="code parameter g (default 1)")
-    parser.add_argument("--n", type=int, default=1, help="code parameter n (default 1)")
     parser.add_argument(
-        "--u", type=float, default=2, help="code parameter u; N = g*n*u (default 2)"
+        "--g", type=int, default=_CODE_DEFAULTS["g"], help="code parameter g (default 1)"
+    )
+    parser.add_argument(
+        "--n", type=int, default=_CODE_DEFAULTS["n"], help="code parameter n (default 1)"
+    )
+    parser.add_argument(
+        "--u",
+        type=float,
+        default=_CODE_DEFAULTS["u"],
+        help="code parameter u; N = g*n*u (default 2)",
     )
 
 
@@ -203,11 +214,18 @@ def cmd_figure(args) -> int:
 
 
 def _curve_from_args(args):
+    given = {k: v for k, v in vars(args).items() if k in _CODE_DEFAULTS and v is not None}
+    if args.protocol == "gnu":
+        return gnu_error_curve(GnuParams(**{**_CODE_DEFAULTS, **given}), args.target)
+    if given:
+        flags = ", ".join(f"--{name}" for name in given)
+        raise OutOfRangeError(
+            f"--protocol {args.protocol} has fixed codes and ignores {flags}; "
+            "the code flags apply to --protocol gnu only"
+        )
     if args.protocol == "bk":
         return pairing(args.target)[1]
-    if args.protocol == "combined":
-        return combined_curve(args.target)
-    return gnu_error_curve(_code_from_args(args), args.target)
+    return combined_curve(args.target)
 
 
 def cmd_threshold(args) -> int:
@@ -271,6 +289,9 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here: only this command needs verify, oracle and closed_forms.
+    from .verify import run_verification
+
     ok, report = run_verification()
     _emit(report + "\n", args.out)
     return 0 if ok else 1
@@ -314,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=[k for k in TARGET_KINDS if k != "custom"], required=True)
     _add_code_flags(p)
     _add_out_flags(p)
-    p.set_defaults(func=cmd_threshold)
+    p.set_defaults(func=cmd_threshold, **dict.fromkeys(_CODE_DEFAULTS))
 
     p = sub.add_parser("solve", help="find input parameters that distil a target")
     _add_code_flags(p)

@@ -10,10 +10,15 @@ through its weight omega, which is what keeps the whole pipeline O(N^3).
 weight-omega input string with the j-th logical Dicke component is
 e^{i g j theta} times a real amplitude, the x^{gj} coefficient of
 (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
-through the binomial weight of omega flipped inputs.  So one call builds the
-real (v, omega, j) amplitude table, only for the omega whose noise weight is
-nonzero (omega = 0 alone at eps = 0), builds the phases e^{i g j theta} once,
-and contracts them with an (omega, column) table of noise weights.
+through the binomial weight of omega flipped inputs.  Everything in that
+coefficient that does not depend on v (binomial rows, exponent tables, the
+(t, j) gather of the coefficient product and its normalisation) sits in a
+per-code plan, built once per code at full size and sliced by each call.
+A call raises cos v, sin v and -cos v to the powers 0..N once, reads both
+factors of the product out of those tables for the omega whose noise weight
+is nonzero (omega = 0 alone at eps = 0), sums the product over t in one
+gathered contraction, builds the phases e^{i g j theta} once and contracts
+them with an (omega, column) table of noise weights.
 `projection_weights` takes one eps, a float or a whole vector of v, and a
 whole vector of theta, which is how the noiseless solver grid, the solver's
 neighbour probes and the magic curve evaluate many points in one call;
@@ -22,21 +27,22 @@ error curves evaluate a threshold grid or a figure's eps column in one call,
 and `max_error` is its one-point call.  The scalar `dicke_overlap` family
 spells the same sums out term by term and is the reference the array path is
 tested against.  `CodespaceProjection` plus `final_state` keep their own
-checks beside `final_states`: one point costs about 6 us through them and
-75 us through `final_states`, and `distilled_state` runs point by point.
+checks beside `final_states`: one point costs about 7 us through them and
+70 us through `final_states`, and `distilled_state` runs point by point.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .codes import GnuParams
 from .errors import OutOfRangeError, ZeroSuccessProbabilityError
 from .qmath import (
-    MAX_QUBITS,
     STATE_TOLERANCE,
     DensityMatrix1Q,
     PureQubit,
@@ -52,12 +58,14 @@ MIN_SUCCESS_PROBABILITY = 1e-300
 _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
 
-# Float binomials C(m, k) for 0 <= m, k <= MAX_QUBITS, zero for k > m, so the
-# out-of-range terms of the overlap sums drop out without masks.
-_BINOMIAL = np.array(
-    [[math.comb(m, k) for k in range(MAX_QUBITS + 1)] for m in range(MAX_QUBITS + 1)],
-    dtype=float,
-)
+
+def _binomials(rows, cols):
+    """Float C(m, k) for each m in rows and k in cols.
+
+    Zero for k > m, so the out-of-range terms of the overlap sums drop out
+    without masks.
+    """
+    return np.array([[math.comb(m, k) for k in cols] for m in rows], dtype=float)
 
 
 def wrap_angle(theta: float) -> float:
@@ -179,27 +187,77 @@ def logical_component_overlap(
     )
 
 
-def _coefficient_rows(degrees, a, b, width: int):
+class _Plan(NamedTuple):
+    """Everything in a projection of one code that does not depend on v or eps.
+
+    The (m, r) tables run over the degrees m = 0..N of the two factors and
+    the powers r = 0..g*n that reach a logical component; a call picks the
+    rows of its degrees and, for the flipped factor, its first depth columns.
+    """
+
+    omegas: np.ndarray  # 0..N: noise exponents and power-table exponents
+    noise_binomial: np.ndarray  # C(N, omega)
+    binomial: np.ndarray  # C(m, r)
+    excess: np.ndarray  # m - r where C(m, r) != 0
+    gather: np.ndarray  # (t, j) -> column g*j - t of the clean factor
+    mask: np.ndarray  # 1.0 where g*j >= t, else 0.0
+    excitations: np.ndarray  # g*j
+    scale: np.ndarray  # sqrt(C(n, j) / C(N, g*j))
+    logical_norm: float  # 2^-(n-1), the square of the logical states' normalisation
+
+
+@lru_cache(maxsize=None)
+def _plan(code: GnuParams) -> _Plan:
+    """The projection plan of code, built once per code.
+
+    Keyed on the code alone (not on which omega carry noise weight, a set
+    that changes with eps near 0 and 1), so the cache holds one entry per
+    code.  The arrays are shared by every call and so read-only.
+    """
+    n_qubits, n, g = code.num_qubits, code.n, code.g
+    omegas = np.arange(n_qubits + 1)
+    powers = np.arange(g * n + 1)
+    excitations = g * np.arange(n + 1)
+    column = -np.subtract.outer(powers, excitations)  # (t, j) -> g*j - t
+    plan = _Plan(
+        omegas=omegas,
+        noise_binomial=_binomials([n_qubits], range(n_qubits + 1))[0],
+        binomial=_binomials(range(n_qubits + 1), range(g * n + 1)),
+        excess=np.maximum(np.subtract.outer(omegas, powers), 0),
+        gather=np.maximum(column, 0),
+        # heaviside, not (column >= 0).astype(float): the first integer
+        # comparison and bool cast in a process cost about 0.2 MB resident.
+        mask=np.heaviside(column, 1.0),
+        excitations=excitations,
+        scale=np.sqrt(_binomials([n], range(n + 1))[0] / _binomials([n_qubits], excitations)[0]),
+        logical_norm=2.0 ** (-(n - 1)),
+    )
+    for table in plan:
+        if isinstance(table, np.ndarray):
+            table.setflags(write=False)
+    return plan
+
+
+def _coefficient_rows(plan: _Plan, degrees, width: int, a_k, b_k):
     """x^r coefficients, r < width, of (a + b x)^m for each m in degrees (one row per m).
 
-    a and b are arrays ending in two unit axes, which broadcast against the
-    (m, r) table.
+    a_k and b_k hold the powers of a and b along their last axis, which the
+    plan's exponent table gathers.
     """
-    r = np.arange(width)
-    excess = np.maximum(np.subtract.outer(degrees, r), 0)  # m - r where C(m, r) != 0
-    return _BINOMIAL[degrees, :width] * a**excess * b**r
+    excess = plan.excess[degrees, :width]
+    return plan.binomial[degrees, :width] * a_k.take(excess, axis=-1) * b_k[..., None, :width]
 
 
-def _noise_weights(n_qubits: int, eps):
+def _noise_weights(plan: _Plan, eps):
     """Probability C(N, omega) eps^omega (1 - eps)^(N - omega) of omega flipped inputs.
 
     omega runs along the last axis; eps is a float or a column of them.
     """
-    omegas = np.arange(n_qubits + 1)
-    return _BINOMIAL[n_qubits, omegas] * eps**omegas * (1.0 - eps) ** omegas[::-1]
+    omegas = plan.omegas
+    return plan.noise_binomial * eps**omegas * (1.0 - eps) ** omegas[::-1]
 
 
-def _projection(code: GnuParams, v, thetas, flips, noise):
+def _projection(plan: _Plan, v, thetas, flips, noise):
     """Codespace weights (w00, w11, w01) summed over the omega in flips.
 
     v is a float or an array of them, and leads the shape of the weights.
@@ -208,28 +266,34 @@ def _projection(code: GnuParams, v, thetas, flips, noise):
     columns: a vector of theta against one noise column, or one theta
     against a column per eps.
     """
-    n_qubits, n, g = code.num_qubits, code.n, code.g
     # math.cos/math.sin per v, so a vector of v gives the same bits as one v.
     v = np.asarray(v, dtype=float)
-    shape, flat = v.shape + (1, 1), v.ravel().tolist()
+    shape, flat = v.shape + (1,), v.ravel().tolist()
     cos_v = np.array(list(map(math.cos, flat))).reshape(shape)
     sin_v = np.array(list(map(math.sin, flat))).reshape(shape)
-    excitations = g * np.arange(n + 1)
-    depth = min(int(flips[-1]), g * n) + 1
-    flipped = _coefficient_rows(flips, sin_v, -cos_v, depth)
-    clean = _coefficient_rows(n_qubits - flips, cos_v, sin_v, g * n + 1)
-    amplitude = np.zeros(flipped.shape[:-1] + (n + 1,))
-    for t in range(depth):
-        first = -(-t // g)  # components with g*j >= t
-        amplitude[..., first:] += flipped[..., t, None] * clean[..., excitations[first:] - t]
-    amplitude *= np.sqrt(_BINOMIAL[n, : n + 1] / _BINOMIAL[n_qubits, excitations])
+    # Power tables a**k, k = 0..N, read through the plan's exponent tables:
+    # the same pow on the same operands as one power per (omega, r) entry.
+    cos_k, sin_k, neg_cos_k = cos_v**plan.omegas, sin_v**plan.omegas, (-cos_v) ** plan.omegas
+    width = plan.gather.shape[0]  # g*n + 1
+    depth = min(int(flips[-1]) + 1, width)
+    flipped = _coefficient_rows(plan, flips, depth, sin_k, neg_cos_k)
+    clean = _coefficient_rows(plan, plan.omegas[-1] - flips, width, cos_k, sin_k)  # N - omega
+    # (v, omega, t, j) products flipped[t] * clean[g*j - t], summed over t.
+    # take fills a fresh C-contiguous array, which the sum then runs over
+    # row by row in t, as a loop over t adding into the amplitudes would;
+    # the products are taken in place to hold one such array, not three.
+    amplitude = clean.take(plan.gather[:depth], axis=-1)
+    amplitude *= flipped[..., None]
+    amplitude *= plan.mask[:depth]
+    amplitude = amplitude.sum(axis=-2)
+    amplitude *= plan.scale
     # (v, omega, j, theta) terms, summed by broadcasting: matmul would load
     # BLAS, about 0.4 MB of resident memory, for arrays this small.
-    phases = np.exp(1j * np.multiply.outer(excitations, thetas))
+    phases = np.exp(1j * np.multiply.outer(plan.excitations, thetas))
     terms = amplitude[..., None] * phases
     even = terms[..., 0::2, :].sum(axis=-2)
     odd = terms[..., 1::2, :].sum(axis=-2)
-    weight = 2.0 ** (-(n - 1)) * noise
+    weight = plan.logical_norm * noise
     w00 = (weight * (even.real**2 + even.imag**2)).sum(axis=-2)
     w11 = (weight * (odd.real**2 + odd.imag**2)).sum(axis=-2)
     w01 = (weight * (even * odd.conj())).sum(axis=-2)
@@ -246,13 +310,20 @@ def projection_weights(code: GnuParams, v, thetas, eps: float):
     nonzero noise weight, the real amplitude of logical component j is the
     x^{gj} coefficient of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega,
     scaled by sqrt(C(n, j) / C(N, gj)); theta only multiplies it by
-    e^{i g j theta}.  Both factors are tabulated per call, so a call holds
-    O(N^2) numbers per v plus O(N * n) per (v, angle) pair.  No zero-weight
-    check happens here: see codespace_projection and final_states.
+    e^{i g j theta}.  The v-independent tables come from the code's cached
+    plan; a call tabulates the powers of cos v and sin v and gathers the
+    products of the two factors into one (v, omega, t, j) array that it sums
+    over t.  That array is filled by take, so it is C-contiguous and the sum
+    adds its t-rows in order, giving the bits of a loop over t; the products
+    are taken in place, so it is the only array of its size.  A call holds
+    O(N * g * n^2) numbers per v plus O(N * n) per (v, angle) pair.  No
+    zero-weight check happens here: see codespace_projection and
+    final_states.
     """
-    noise = _noise_weights(code.num_qubits, eps)
+    plan = _plan(code)
+    noise = _noise_weights(plan, eps)
     flips = np.flatnonzero(noise)
-    return _projection(code, v, thetas, flips, noise[flips, None])
+    return _projection(plan, v, thetas, flips, noise[flips, None])
 
 
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:
@@ -340,9 +411,10 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
     if eps.size == 0:
         return np.empty(0)
     settings = np.concatenate(([0.0], eps))
-    noise = _noise_weights(code.num_qubits, settings[:, None])
+    plan = _plan(code)
+    noise = _noise_weights(plan, settings[:, None])
     flips = np.flatnonzero(noise.any(axis=0))
-    weights = _projection(code, ens.v, np.array([ens.theta]), flips, noise[:, flips].T)
+    weights = _projection(plan, ens.v, np.array([ens.theta]), flips, noise[:, flips].T)
     accepted, m00, m11, m01 = final_states(*weights)
     if not accepted.all():
         raise ZeroSuccessProbabilityError(

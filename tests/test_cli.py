@@ -186,6 +186,46 @@ class TestThresholdCommand:
             f"gnumsd: invalid input: reference rounds exist for targets T and H, got '{target}'\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags, ignored",
+        [
+            ("--protocol bk --target T --g 3 --u 7", "--g, --u"),
+            ("--protocol combined --target H --u 4", "--u"),
+            ("--protocol bk --target H --n 1", "--n"),
+            ("--protocol combined --target T --g 1 --n 1 --u 2", "--g, --n, --u"),
+        ],
+        ids=["bk-g-u", "combined-u", "bk-n", "combined-defaults-spelt-out"],
+    )
+    def test_reference_round_refuses_code_flags(self, flags, ignored, capsys):
+        protocol = flags.split()[1]
+        assert main(["threshold", *flags.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gnumsd: invalid input: --protocol {protocol} has fixed codes and ignores "
+            f"{ignored}; the code flags apply to --protocol gnu only\n"
+        )
+
+    @pytest.mark.parametrize(
+        "protocol, target, curve, threshold",
+        [("bk", "T", "bk-T", "0.172673168182"), ("combined", "H", "combined-H", "0.198412227631")],
+        ids=["bk-T", "combined-H"],
+    )
+    def test_reference_round_without_code_flags(self, protocol, target, curve, threshold, capsys):
+        assert main(["threshold", "--protocol", protocol, "--target", target]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "{\n"
+            f'  "curve": "{curve}",\n'
+            f'  "threshold": {threshold},\n'
+            '  "kind": "fixed_point",\n'
+            '  "certified_at_half": false,\n'
+            '  "bracket_width": 7.6293945328e-09,\n'
+            '  "evaluations": 517\n'
+            "}\n"
+        )
+
 
 class TestSolveCommand:
     def test_repetition_code_table(self, capsys):
@@ -276,3 +316,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ps"] == 1.0
+
+    def test_import_leaves_the_verification_modules_unloaded(self):
+        # Only `verify` needs them, and it imports them when it runs.
+        script = (
+            "import sys, gnumsd.cli\n"
+            "print('gnumsd.engine' in sys.modules, sorted(m for m in sys.modules if m in "
+            "('gnumsd.oracle', 'gnumsd.closed_forms', 'gnumsd.verify')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True []\n"

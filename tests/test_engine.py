@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from gnumsd import engine
 from gnumsd.codes import GnuParams
 from gnumsd.engine import (
     MIN_SUCCESS_PROBABILITY,
@@ -376,6 +377,157 @@ class TestProjectionWeights:
             assert abs(analytic.w00 - dense.w00) <= 1e-14
             assert abs(analytic.w11 - dense.w11) <= 1e-14
             assert abs(analytic.w01 - dense.w01) <= 1e-14
+
+
+# Float C(m, k), zero for k > m, as the engine tabulates them.
+_LOOP_BINOMIAL = np.array([[math.comb(m, k) for k in range(61)] for m in range(61)], dtype=float)
+
+
+def loop_noise_weights(n_qubits: int, eps):
+    omegas = np.arange(n_qubits + 1)
+    return _LOOP_BINOMIAL[n_qubits, omegas] * eps**omegas * (1.0 - eps) ** omegas[::-1]
+
+
+def loop_projection(code: GnuParams, v, thetas, flips, noise):
+    """engine._projection as a loop over t: the bitwise reference of its gathered t-sum.
+
+    Each factor's (omega, r) coefficients take one power per entry, and each
+    t adds flipped[t] * clean[g*j - t] into the amplitudes of the j with
+    g*j >= t.
+    """
+    n_qubits, n, g = code.num_qubits, code.n, code.g
+    v = np.asarray(v, dtype=float)
+    shape, flat = v.shape + (1, 1), v.ravel().tolist()
+    cos_v = np.array(list(map(math.cos, flat))).reshape(shape)
+    sin_v = np.array(list(map(math.sin, flat))).reshape(shape)
+
+    def coefficient_rows(degrees, a, b, width):
+        r = np.arange(width)
+        excess = np.maximum(np.subtract.outer(degrees, r), 0)
+        return _LOOP_BINOMIAL[degrees, :width] * a**excess * b**r
+
+    excitations = g * np.arange(n + 1)
+    depth = min(int(flips[-1]), g * n) + 1
+    flipped = coefficient_rows(flips, sin_v, -cos_v, depth)
+    clean = coefficient_rows(n_qubits - flips, cos_v, sin_v, g * n + 1)
+    amplitude = np.zeros(flipped.shape[:-1] + (n + 1,))
+    for t in range(depth):
+        first = -(-t // g)  # components with g*j >= t
+        amplitude[..., first:] += flipped[..., t, None] * clean[..., excitations[first:] - t]
+    amplitude *= np.sqrt(_LOOP_BINOMIAL[n, : n + 1] / _LOOP_BINOMIAL[n_qubits, excitations])
+    phases = np.exp(1j * np.multiply.outer(excitations, thetas))
+    terms = amplitude[..., None] * phases
+    even = terms[..., 0::2, :].sum(axis=-2)
+    odd = terms[..., 1::2, :].sum(axis=-2)
+    weight = 2.0 ** (-(n - 1)) * noise
+    w00 = (weight * (even.real**2 + even.imag**2)).sum(axis=-2)
+    w11 = (weight * (odd.real**2 + odd.imag**2)).sum(axis=-2)
+    w01 = (weight * (even * odd.conj())).sum(axis=-2)
+    return w00, w11, w01
+
+
+def loop_projection_weights(code: GnuParams, v, thetas, eps: float):
+    noise = loop_noise_weights(code.num_qubits, eps)
+    flips = np.flatnonzero(noise)
+    return loop_projection(code, v, thetas, flips, noise[flips, None])
+
+
+def assert_same_bits(got, want):
+    """Equal arrays down to the sign of zero (np.array_equal ignores it)."""
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+CONTRACTION_CODES = [
+    GnuParams(*shape)
+    for shape in (
+        (1, 1, 2), (2, 1, 1), (1, 4, 3), (3, 10, 1), (4, 15, 1),
+        (1, 15, 4), (1, 60, 1), (60, 1, 1), (1, 30, 2),
+    )
+]
+
+
+class TestGatheredContraction:
+    @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
+    def test_points_match_the_t_loop_bitwise(self, code):
+        rng = random.Random(code.num_qubits * 31 + code.n)
+        for v in (0.0, math.pi / 2, rng.uniform(0.0, math.pi / 2)):
+            for eps in (0.0, 1.0, 1e-3, rng.uniform(0.0, 1.0)):
+                thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(3)])
+                got = projection_weights(code, v, thetas, eps)
+                assert_same_bits(got, loop_projection_weights(code, v, thetas, eps))
+                # The one-point call, against the loop at its one angle.
+                ens = InputEnsemble(v, thetas[0], eps)
+                want = loop_projection_weights(code, ens.v, np.array([ens.theta]), ens.eps)
+                try:
+                    proj = codespace_projection(code, ens)
+                except ZeroSuccessProbabilityError:
+                    assert want[0][0] + want[1][0] <= MIN_SUCCESS_PROBABILITY
+                    continue
+                assert _bits(proj.w00, proj.w11, proj.w01) == _bits(
+                    max(want[0][0], 0.0), max(want[1][0], 0.0), want[2][0]
+                )
+
+    @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
+    def test_v_block_matches_the_t_loop_bitwise(self, code):
+        rng = np.random.default_rng(code.num_qubits * 17 + code.g)
+        vs = rng.uniform(0.0, math.pi / 2, (3, 7))
+        thetas = rng.uniform(-math.pi, math.pi, 11)
+        for eps in (0.0, float(rng.uniform(0.0, 1.0))):
+            got = projection_weights(code, vs, thetas, eps)
+            assert got[0].shape == (3, 7, 11)
+            assert_same_bits(got, loop_projection_weights(code, vs, thetas, eps))
+
+    @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
+    def test_max_errors_with_gapped_flips_matches_the_t_loop_bitwise(self, code, monkeypatch):
+        # With the noiseless setting beside eps at or near 1 the flipped
+        # counts are {0} and {k..N}, not one run: at eps = 1 only omega = N
+        # has weight, and at 1 - 1e-15 every omega < N - 20 underflows.
+        projection, gapped = engine._projection, []
+
+        def checked(plan, v, thetas, flips, noise):
+            gapped.append(bool(np.any(np.diff(flips) > 1)))
+            got = projection(plan, v, thetas, flips, noise)
+            assert_same_bits(got, loop_projection(code, v, thetas, flips, noise))
+            return got
+
+        monkeypatch.setattr(engine, "_projection", checked)
+        rng = random.Random(code.num_qubits * 13 + code.n)
+        grids = ([1.0], [1.0 - 1e-15, 1.0 - 1e-12, 1.0], [0.999, rng.uniform(0.9, 1.0), 1.0])
+        target = t_state().density()
+        for v in (0.3, 1.1, rng.uniform(0.2, 1.3)):
+            for eps in grids:
+                try:
+                    max_errors(code, v, rng.uniform(-math.pi, math.pi), np.array(eps), target)
+                except ZeroSuccessProbabilityError:
+                    pass
+        assert len(gapped) == 9
+        assert all(gapped[0::3])
+        if code.num_qubits >= 30:
+            assert all(gapped[1::3])
+
+    def test_plan_cache_holds_one_entry_per_code(self):
+        # The omega with nonzero noise weight change with eps near 0 and 1;
+        # the plan is keyed on the code alone, so a sweep adds no entries.
+        codes = [GnuParams(1, 1, 2), GnuParams(1, 4, 3), GnuParams(1, 60, 1)]
+        sweep = np.concatenate(
+            (
+                [1e-300, 1e-200, 1e-100, 1e-30, 1e-12],
+                np.linspace(0.0, 1.0, 190),
+                [1 - 1e-12, 1 - 1e-9, 1 - 1e-6, 1 - 1e-15, 1 - 1e-3],
+            )
+        )
+        assert sweep.size == 200
+        engine._plan.cache_clear()
+        flip_sets = set()
+        for code in codes:
+            for eps in sweep.tolist():
+                projection_weights(code, 0.7, np.array([0.2]), eps)
+                noise = loop_noise_weights(code.num_qubits, eps)
+                flip_sets.add((code, tuple(np.flatnonzero(noise))))
+        assert len(flip_sets) > 10
+        assert engine._plan.cache_info().currsize == 3
 
 
 class TestFinalStates:
