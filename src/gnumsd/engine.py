@@ -11,14 +11,18 @@ weight-omega input string with the j-th logical Dicke component is
 e^{i g j theta} times a real amplitude, the x^{gj} coefficient of
 (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
 through the binomial weight of omega flipped inputs.  Everything in that
-coefficient that does not depend on v (binomial rows, exponent tables, the
-(t, j) gather of the coefficient product and its normalisation) sits in a
-per-code plan, built once per code at full size and sliced by each call.
-A call raises cos v, sin v and -cos v to the powers 0..N once, reads both
-factors of the product out of those tables for the omega whose noise weight
-is nonzero (omega = 0 alone at eps = 0), sums the product over t in one
-gathered contraction, builds the phases e^{i g j theta} once and contracts
-them with an (omega, column) table of noise weights.
+coefficient that does not depend on v sits in a per-code plan, built once
+per code at full size: an index table mapping each (factor, omega, r) to a
+position in one flat power table [cos^k | sin^k | (-cos)^k], the matching
+binomials, the (t, j) gather of the coefficient product and its
+normalisation.  Each (omega, r) table ends in a sentinel column with a 0.0
+binomial, where the clean factor is exactly +0, and the gather sends every
+(t, j) with g*j < t there, so no mask multiply is needed.  A call raises
+cos v, sin v and -cos v to the powers 0..N in one pow, reads both factors
+for the omega whose noise weight is nonzero (omega = 0 alone at eps = 0) in
+one take and two multiplies, sums the product over t in one gathered
+contraction, builds the phases e^{i g j theta} once and contracts them with
+an (omega, column) table of noise weights.
 `projection_weights` takes one eps, a float or a whole vector of v, and a
 whole vector of theta, which is how the noiseless solver grid, the solver's
 neighbour probes and the magic curve evaluate many points in one call;
@@ -27,8 +31,8 @@ error curves evaluate a threshold grid or a figure's eps column in one call,
 and `max_error` is its one-point call.  The scalar `dicke_overlap` family
 spells the same sums out term by term and is the reference the array path is
 tested against.  `CodespaceProjection` plus `final_state` keep their own
-checks beside `final_states`: one point costs about 7 us through them and
-70 us through `final_states`, and `distilled_state` runs point by point.
+checks beside `final_states`: one point costs about 6 us through them and
+47 us through `final_states`, and `distilled_state` runs point by point.
 """
 from __future__ import annotations
 
@@ -190,18 +194,23 @@ def logical_component_overlap(
 class _Plan(NamedTuple):
     """Everything in a projection of one code that does not depend on v or eps.
 
-    The (m, r) tables run over the degrees m = 0..N of the two factors and
-    the powers r = 0..g*n that reach a logical component; a call picks the
-    rows of its degrees and, for the flipped factor, its first depth columns.
+    The (omega, r) tables run over the flip counts omega = 0..N and the
+    powers r = 0..g*n that reach a logical component, plus one sentinel
+    column r = g*n + 1; a call reads the rows of the omega it sums over.
+    Each (factor, omega, r) entry of index is a position in the call's flat
+    power table [cos^k | sin^k | (-cos)^k], k = 0..N: factors 0 and 1 are
+    the a^(m - r) of the flipped (degree omega, a = sin v) and clean
+    (degree N - omega, a = cos v) factors, 2 and 3 their b^r (b = -cos v and
+    sin v).  The sentinel column reads a^0 and b^0 against a 0.0 binomial,
+    so the clean factor holds exactly +0 there.
     """
 
     omegas: np.ndarray  # 0..N: noise exponents and power-table exponents
     noise_binomial: np.ndarray  # C(N, omega)
-    binomial: np.ndarray  # C(m, r)
-    excess: np.ndarray  # m - r where C(m, r) != 0
-    gather: np.ndarray  # (t, j) -> column g*j - t of the clean factor
-    mask: np.ndarray  # 1.0 where g*j >= t, else 0.0
-    excitations: np.ndarray  # g*j
+    index: np.ndarray  # (factor, omega, r) -> position in the flat power table
+    binomial: np.ndarray  # C(omega, r) and C(N - omega, r), 0.0 in the sentinel column
+    gather: np.ndarray  # (t, j) -> column g*j - t of the clean factor, the sentinel where g*j < t
+    phase_rates: np.ndarray  # i*g*j, the exponent of e^{i g j theta} per unit theta
     scale: np.ndarray  # sqrt(C(n, j) / C(N, g*j))
     logical_norm: float  # 2^-(n-1), the square of the logical states' normalisation
 
@@ -216,19 +225,28 @@ def _plan(code: GnuParams) -> _Plan:
     """
     n_qubits, n, g = code.num_qubits, code.n, code.g
     omegas = np.arange(n_qubits + 1)
-    powers = np.arange(g * n + 1)
+    sentinel = g * n + 1
+    r = np.arange(sentinel + 1)
     excitations = g * np.arange(n + 1)
-    column = -np.subtract.outer(powers, excitations)  # (t, j) -> g*j - t
+    degrees = np.stack((omegas, n_qubits - omegas))  # flipped, clean
+    # (factor, omega, r) exponents of a, then of b; a^0 and b^0 in the sentinel column.
+    exponents = np.empty((4,) + omegas.shape + r.shape, dtype=np.intp)
+    exponents[:2] = np.maximum(degrees[..., None] - r, 0)
+    exponents[2:] = r
+    exponents[..., sentinel] = 0
+    blocks = (n_qubits + 1) * np.array([1, 0, 2, 1])  # sin, cos, -cos, sin
+    binomial = _binomials(range(n_qubits + 1), r)[degrees]
+    binomial[..., sentinel] = 0.0
+    column = -np.subtract.outer(r[:sentinel], excitations)  # (t, j) -> g*j - t
     plan = _Plan(
         omegas=omegas,
-        noise_binomial=_binomials([n_qubits], range(n_qubits + 1))[0],
-        binomial=_binomials(range(n_qubits + 1), range(g * n + 1)),
-        excess=np.maximum(np.subtract.outer(omegas, powers), 0),
-        gather=np.maximum(column, 0),
-        # heaviside, not (column >= 0).astype(float): the first integer
-        # comparison and bool cast in a process cost about 0.2 MB resident.
-        mask=np.heaviside(column, 1.0),
-        excitations=excitations,
+        noise_binomial=_binomials([n_qubits], omegas)[0],
+        index=exponents + blocks[:, None, None],
+        binomial=binomial,
+        # Every g*j < t to -1, which the modulus takes to the sentinel: no
+        # integer comparison, whose first use in a process costs ~0.2 MB resident.
+        gather=np.maximum(column, -1) % (sentinel + 1),
+        phase_rates=1j * excitations,
         scale=np.sqrt(_binomials([n], range(n + 1))[0] / _binomials([n_qubits], excitations)[0]),
         logical_norm=2.0 ** (-(n - 1)),
     )
@@ -236,16 +254,6 @@ def _plan(code: GnuParams) -> _Plan:
         if isinstance(table, np.ndarray):
             table.setflags(write=False)
     return plan
-
-
-def _coefficient_rows(plan: _Plan, degrees, width: int, a_k, b_k):
-    """x^r coefficients, r < width, of (a + b x)^m for each m in degrees (one row per m).
-
-    a_k and b_k hold the powers of a and b along their last axis, which the
-    plan's exponent table gathers.
-    """
-    excess = plan.excess[degrees, :width]
-    return plan.binomial[degrees, :width] * a_k.take(excess, axis=-1) * b_k[..., None, :width]
 
 
 def _noise_weights(plan: _Plan, eps):
@@ -257,6 +265,26 @@ def _noise_weights(plan: _Plan, eps):
     return plan.noise_binomial * eps**omegas * (1.0 - eps) ** omegas[::-1]
 
 
+def _coefficients(plan: _Plan, v, rows):
+    """x^r coefficients of the flipped and clean factors, shape (v, factor, omega, r).
+
+    C(m, r) a^(m - r) b^r for each omega in rows, with every power read from
+    one flat power table [cos^k | sin^k | (-cos)^k], k = 0..N, per v: the
+    same pow on the same operands as one power per entry.  The gathered
+    powers are freed on return, before the caller allocates its larger
+    (v, omega, t, j) array.
+    """
+    # math.cos/math.sin per v, so a vector of v gives the same bits as one v.
+    v = np.asarray(v, dtype=float)
+    flat = v.ravel().tolist()
+    trig = np.array([(c, s, -c) for c, s in zip(map(math.cos, flat), map(math.sin, flat))])
+    powers = (trig.reshape(v.shape + (3, 1)) ** plan.omegas).reshape(v.shape + (-1,))
+    factors = powers.take(plan.index[:, rows], axis=-1)
+    coefficients = plan.binomial[:, rows] * factors[..., :2, :, :]
+    coefficients *= factors[..., 2:, :, :]
+    return coefficients
+
+
 def _projection(plan: _Plan, v, thetas, flips, noise):
     """Codespace weights (w00, w11, w01) summed over the omega in flips.
 
@@ -266,37 +294,32 @@ def _projection(plan: _Plan, v, thetas, flips, noise):
     columns: a vector of theta against one noise column, or one theta
     against a column per eps.
     """
-    # math.cos/math.sin per v, so a vector of v gives the same bits as one v.
-    v = np.asarray(v, dtype=float)
-    shape, flat = v.shape + (1,), v.ravel().tolist()
-    cos_v = np.array(list(map(math.cos, flat))).reshape(shape)
-    sin_v = np.array(list(map(math.sin, flat))).reshape(shape)
-    # Power tables a**k, k = 0..N, read through the plan's exponent tables:
-    # the same pow on the same operands as one power per (omega, r) entry.
-    cos_k, sin_k, neg_cos_k = cos_v**plan.omegas, sin_v**plan.omegas, (-cos_v) ** plan.omegas
-    width = plan.gather.shape[0]  # g*n + 1
-    depth = min(int(flips[-1]) + 1, width)
-    flipped = _coefficient_rows(plan, flips, depth, sin_k, neg_cos_k)
-    clean = _coefficient_rows(plan, plan.omegas[-1] - flips, width, cos_k, sin_k)  # N - omega
-    # (v, omega, t, j) products flipped[t] * clean[g*j - t], summed over t.
+    # flips is one run of omega for any single eps; only max_errors' sets
+    # near eps = 1 have gaps, and need fancy indexing.
+    first, last = int(flips[0]), int(flips[-1])
+    rows = slice(first, last + 1) if last - first + 1 == flips.size else flips
+    coefficients = _coefficients(plan, v, rows)
+    depth = min(last + 1, plan.gather.shape[0])  # t runs to min(omega, g*n)
+    # (v, omega, t, j) products flipped[t] * clean[g*j - t], summed over t;
+    # where g*j < t the gather reads the clean factor's +0 sentinel.
     # take fills a fresh C-contiguous array, which the sum then runs over
     # row by row in t, as a loop over t adding into the amplitudes would;
-    # the products are taken in place to hold one such array, not three.
-    amplitude = clean.take(plan.gather[:depth], axis=-1)
-    amplitude *= flipped[..., None]
-    amplitude *= plan.mask[:depth]
-    amplitude = amplitude.sum(axis=-2)
+    # the product is taken in place to hold one such array, not two.
+    # np.add.reduce is what ndarray.sum calls, minus its Python wrapper.
+    amplitude = coefficients[..., 1, :, :].take(plan.gather[:depth], axis=-1)
+    amplitude *= coefficients[..., 0, :, :depth, None]
+    amplitude = np.add.reduce(amplitude, -2)
     amplitude *= plan.scale
     # (v, omega, j, theta) terms, summed by broadcasting: matmul would load
     # BLAS, about 0.4 MB of resident memory, for arrays this small.
-    phases = np.exp(1j * np.multiply.outer(plan.excitations, thetas))
+    phases = np.exp(np.multiply.outer(plan.phase_rates, thetas))
     terms = amplitude[..., None] * phases
-    even = terms[..., 0::2, :].sum(axis=-2)
-    odd = terms[..., 1::2, :].sum(axis=-2)
+    even = np.add.reduce(terms[..., 0::2, :], -2)
+    odd = np.add.reduce(terms[..., 1::2, :], -2)
     weight = plan.logical_norm * noise
-    w00 = (weight * (even.real**2 + even.imag**2)).sum(axis=-2)
-    w11 = (weight * (odd.real**2 + odd.imag**2)).sum(axis=-2)
-    w01 = (weight * (even * odd.conj())).sum(axis=-2)
+    w00 = np.add.reduce(weight * squared_modulus(even), -2)
+    w11 = np.add.reduce(weight * squared_modulus(odd), -2)
+    w01 = np.add.reduce(weight * (even * odd.conj()), -2)
     return w00, w11, w01
 
 
@@ -311,18 +334,21 @@ def projection_weights(code: GnuParams, v, thetas, eps: float):
     x^{gj} coefficient of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega,
     scaled by sqrt(C(n, j) / C(N, gj)); theta only multiplies it by
     e^{i g j theta}.  The v-independent tables come from the code's cached
-    plan; a call tabulates the powers of cos v and sin v and gathers the
-    products of the two factors into one (v, omega, t, j) array that it sums
-    over t.  That array is filled by take, so it is C-contiguous and the sum
-    adds its t-rows in order, giving the bits of a loop over t; the products
-    are taken in place, so it is the only array of its size.  A call holds
-    O(N * g * n^2) numbers per v plus O(N * n) per (v, angle) pair.  No
-    zero-weight check happens here: see codespace_projection and
-    final_states.
+    plan; a call tabulates the powers of cos v and sin v in one flat table,
+    reads both factors out of it through the plan's index table in one take,
+    and gathers the products of the two factors into one (v, omega, t, j)
+    array that it sums over t.  Where g*j < t the gather reads the clean
+    factor's sentinel column, exactly +0, so those products are zeros that
+    leave the sum unchanged.  That array is filled by take, so it is
+    C-contiguous and the sum adds its t-rows in order, giving the bits of a
+    loop over t; the products are taken in place, so it is the only array
+    of its size.  A call holds O(N * g * n^2) numbers per v plus O(N * n)
+    per (v, angle) pair.  No zero-weight check happens here: see
+    codespace_projection and final_states.
     """
     plan = _plan(code)
     noise = _noise_weights(plan, eps)
-    flips = np.flatnonzero(noise)
+    flips = noise.nonzero()[0]
     return _projection(plan, v, thetas, flips, noise[flips, None])
 
 
@@ -333,7 +359,7 @@ def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjec
     the total codespace weight is too small to normalise downstream.
     """
     w00, w11, w01 = projection_weights(code, ens.v, np.array([ens.theta]), ens.eps)
-    w00, w11, w01 = float(w00[0]), float(w11[0]), complex(w01[0])
+    w00, w11, w01 = w00.item(), w11.item(), w01.item()
     if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
         raise ZeroSuccessProbabilityError(
             f"codespace weight {w00 + w11!r} at (v={ens.v}, theta={ens.theta}, "
@@ -371,14 +397,18 @@ def final_states(w00, w11, w01):
     w00, w11, w01 = w00[accepted], w11[accepted], w01[accepted]
     if not (np.isfinite(w00) & np.isfinite(w11) & np.isfinite(w01)).all():
         raise OutOfRangeError("projection weights must be finite")
-    if ((w00 < -STATE_TOLERANCE) | (w11 < -STATE_TOLERANCE)).any():
-        raise OutOfRangeError("negative projection weight")
+    negative = np.minimum(w00, w11) < -STATE_TOLERANCE
     # max(x, 0.0) as CodespaceProjection takes it (-0.0 stays).
     w00, w11 = np.where(w00 < 0.0, 0.0, w00), np.where(w11 < 0.0, 0.0, w11)
     total = w00 + w11
-    if (total > 1.0 + STATE_TOLERANCE).any():
-        raise OutOfRangeError(f"total projection weight {total.max()!r} exceeds 1")
-    if (squared_modulus(w01) > w00 * w11 + STATE_TOLERANCE).any():
+    over = total > 1.0 + STATE_TOLERANCE
+    incoherent = squared_modulus(w01) > w00 * w11 + STATE_TOLERANCE
+    # One reduction on the common path; the checks in order only to name a failure.
+    if (negative | over | incoherent).any():
+        if negative.any():
+            raise OutOfRangeError("negative projection weight")
+        if over.any():
+            raise OutOfRangeError(f"total projection weight {total.max()!r} exceeds 1")
         raise OutOfRangeError("coherence weight violates positive semidefiniteness")
     # Componentwise, because numpy's complex / float can round differently
     # from the complex / float in final_state.
@@ -413,7 +443,7 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
     settings = np.concatenate(([0.0], eps))
     plan = _plan(code)
     noise = _noise_weights(plan, settings[:, None])
-    flips = np.flatnonzero(noise.any(axis=0))
+    flips = noise.any(axis=0).nonzero()[0]
     weights = _projection(plan, ens.v, np.array([ens.theta]), flips, noise[:, flips].T)
     accepted, m00, m11, m01 = final_states(*weights)
     if not accepted.all():

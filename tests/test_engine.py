@@ -28,13 +28,14 @@ from gnumsd.engine import (
 from gnumsd.errors import OutOfRangeError, ZeroSuccessProbabilityError
 from gnumsd.oracle import build_rho_n, product_state_vector, project_and_decode
 from gnumsd.qmath import (
+    MAX_QUBITS,
     STATE_TOLERANCE,
     DensityMatrix1Q,
     checked_density_arrays,
     t_state,
     trace_distance,
 )
-from gnumsd.solver import GRID_STEP, TargetSpec, _residual_row
+from gnumsd.solver import GRID_BLOCK_ROWS, GRID_STEP, TargetSpec, _residual_row
 
 HAND_POINT = InputEnsemble(math.pi / 4, 0.0, 0.0)
 U2 = GnuParams(1, 1, 2)
@@ -302,6 +303,19 @@ V_AXIS_CODES = [
     GnuParams(*shape)
     for shape in ((1, 1, 2), (2, 1, 1), (1, 1, 60), (1, 2, 3), (3, 2, 2), (1, 4, 2.5))
 ]
+
+
+def random_codes(count: int, seed: int) -> list[GnuParams]:
+    """Seeded codes with N <= MAX_QUBITS, fractional u included."""
+    rng = random.Random(seed)
+    codes = []
+    while len(codes) < count:
+        g, n = rng.randint(1, 8), rng.randint(1, 30)
+        if g * n <= MAX_QUBITS:
+            codes.append(GnuParams(g, n, rng.randint(g * n, MAX_QUBITS) / (g * n)))
+    return codes
+
+
 METAMORPHIC_CODES = [
     GnuParams(*shape)
     for shape in (
@@ -367,6 +381,31 @@ class TestProjectionWeights:
                     assert np.max(np.abs(a - b)) <= 1e-14
                 points += thetas.size
         assert points == 200
+
+    def test_theta_reflection_conjugates_the_coherence(self):
+        # theta enters only through e^{i g j theta}: theta -> -theta keeps
+        # w00 and w11 and conjugates w01, exactly.
+        rng = random.Random(20261018)
+        for code in METAMORPHIC_CODES + random_codes(10, 1018):
+            for _ in range(2):
+                v, eps = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 1.0)
+                thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(5)])
+                w00, w11, w01 = projection_weights(code, v, thetas, eps)
+                r00, r11, r01 = projection_weights(code, v, -thetas, eps)
+                assert_same_bits((r00, r11, r01), (w00, w11, w01.conj()))
+
+    def test_theta_period_is_two_pi_over_g(self):
+        # e^{i g j theta} has period 2 pi / g in theta.
+        rng = random.Random(20261019)
+        points = 0
+        for code in METAMORPHIC_CODES + random_codes(20, 1019):
+            v, eps = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 1.0)
+            thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(10)])
+            shifted = projection_weights(code, v, thetas + 2.0 * math.pi / code.g, eps)
+            for a, b in zip(projection_weights(code, v, thetas, eps), shifted):
+                assert np.max(np.abs(a - b)) <= 4e-15
+            points += thetas.size
+        assert points == 300
 
     @pytest.mark.parametrize("code", N_GT_1_ORACLE_CODES, ids=_code_id)
     def test_n_gt_1_codes_match_dense_oracle(self, code):
@@ -446,28 +485,51 @@ CONTRACTION_CODES = [
         (1, 15, 4), (1, 60, 1), (60, 1, 1), (1, 30, 2),
     )
 ]
+# The point codes of perfbench's scan workload.
+SCAN_CODES = [
+    GnuParams(*shape)
+    for shape in (
+        (1, 1, 12), (1, 2, 6), (2, 2, 3), (1, 4, 3), (1, 6, 2), (2, 6, 1),
+        (1, 12, 1), (1, 2, 15), (3, 2, 5), (1, 4, 7.5), (1, 8, 3.75), (3, 10, 1),
+        (5, 2, 6), (1, 4, 15), (3, 4, 5), (1, 15, 4), (4, 15, 1),
+    )
+]
+BITWISE_CODES = list(dict.fromkeys(CONTRACTION_CODES + SCAN_CODES + random_codes(20, 2029)))
 
 
 class TestGatheredContraction:
-    @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
+    @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
     def test_points_match_the_t_loop_bitwise(self, code):
         rng = random.Random(code.num_qubits * 31 + code.n)
         for v in (0.0, math.pi / 2, rng.uniform(0.0, math.pi / 2)):
-            for eps in (0.0, 1.0, 1e-3, rng.uniform(0.0, 1.0)):
-                thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(3)])
+            for eps in (0.0, 1.0, 1e-3, 1e-300, 1.0 - 1e-15, rng.uniform(0.0, 1.0)):
+                thetas = np.array([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)])
                 got = projection_weights(code, v, thetas, eps)
                 assert_same_bits(got, loop_projection_weights(code, v, thetas, eps))
-                # The one-point call, against the loop at its one angle.
-                ens = InputEnsemble(v, thetas[0], eps)
-                want = loop_projection_weights(code, ens.v, np.array([ens.theta]), ens.eps)
-                try:
-                    proj = codespace_projection(code, ens)
-                except ZeroSuccessProbabilityError:
-                    assert want[0][0] + want[1][0] <= MIN_SUCCESS_PROBABILITY
-                    continue
-                assert _bits(proj.w00, proj.w11, proj.w01) == _bits(
-                    max(want[0][0], 0.0), max(want[1][0], 0.0), want[2][0]
-                )
+                # The one-point call, against the loop at each (wrapped) angle.
+                for theta in thetas.tolist():
+                    ens = InputEnsemble(v, theta, eps)
+                    want = loop_projection_weights(code, ens.v, np.array([ens.theta]), ens.eps)
+                    try:
+                        proj = codespace_projection(code, ens)
+                    except ZeroSuccessProbabilityError:
+                        assert want[0][0] + want[1][0] <= MIN_SUCCESS_PROBABILITY
+                        continue
+                    assert _bits(proj.w00, proj.w11, proj.w01) == _bits(
+                        max(want[0][0], 0.0), max(want[1][0], 0.0), want[2][0]
+                    )
+
+    @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
+    def test_solver_block_matches_the_t_loop_bitwise(self, code):
+        # The noiseless grid solver's call: GRID_BLOCK_ROWS v by 400 theta.
+        rng = np.random.default_rng(code.num_qubits * 7 + code.n)
+        vs = np.concatenate(
+            ([0.0, math.pi / 2], rng.uniform(0.0, math.pi / 2, GRID_BLOCK_ROWS - 2))
+        )
+        thetas = -math.pi + GRID_STEP * np.arange(400)
+        got = projection_weights(code, vs, thetas, 0.0)
+        assert got[0].shape == (GRID_BLOCK_ROWS, 400)
+        assert_same_bits(got, loop_projection_weights(code, vs, thetas, 0.0))
 
     @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
     def test_v_block_matches_the_t_loop_bitwise(self, code):
@@ -506,6 +568,13 @@ class TestGatheredContraction:
         assert all(gapped[0::3])
         if code.num_qubits >= 30:
             assert all(gapped[1::3])
+
+    @pytest.mark.parametrize("shape", [(4, 15, 1), (1, 60, 1)])
+    def test_plan_stays_small(self, shape):
+        # Plans stay cached for the life of the process, one per code a run
+        # touches, so their tables count toward its resident memory.
+        plan = engine._plan(GnuParams(*shape))
+        assert sum(t.nbytes for t in plan if isinstance(t, np.ndarray)) <= 256 * 1024
 
     def test_plan_cache_holds_one_entry_per_code(self):
         # The omega with nonzero noise weight change with eps near 0 and 1;
