@@ -277,10 +277,12 @@ def cmd_magic_curve(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    stage_a, total = compose_errors(args.eps, args.target)
+    # InputEnsemble's range check and zero sign, so the record echoes the eps evaluated.
+    eps = InputEnsemble(0.0, 0.0, args.eps).eps
+    stage_a, total = compose_errors(eps, args.target)
     record = {
         "target": args.target,
-        "eps": args.eps,
+        "eps": eps,
         "error_stage_a": stage_a,
         "error_total": total,
     }

@@ -21,14 +21,22 @@ binomial, where the clean factor is exactly +0, and the gather sends every
 cos v, sin v and -cos v to the powers 0..N in one pow, reads both factors
 for the omega whose noise weight is nonzero (omega = 0 alone at eps = 0) in
 one take and two multiplies, sums the product over t in one gathered
-contraction, builds the phases e^{i g j theta} once and contracts them with
-an (omega, column) table of noise weights.
+contraction and builds the phases e^{i g j theta} once: that gives the
+per-omega logical sums |even|^2, |odd|^2 and even * conj(odd), which a
+second step weights by an (omega, column) table of noise weights and sums
+over omega.
 `projection_weights` takes one eps, a float or a whole vector of v, and a
 whole vector of theta, which is how the noiseless solver grid, the solver's
 neighbour probes and the magic curve evaluate many points in one call;
 `max_errors` takes one (v, theta) and a whole vector of eps, which is how
 error curves evaluate a threshold grid or a figure's eps column in one call,
-and `max_error` is its one-point call.  The scalar `dicke_overlap` family
+and `max_error` is its one-point call.  Beside the plan, `max_errors` keeps
+a second cache: the logical sums of every omega = 0..N, one table per
+(code, v, theta) with v and theta as InputEnsemble clamps and wraps them, at
+most CURVE_TABLES of them, read-only.  Only the noise weights depend on
+eps, so every point of an error curve, scalar calls and bisection steps
+included, reads one table and runs only the weighted omega sum and the
+state checks.  The scalar `dicke_overlap` family
 spells the same sums out term by term and is the reference the array path is
 tested against.  `CodespaceProjection` plus `final_state` keep their own
 checks beside `final_states`: one point costs about 6 us through them and
@@ -58,6 +66,9 @@ from .qmath import (
 
 # Below this total codespace weight the output state cannot be normalised.
 MIN_SUCCESS_PROBABILITY = 1e-300
+# Most (code, v, theta) logical-sum tables max_errors keeps; a crossover
+# search evaluates two error curves in turn.
+CURVE_TABLES = 32
 
 _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
@@ -98,9 +109,11 @@ class InputEnsemble:
             raise OutOfRangeError(f"v must lie in [0, pi/2], got {v!r}")
         if not 0.0 <= eps <= 1.0:
             raise OutOfRangeError(f"eps must lie in [0, 1], got {eps!r}")
-        object.__setattr__(self, "v", min(max(v, 0.0), _HALF_PI))
+        # + 0.0 turns a -0.0, which max and the range checks let through,
+        # into +0.0, so equal inputs give equal bits and equal cache keys.
+        object.__setattr__(self, "v", min(max(v, 0.0), _HALF_PI) + 0.0)
         object.__setattr__(self, "theta", wrap_angle(theta))
-        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eps", eps + 0.0)
 
     def clean_state(self) -> PureQubit:
         return PureQubit(math.cos(self.v), cmath.exp(1j * self.theta) * math.sin(self.v))
@@ -285,21 +298,15 @@ def _coefficients(plan: _Plan, v, rows):
     return coefficients
 
 
-def _projection(plan: _Plan, v, thetas, flips, noise):
-    """Codespace weights (w00, w11, w01) summed over the omega in flips.
+def _logical_sums(plan: _Plan, v, thetas, rows: slice):
+    """Per-omega logical sums (|even|^2, |odd|^2, even * conj(odd)) for the omega in rows.
 
-    v is a float or an array of them, and leads the shape of the weights.
-    noise holds the noise weights of those omega, one row each.  The
-    (v, omega, theta) logical sums are built once and broadcast against its
-    columns: a vector of theta against one noise column, or one theta
-    against a column per eps.
+    v is a float or an array of them, and leads the shape of each sum, which
+    is np.shape(v) + (omega, theta).  Nothing here depends on eps: the
+    noise weights enter only in _noise_sum.
     """
-    # flips is one run of omega for any single eps; only max_errors' sets
-    # near eps = 1 have gaps, and need fancy indexing.
-    first, last = int(flips[0]), int(flips[-1])
-    rows = slice(first, last + 1) if last - first + 1 == flips.size else flips
     coefficients = _coefficients(plan, v, rows)
-    depth = min(last + 1, plan.gather.shape[0])  # t runs to min(omega, g*n)
+    depth = min(rows.stop, plan.gather.shape[0])  # t runs to min(omega, g*n)
     # (v, omega, t, j) products flipped[t] * clean[g*j - t], summed over t;
     # where g*j < t the gather reads the clean factor's +0 sentinel.
     # take fills a fresh C-contiguous array, which the sum then runs over
@@ -316,11 +323,41 @@ def _projection(plan: _Plan, v, thetas, flips, noise):
     terms = amplitude[..., None] * phases
     even = np.add.reduce(terms[..., 0::2, :], -2)
     odd = np.add.reduce(terms[..., 1::2, :], -2)
+    return squared_modulus(even), squared_modulus(odd), even * odd.conj()
+
+
+def _noise_sum(plan: _Plan, sums, noise):
+    """Codespace weights (w00, w11, w01): the logical sums weighted by noise, summed over omega.
+
+    noise holds one row per omega of sums, broadcast against its theta
+    columns: one noise column against a vector of theta, or one theta
+    against a column per eps.
+    """
+    s00, s11, s01 = sums
     weight = plan.logical_norm * noise
-    w00 = np.add.reduce(weight * squared_modulus(even), -2)
-    w11 = np.add.reduce(weight * squared_modulus(odd), -2)
-    w01 = np.add.reduce(weight * (even * odd.conj()), -2)
-    return w00, w11, w01
+    # A literal tuple: tuple() of a generator builds a longer tuple and
+    # shrinks it, which leaves one more 3-tuple on CPython's free list per
+    # call, ~128 KB resident once a curve's calls fill it.
+    return (
+        np.add.reduce(weight * s00, -2),
+        np.add.reduce(weight * s11, -2),
+        np.add.reduce(weight * s01, -2),
+    )
+
+
+@lru_cache(maxsize=CURVE_TABLES)
+def _curve_table(code: GnuParams, v: float, theta: float):
+    """The logical sums of code at one (v, theta) for every omega = 0..N.
+
+    All that max_errors needs besides the noise weights, so every eps of an
+    error curve shares it.  v and theta come clamped and wrapped by
+    InputEnsemble, so equal keys build equal tables.  The arrays are shared
+    by every call and so read-only.
+    """
+    table = _logical_sums(_plan(code), v, np.array([theta]), slice(0, code.num_qubits + 1))
+    for part in table:
+        part.setflags(write=False)
+    return table
 
 
 def projection_weights(code: GnuParams, v, thetas, eps: float):
@@ -348,8 +385,10 @@ def projection_weights(code: GnuParams, v, thetas, eps: float):
     """
     plan = _plan(code)
     noise = _noise_weights(plan, eps)
+    # The omega with nonzero weight at one eps form one run.
     flips = noise.nonzero()[0]
-    return _projection(plan, v, thetas, flips, noise[flips, None])
+    rows = slice(int(flips[0]), int(flips[-1]) + 1)
+    return _noise_sum(plan, _logical_sums(plan, v, thetas, rows), noise[rows, None])
 
 
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:
@@ -426,7 +465,11 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
 
     The noiseless output pins the protocol's intent, the noisy one its
     degradation.  eps (a 1-D array) only enters through the noise weights of
-    omega flipped inputs, so all points share one (omega, j) amplitude table.
+    omega flipped inputs, so every call at one (v, theta) on a code reads one
+    cached table of the per-omega logical sums for omega = 0..N, keyed on
+    the code and InputEnsemble's clamped v and wrapped theta, and weights
+    the rows with nonzero noise weight at 0 or at some eps.  A warm call
+    gives the bits of a cold one, and runs every check below.
     Raises OutOfRangeError with InputEnsemble's message for the first eps
     outside [0, 1], and ZeroSuccessProbabilityError where
     codespace_projection would at 0 or at any eps.
@@ -440,11 +483,15 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
         InputEnsemble(v, theta, eps[bad][0])  # raises the scalar path's message
     if eps.size == 0:
         return np.empty(0)
+    table = _curve_table(code, ens.v, ens.theta)
     settings = np.concatenate(([0.0], eps))
     plan = _plan(code)
     noise = _noise_weights(plan, settings[:, None])
     flips = noise.any(axis=0).nonzero()[0]
-    weights = _projection(plan, ens.v, np.array([ens.theta]), flips, noise[:, flips].T)
+    # noise[:, flips] comes out F-ordered, so its transpose is C-contiguous;
+    # the omega sum's order, and so its bits, follow that layout (a take
+    # along axis 1 would change them).
+    weights = _noise_sum(plan, [part.take(flips, 0) for part in table], noise[:, flips].T)
     accepted, m00, m11, m01 = final_states(*weights)
     if not accepted.all():
         raise ZeroSuccessProbabilityError(

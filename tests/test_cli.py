@@ -65,6 +65,18 @@ class TestDistill:
         assert record["c_re"] == pytest.approx(1 / (2 * math.sqrt(2)), abs=1e-10)
         assert record["rho01_im"] == -record["rho10_im"]
 
+    def test_negative_zero_inputs_echo_positive_zeros(self, capsys):
+        assert main("distill --v -0 --eps -0".split()) == 0
+        out = capsys.readouterr().out
+        assert out == (
+            '{\n  "g": 1,\n  "n": 1,\n  "u": 2.0,\n  "v": 0.0,\n  "theta": 0.0,\n'
+            '  "eps": 0.0,\n  "a": 1.0,\n  "b": 0.0,\n  "c_re": 0.0,\n  "c_im": 0.0,\n'
+            '  "ps": 1.0,\n  "rho00": 1.0,\n  "rho11": 0.0,\n  "rho01_re": 0.0,\n'
+            '  "rho01_im": 0.0,\n  "rho10_re": 0.0,\n  "rho10_im": -0.0,\n  "m2": 0.0\n}\n'
+        )
+        record = json.loads(out)
+        assert math.copysign(1.0, record["v"]) == math.copysign(1.0, record["eps"]) == 1.0
+
     def test_codeword_point(self, capsys):
         assert main("distill --v 0 --theta 0 --eps 0".split()) == 0
         record = json.loads(capsys.readouterr().out)
@@ -276,6 +288,15 @@ class TestComposeCommand:
         record = json.loads(capsys.readouterr().out)
         assert 0 < record["error_total"] < record["eps"]
         assert 0 < record["error_stage_a"] < record["eps"]
+
+    def test_negative_zero_eps_echoes_the_eps_evaluated(self, capsys):
+        assert main("compose --eps -0 --target T".split()) == 0
+        out = capsys.readouterr().out
+        assert out == (
+            '{\n  "target": "T",\n  "eps": 0.0,\n  "error_stage_a": 8.05747904495e-13,\n'
+            '  "error_total": 3.246148428e-24\n}\n'
+        )
+        assert math.copysign(1.0, json.loads(out)["eps"]) == 1.0
 
     @pytest.mark.parametrize(
         "eps, message",

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from gnumsd import engine
+from gnumsd import engine, protocols
 from gnumsd.codes import GnuParams
 from gnumsd.engine import (
     MIN_SUCCESS_PROBABILITY,
@@ -61,6 +61,14 @@ class TestInputEnsemble:
     def test_theta_wraps(self):
         assert InputEnsemble(0.1, 3 * math.pi, 0.0).theta == pytest.approx(-math.pi)
         assert wrap_angle(math.pi) == -math.pi
+
+    @pytest.mark.parametrize("v", [-0.0, -1e-13, 0.0])
+    def test_zeros_are_positive(self, v):
+        # A -0.0 passes the range checks; it is stored as +0.0.
+        ens = InputEnsemble(v, -0.0, -0.0)
+        assert (ens.v, ens.theta, ens.eps) == (0.0, 0.0, 0.0)
+        for field in (ens.v, ens.theta, ens.eps):
+            assert math.copysign(1.0, field) == 1.0
 
     def test_states_are_orthonormal(self):
         ens = InputEnsemble(0.37, 1.2, 0.1)
@@ -546,25 +554,35 @@ class TestGatheredContraction:
         # With the noiseless setting beside eps at or near 1 the flipped
         # counts are {0} and {k..N}, not one run: at eps = 1 only omega = N
         # has weight, and at 1 - 1e-15 every omega < N - 20 underflows.
-        projection, gapped = engine._projection, []
+        # max_errors reads those rows out of its (v, theta) table; the
+        # weights it sums from them are the loop's over exactly those rows.
+        noise_sum, summed, gapped = engine._noise_sum, [], []
 
-        def checked(plan, v, thetas, flips, noise):
-            gapped.append(bool(np.any(np.diff(flips) > 1)))
-            got = projection(plan, v, thetas, flips, noise)
-            assert_same_bits(got, loop_projection(code, v, thetas, flips, noise))
-            return got
+        def spy(*args):
+            summed.append(noise_sum(*args))
+            return summed[-1]
 
-        monkeypatch.setattr(engine, "_projection", checked)
+        monkeypatch.setattr(engine, "_noise_sum", spy)
         rng = random.Random(code.num_qubits * 13 + code.n)
         grids = ([1.0], [1.0 - 1e-15, 1.0 - 1e-12, 1.0], [0.999, rng.uniform(0.9, 1.0), 1.0])
         target = t_state().density()
         for v in (0.3, 1.1, rng.uniform(0.2, 1.3)):
             for eps in grids:
+                theta = rng.uniform(-math.pi, math.pi)
                 try:
-                    max_errors(code, v, rng.uniform(-math.pi, math.pi), np.array(eps), target)
+                    max_errors(code, v, theta, np.array(eps), target)
                 except ZeroSuccessProbabilityError:
                     pass
-        assert len(gapped) == 9
+                settings = np.array([0.0, *eps])
+                noise = loop_noise_weights(code.num_qubits, settings[:, None])
+                flips = np.flatnonzero(noise.any(axis=0))
+                gapped.append(bool(np.any(np.diff(flips) > 1)))
+                ens = InputEnsemble(v, theta, 0.0)
+                want = loop_projection(
+                    code, ens.v, np.array([ens.theta]), flips, noise[:, flips].T
+                )
+                assert_same_bits(summed[-1], want)
+        assert len(summed) == len(gapped) == 9
         assert all(gapped[0::3])
         if code.num_qubits >= 30:
             assert all(gapped[1::3])
@@ -839,7 +857,7 @@ class TestMaxErrors:
             max_error(U2, 0.8, 0.1, bad, target)
         # The range check runs once on the whole array, before any projection.
         monkeypatch.setattr(
-            "gnumsd.engine._projection", lambda *args: pytest.fail("projected a bad eps")
+            "gnumsd.engine._curve_table", lambda *args: pytest.fail("projected a bad eps")
         )
         with pytest.raises(OutOfRangeError):
             max_errors(U2, 0.8, 0.1, np.array([0.1, bad, 0.2]), target)
@@ -858,3 +876,90 @@ class TestMaxErrors:
     def test_empty_grid(self):
         target = TargetSpec("XT").density()
         assert max_errors(U2, 0.8, 0.1, np.array([]), target).shape == (0,)
+
+
+class TestCurveTable:
+    @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
+    def test_warm_calls_match_cold_calls_bitwise(self, code):
+        # Cold: each eps builds its own table.  Warm: every eps reads the
+        # table the first one built.
+        rng = random.Random(code.num_qubits * 37 + code.n)
+        target = t_state().density()
+        grid = (0.0, 1.0, 1e-3, 1e-300, 1.0 - 1e-15, rng.uniform(0.0, 1.0))
+
+        def outcome(call, *args):
+            try:
+                return np.asarray(call(code, v, theta, *args, target)).tobytes()
+            except ZeroSuccessProbabilityError as error:
+                return str(error)
+
+        for v in (0.0, math.pi / 2, rng.uniform(0.0, math.pi / 2)):
+            theta = rng.uniform(-math.pi, math.pi)
+            cold = []
+            for eps in grid:
+                engine._curve_table.cache_clear()
+                cold.append((outcome(max_errors, np.array([eps])), outcome(max_error, eps)))
+            engine._curve_table.cache_clear()
+            warm = [
+                (outcome(max_errors, np.array([eps])), outcome(max_error, eps)) for eps in grid
+            ]
+            assert warm == cold
+            info = engine._curve_table.cache_info()
+            assert (info.misses, info.hits) == (1, 2 * len(grid) - 1)
+
+    @pytest.mark.parametrize(
+        "shape, v, theta, kind",
+        [((1, 1, 2), 0.4, 0.3, "certified_half"), ((1, 2, 6), 0.9, -1.0, "fixed_point")],
+    )
+    def test_threshold_search_builds_one_table(self, shape, v, theta, kind):
+        # A curve with fn alone, aimed at the code's own noiseless output:
+        # the grid and every bisection step read one table.
+        code = GnuParams(*shape)
+        target = distilled_state(code, InputEnsemble(v, theta, 0.0))
+        curve = protocols.ErrorCurve("fn only", lambda e: max_error(code, v, theta, e, target))
+        engine._curve_table.cache_clear()
+        result = protocols.find_threshold(curve)
+        info = engine._curve_table.cache_info()
+        assert result.kind == kind
+        assert result.evaluations >= 500
+        assert info.misses == 1
+        assert info.hits == result.evaluations - 1
+
+    @pytest.mark.parametrize(
+        "v, theta", [(-0.0, 1.0), (-1e-13, 1.0), (0.2, 1.0 + 2 * math.pi), (0.2, -7.0)]
+    )
+    def test_key_is_the_clamped_and_wrapped_point(self, v, theta):
+        # Inputs that InputEnsemble maps to one (v, theta) share one table,
+        # built at the clamped v and the wrapped theta.
+        code, target, eps = GnuParams(1, 4, 3), t_state().density(), np.array([0.1, 0.3])
+        ens = InputEnsemble(v, theta, 0.0)
+        engine._curve_table.cache_clear()
+        got = max_errors(code, v, theta, eps, target)
+        assert engine._curve_table.cache_info().currsize == 1
+        assert max_errors(code, ens.v, ens.theta, eps, target).tobytes() == got.tobytes()
+        assert engine._curve_table.cache_info().currsize == 1
+
+    def test_cache_is_bounded_and_read_only(self):
+        code, target = GnuParams(1, 4, 3), t_state().density()
+        for k in range(500):
+            max_error(code, 0.3 + 1e-3 * k, -1.0 + 1e-3 * k, 0.1, target)
+        info = engine._curve_table.cache_info()
+        assert info.maxsize == engine.CURVE_TABLES
+        assert info.currsize <= info.maxsize
+        table = engine._curve_table(code, 0.3, -1.0)
+        assert len(table) == 3
+        for part in table:
+            assert part.shape == (code.num_qubits + 1, 1)
+            assert not part.flags.writeable
+
+    def test_zero_weight_point_raises_the_same_on_miss_and_hit(self):
+        code, target = GnuParams(3, 5, 4), t_state().density()
+        engine._curve_table.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ZeroSuccessProbabilityError) as error:
+                max_error(code, math.pi / 2, 0.0, 0.0, target)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        info = engine._curve_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
