@@ -3,7 +3,9 @@
 Every command renders machine-readable output (JSON records or CSV tables)
 with floats fixed at 12 significant digits, so identical inputs produce
 identical bytes.  Angles are radians; `pi`-fraction literals such as pi/4,
--7pi/8 or 0.5pi are accepted anywhere an angle flag is.
+-7pi/8 or 0.5pi are accepted anywhere an angle flag is.  A negative value
+may follow its flag after a space or an `=`: `--theta -pi/4`,
+`--theta=-pi/4`.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or validation error,
 3 numeric-domain failure (zero success probability, unreachable target, no
@@ -76,6 +78,22 @@ def parse_angle(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected radians or a pi fraction (e.g. pi/4), got {text!r}"
         )
+
+
+# argparse reads a '-' token as a value only if it is a plain negative
+# decimal; no option of this CLI starts like -pi/4, -1e-13 or -inf either.
+_NEGATIVE_VALUE = re.compile(r"-(?:\.?\d|pi|inf|nan)", re.IGNORECASE)
+
+
+def _joined_negative_values(argv: list[str]) -> list[str]:
+    """argv with each `--flag -value` written as `--flag=-value`, which argparse reads."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and re.fullmatch(r"--[^=]+", joined[-1]) and _NEGATIVE_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _fmt(value: float) -> str:
@@ -369,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (OutOfRangeError, ValueError) as exc:

@@ -205,17 +205,12 @@ def compose_errors(eps: float, kind: str) -> tuple[float, float]:
     return stage_a, stage_b(stage_a)
 
 
-def compose_total_error(eps: float, kind: str) -> float:
-    """Total error of the two-stage protocol; see compose_errors."""
-    return compose_errors(eps, kind)[1]
-
-
 def combined_curve(kind: str) -> ErrorCurve:
     """The two-stage curve; its grid form runs stage A in one grid call."""
     stage_b = pairing(kind)[1]  # reject an unknown kind here, not at the first evaluation
     return ErrorCurve(
         f"combined-{kind}",
-        lambda eps: compose_total_error(eps, kind),
+        lambda eps: compose_errors(eps, kind)[1],
         grid=lambda eps: stage_b.on_grid(stage_a_curve(kind).on_grid(eps)),
     )
 

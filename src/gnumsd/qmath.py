@@ -101,30 +101,6 @@ class DensityMatrix1Q:
         object.__setattr__(self, "m01", m01)
 
 
-def checked_density_arrays(m00, m11, m01):
-    """DensityMatrix1Q's checks and clamping applied to arrays of matrix elements.
-
-    Raises OutOfRangeError if any entry would be rejected; returns the
-    clamped (m00, m11, m01).  The dataclass keeps its own copy: it is the
-    per-state path, a few us against tens for one point here.
-    """
-    if not (np.isfinite(m00) & np.isfinite(m11) & np.isfinite(m01)).all():
-        raise OutOfRangeError("non-finite component")
-    negative = np.minimum(m00, m11) < -STATE_TOLERANCE
-    # max(x, 0.0) as the dataclass takes it: np.maximum may turn -0.0 into +0.0.
-    m00, m11 = np.where(m00 < 0.0, 0.0, m00), np.where(m11 < 0.0, 0.0, m11)
-    off_trace = np.abs(m00 + m11 - 1.0) > STATE_TOLERANCE
-    incoherent = squared_modulus(m01) > m00 * m11 + STATE_TOLERANCE
-    # One reduction on the common path; the checks in order only to name a failure.
-    if (negative | off_trace | incoherent).any():
-        if negative.any():
-            raise OutOfRangeError("negative population")
-        if off_trace.any():
-            raise OutOfRangeError("trace is not 1")
-        raise OutOfRangeError("coherence violates positive semidefiniteness")
-    return m00, m11, m01
-
-
 def t_state() -> PureQubit:
     """T-type magic state cos(beta)|0> + e^{i pi/4} sin(beta)|1>."""
     return PureQubit(

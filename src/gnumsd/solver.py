@@ -10,10 +10,11 @@ Both scans run on the engine's array path.  At eps = 0 only the unflipped
 input string carries weight, and theta enters the output only through the
 phases e^{i g j theta}, so `projection_weights` evaluates a whole v x theta
 grid per call: the 101 x 400 solver grid is filled in blocks of
-`GRID_BLOCK_ROWS` v-rows, each coordinate-descent round scores its four axis
-neighbours with one call, and the magic curve is one single-angle call over
-all of its v; `final_states` applies the scalar path's checks to whole
-arrays, and `_residual_row` scores the grid and the neighbours alike.
+`GRID_BLOCK_ROWS` v-rows, each coordinate descent starts from its grid
+point's residual and scores its four axis neighbours per round with one
+call, and the magic curve is one single-angle call over all of its v;
+`final_states` checks every state, and `_residual_row` scores the grid and
+the neighbours alike.
 `solve_for_magic` searches the sampled magic curve with `roots.first_root`,
 the root search of the threshold and crossover searches.
 """
@@ -44,7 +45,6 @@ from .qmath import (
     m2_density,
     m2_pure,
     t_state,
-    trace_distance,
     trace_distances,
 )
 from .roots import first_root, step_grid
@@ -106,14 +106,6 @@ class SolvedInput:
     input_magic: float
 
 
-def _residual(code: GnuParams, target: DensityMatrix1Q, v: float, theta: float) -> float:
-    """Noiseless trace distance to target at one input point; inf where no weight."""
-    try:
-        return trace_distance(distilled_state(code, InputEnsemble(v, theta, 0.0)), target)
-    except ZeroSuccessProbabilityError:
-        return math.inf
-
-
 def _residual_row(code: GnuParams, target: DensityMatrix1Q, v, thetas):
     """Noiseless residuals at each v for every angle in thetas; inf where no weight.
 
@@ -152,10 +144,12 @@ def _neighbour_residuals(
 
 
 def _pattern_search(
-    code: GnuParams, target: DensityMatrix1Q, v: float, theta: float, stop: float
+    code: GnuParams, target: DensityMatrix1Q, v: float, theta: float, best: float, stop: float
 ):
-    """Coordinate descent with shrinking steps; returns (v, theta, residual)."""
-    best = _residual(code, target, v, theta)
+    """Coordinate descent with shrinking steps from (v, theta), whose residual is best.
+
+    Returns (v, theta, residual).
+    """
     step = GRID_STEP
     while step > 1e-12 and best > stop:
         move = None
@@ -216,11 +210,13 @@ def solve_to_density(
     )
     is_min[1:] &= grid[1:] <= grid[:-1]
     is_min[:-1] &= grid[:-1] <= grid[1:]
-    candidates = [(float(vs[i]), float(thetas[j])) for i, j in zip(*np.nonzero(is_min))]
 
     refined = []
-    for v0, theta0 in candidates:
-        v, theta, value = _pattern_search(code, target, v0, theta0, stop=tol * 1e-3)
+    # grid[i, j] is the residual at (vs[i], thetas[j]): the grid's angles are
+    # wrapped already, and each v clamps to its grid row.
+    for i, j in zip(*np.nonzero(is_min)):
+        v0, theta0, value0 = float(vs[i]), float(thetas[j]), float(grid[i, j])
+        v, theta, value = _pattern_search(code, target, v0, theta0, value0, stop=tol * 1e-3)
         if value <= tol:
             refined.append(
                 SolvedInput(

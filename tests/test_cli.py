@@ -52,6 +52,47 @@ class TestParseAngle:
         assert captured.err.endswith(f"argument {flag}: zero divisor in angle 'pi/0'\n")
 
 
+class TestNegativeValues:
+    """A negative value may follow its flag after a space or an '='."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--theta", "-pi/4"], ["--theta=-pi/4"], ["--theta", "-7pi/8"], ["--th", "-PI/4"]],
+    )
+    def test_negative_angle_exits_0(self, flags, capsys):
+        assert main(["distill", "--v", "0.3", *flags]) == 0
+        theta = -7 * math.pi / 8 if "-7pi/8" in flags else -math.pi / 4
+        assert json.loads(capsys.readouterr().out)["theta"] == float(format(theta, ".12g"))
+
+    @pytest.mark.parametrize("flags", [["--v", "-1e-13"], ["--v=-1e-13"]])
+    def test_negative_rounding_of_v_exits_0(self, flags, capsys):
+        assert main(["distill", *flags]) == 0
+        v = json.loads(capsys.readouterr().out)["v"]
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-1e-3", "v must lie in [0, pi/2], got -0.001"),
+            ("-inf", "ensemble parameters must be finite"),
+        ],
+    )
+    def test_negative_value_out_of_range_exits_2(self, value, message, capsys):
+        assert main(["distill", "--v", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gnumsd: invalid input: {message}\n"
+
+    def test_console_argv(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gnumsd.cli", "distill", "--v", "0.3", "--theta", "-pi/4"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["theta"] == float(format(-math.pi / 4, ".12g"))
+
+
 class TestDistill:
     def test_hand_point_record(self, capsys):
         code = main(

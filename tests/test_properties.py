@@ -1,4 +1,5 @@
-"""Property tests of the projection weights and error curves over random codes and inputs."""
+"""Property tests of the projection weights, state checks and error curves over random inputs."""
+import cmath
 import math
 
 import numpy as np
@@ -10,8 +11,16 @@ from hypothesis import strategies as st  # noqa: E402
 
 from gnumsd import engine  # noqa: E402
 from gnumsd.codes import GnuParams  # noqa: E402
-from gnumsd.engine import max_error, max_errors, projection_weights  # noqa: E402
-from gnumsd.errors import ZeroSuccessProbabilityError  # noqa: E402
+from gnumsd.engine import (  # noqa: E402
+    MIN_SUCCESS_PROBABILITY,
+    CodespaceProjection,
+    final_state,
+    final_states,
+    max_error,
+    max_errors,
+    projection_weights,
+)
+from gnumsd.errors import OutOfRangeError, ZeroSuccessProbabilityError  # noqa: E402
 from gnumsd.qmath import MAX_QUBITS, STATE_TOLERANCE, squared_modulus, t_state  # noqa: E402
 
 
@@ -66,3 +75,63 @@ def test_error_curve_table_is_invisible(code, v, theta, eps):
         errors = np.frombuffer(cold)
         for k, e in enumerate(eps):
             assert max_error(code, v, theta, e, target) == errors[k]
+
+
+@st.composite
+def weight_triples(draw):
+    """(w00, w11, w01) at the edges of the weight checks and of the normalised coherence.
+
+    Totals run from 1e-300 to 1 + 2 * tol, spread over their exponents too.
+    |w01| sits within 4 ulps of the weight edge sqrt(w00 * w11 + tol) or of
+    the normalised edge total * sqrt(m00 * m11 + tol), the tighter one below
+    a total of 1.  Up to two parts are then replaced by a signed zero, a
+    weight at -tol +- d, nan or +-inf.
+    """
+    tol = STATE_TOLERANCE
+    total = draw(
+        st.one_of(
+            st.floats(-300.0, 0.0).map(lambda exponent: 10.0**exponent),
+            st.floats(1e-300, 1.0 + 2.0 * tol),
+            st.sampled_from([1e-300, 1.0, 1.0 + tol, 1.0 + 2.0 * tol]),
+        )
+    )
+    w00 = total * draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
+    w11 = total - w00
+    weight_edge = math.sqrt(w00 * w11 + tol)
+    state_edge = total * math.sqrt((w00 / total) * (w11 / total) + tol)
+    edge = draw(st.sampled_from([weight_edge, state_edge]))
+    modulus = edge + draw(st.integers(-4, 4)) * math.ulp(edge)
+    w01 = cmath.rect(modulus, draw(st.floats(-math.pi, math.pi)))
+    parts = [w00, w11, w01.real, w01.imag]
+    odd = [0.0, -0.0, -tol - 1e-16, -tol + 1e-16, math.nan, math.inf, -math.inf]
+    for k in draw(st.sets(st.integers(0, 3), max_size=2)):
+        parts[k] = draw(st.sampled_from(odd))
+    return parts[0], parts[1], complex(parts[2], parts[3])
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(triple=weight_triples())
+def test_final_states_gives_the_scalar_verdicts(triple):
+    # The scalar pair: the zero-weight floor, CodespaceProjection, final_state.
+    def scalar(w00, w11, w01):
+        if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
+            raise ZeroSuccessProbabilityError("zero weight")
+        rho = final_state(CodespaceProjection(w00, w11, w01))
+        return rho.m00, rho.m11, rho.m01
+
+    # The triple as entry 1 of three, between two valid points.
+    def array(w00, w11, w01):
+        fills = (0.4, 0.6, 0.2 + 0.1j)
+        weights = (np.array([fill, x, fill]) for fill, x in zip(fills, (w00, w11, w01)))
+        accepted, m00, m11, m01 = final_states(*weights)
+        if not accepted[1]:
+            raise ZeroSuccessProbabilityError("zero weight")
+        return m00[1], m11[1], m01[1]
+
+    def outcome(check):
+        try:
+            return np.array(check(*triple), dtype=complex).tobytes()
+        except (OutOfRangeError, ZeroSuccessProbabilityError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(array) == outcome(scalar)

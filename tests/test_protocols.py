@@ -18,7 +18,6 @@ from gnumsd.protocols import (
     canonical_params,
     combined_curve,
     compose_errors,
-    compose_total_error,
     find_crossover,
     find_threshold,
     gnu_error_curve,
@@ -127,7 +126,7 @@ class TestFindCrossover:
 class TestComposition:
     def test_vanishes_at_zero_noise(self):
         for kind in ("T", "H"):
-            assert compose_total_error(1e-6, kind) < 1e-6
+            assert compose_errors(1e-6, kind)[1] < 1e-6
 
     def test_combined_t_threshold(self):
         result = find_threshold(combined_curve("T"))
@@ -145,7 +144,7 @@ class TestComposition:
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(OutOfRangeError):
-            compose_total_error(0.1, "XT")
+            compose_errors(0.1, "XT")[1]
 
 
 class TestRepetitionCode:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gnumsd import solver
 from gnumsd.codes import GnuParams
 from gnumsd.engine import InputEnsemble, distilled_state, final_state, wrap_angle
 from gnumsd.errors import NoSolutionError, OutOfRangeError, ZeroSuccessProbabilityError
@@ -24,7 +25,6 @@ from gnumsd.solver import (
     TargetSpec,
     _neighbour_residuals,
     _pattern_search,
-    _residual,
     default_magic_grid,
     magic_curve,
     solve_for_magic,
@@ -114,6 +114,14 @@ class TestSolveInputParams:
             solve_input_params(U2, TargetSpec("T"), tol=tol)
 
 
+def _residual(code, target, v, theta):
+    """Noiseless trace distance to target at one point, one scalar call; inf where no weight."""
+    try:
+        return trace_distance(distilled_state(code, InputEnsemble(v, theta, 0.0)), target)
+    except ZeroSuccessProbabilityError:
+        return math.inf
+
+
 def _reference_pattern_search(code, target, v, theta, stop):
     """_pattern_search probing one neighbour at a time through _residual."""
     best = _residual(code, target, v, theta)
@@ -185,9 +193,29 @@ class TestNeighbourResiduals:
             target = TargetSpec(kind).density()
             for _ in range(2):
                 start = (rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi))
-                assert _pattern_search(code, target, *start, 1e-12) == _reference_pattern_search(
-                    code, target, *start, 1e-12
-                )
+                best = _residual(code, target, *start)
+                assert _pattern_search(
+                    code, target, *start, best, 1e-12
+                ) == _reference_pattern_search(code, target, *start, 1e-12)
+
+    @pytest.mark.parametrize("code", NEIGHBOUR_CODES[:4], ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
+    def test_search_starts_from_the_grid_residual(self, code, monkeypatch):
+        # solve_to_density seeds each descent with its grid point's residual,
+        # which must be the scalar residual there, bit for bit.
+        starts = []
+        search = solver._pattern_search
+
+        def recorded(*args, **kwargs):
+            starts.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_pattern_search", recorded)
+        for kind in ("XT", "XH"):
+            target = TargetSpec(kind).density()
+            solve_to_density.__wrapped__(code, target, 1e-9)
+        assert starts
+        for _, target, v, theta, best in starts:
+            assert best == _residual(code, target, v, theta)
 
 
 class TestMagicCurve:
