@@ -33,6 +33,10 @@ class GnuParams:
     u: float
 
     def __post_init__(self) -> None:
+        # Before any int() or round(), which raise OverflowError or ValueError on them.
+        for name, value in (("g", self.g), ("n", self.n), ("u", self.u)):
+            if not math.isfinite(value):
+                raise OutOfRangeError(f"{name} must be finite, got {value!r}")
         if int(self.g) != self.g or self.g < 1:
             raise OutOfRangeError(f"g must be a positive integer, got {self.g!r}")
         if int(self.n) != self.n or self.n < 1:

@@ -36,12 +36,12 @@ a second cache: the logical sums of every omega = 0..N, one table per
 most CURVE_TABLES of them, read-only.  Only the noise weights depend on
 eps, so every point of an error curve, scalar calls and bisection steps
 included, reads one table and runs only the weighted omega sum and the
-state checks.  The scalar `dicke_overlap` family
-spells the same sums out term by term and is the reference the array path is
-tested against.  `final_states` is the array path's one state check; the
-dataclasses `CodespaceProjection` and `DensityMatrix1Q` keep their own, as
-`distilled_state` runs point by point: one point costs about 5 us through
-them and 26 us through `final_states`.
+state checks.  `dicke_overlap` is a one-point read of the same amplitudes on
+the (1, N, 1) code; the tests keep the term-by-term sum as the reference
+the plan path is checked against.  `final_states` is the array path's one
+state check; the dataclasses `CodespaceProjection` and `DensityMatrix1Q`
+keep their own, as `distilled_state` runs point by point: one point costs
+about 5 us through them and 26 us through `final_states`.
 """
 from __future__ import annotations
 
@@ -56,10 +56,10 @@ import numpy as np
 from .codes import GnuParams
 from .errors import OutOfRangeError, ZeroSuccessProbabilityError
 from .qmath import (
+    MAX_QUBITS,
     STATE_TOLERANCE,
     DensityMatrix1Q,
     PureQubit,
-    binomial,
     squared_modulus,
     trace_distances,
 )
@@ -151,57 +151,6 @@ class CodespaceProjection:
         object.__setattr__(self, "w00", w00)
         object.__setattr__(self, "w11", w11)
         object.__setattr__(self, "w01", w01)
-
-
-def dicke_overlap_term(
-    s: int, t: int, omega: int, v: float, theta: float, n_qubits: int
-) -> complex:
-    """Single term of the Dicke-overlap sum.
-
-    Equals (-1)^t e^{i s theta} cos(v)^(N-k) sin(v)^k with k = s + omega - 2t.
-    The split cos/sin power form stays finite at v = pi/2, where the
-    equivalent cos(v)^N tan(v)^k expression would pit a zero against a pole.
-    """
-    if not (0 <= s <= n_qubits and 0 <= omega <= n_qubits):
-        raise OutOfRangeError(f"need 0 <= s, omega <= {n_qubits}, got s={s}, omega={omega}")
-    if not 0 <= t <= min(s, omega):
-        raise OutOfRangeError(f"need 0 <= t <= min(s, omega), got t={t}")
-    k = s + omega - 2 * t
-    sign = -1.0 if t % 2 else 1.0
-    return sign * cmath.exp(1j * s * theta) * math.cos(v) ** (n_qubits - k) * math.sin(v) ** k
-
-
-def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> complex:
-    """Overlap <D^N_s | phi_x> for any input string x of Hamming weight omega."""
-    if not (0 <= s <= n_qubits and 0 <= omega <= n_qubits):
-        raise OutOfRangeError(f"need 0 <= s, omega <= {n_qubits}, got s={s}, omega={omega}")
-    total = 0j
-    for t in range(max(0, s + omega - n_qubits), min(s, omega) + 1):
-        total += (
-            dicke_overlap_term(s, t, omega, v, theta, n_qubits)
-            * binomial(omega, t)
-            * binomial(n_qubits - omega, s - t)
-        )
-    return total / math.sqrt(binomial(n_qubits, s))
-
-
-def logical_component_overlap(
-    j: int, omega: int, code: GnuParams, v: float, theta: float
-) -> complex:
-    """Contribution of the j-th Dicke component of a logical state.
-
-    This is sqrt(C(n, j)) times the overlap of the weight-g*j Dicke state
-    with a weight-omega input product state; summing it over even (odd) j and
-    scaling by sqrt(2^-(n-1)) gives <0_L|phi_x> (<1_L|phi_x>).
-    """
-    if not 0 <= j <= code.n:
-        raise OutOfRangeError(f"j must lie in [0, {code.n}], got {j}")
-    n_qubits = code.num_qubits
-    if not 0 <= omega <= n_qubits:
-        raise OutOfRangeError(f"omega must lie in [0, {n_qubits}], got {omega}")
-    return math.sqrt(binomial(code.n, j)) * dicke_overlap(
-        code.g * j, omega, v, theta, n_qubits
-    )
 
 
 class _Plan(NamedTuple):
@@ -298,12 +247,11 @@ def _coefficients(plan: _Plan, v, rows):
     return coefficients
 
 
-def _logical_sums(plan: _Plan, v, thetas, rows: slice):
-    """Per-omega logical sums (|even|^2, |odd|^2, even * conj(odd)) for the omega in rows.
+def _amplitudes(plan: _Plan, v, rows: slice):
+    """Real amplitudes of the logical components, shape np.shape(v) + (omega, j).
 
-    v is a float or an array of them, and leads the shape of each sum, which
-    is np.shape(v) + (omega, theta).  Nothing here depends on eps: the
-    noise weights enter only in _noise_sum.
+    The x^{gj} coefficient of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega
+    for each omega in rows, scaled by sqrt(C(n, j) / C(N, gj)).
     """
     coefficients = _coefficients(plan, v, rows)
     depth = min(rows.stop, plan.gather.shape[0])  # t runs to min(omega, g*n)
@@ -317,6 +265,17 @@ def _logical_sums(plan: _Plan, v, thetas, rows: slice):
     amplitude *= coefficients[..., 0, :, :depth, None]
     amplitude = np.add.reduce(amplitude, -2)
     amplitude *= plan.scale
+    return amplitude
+
+
+def _logical_sums(plan: _Plan, v, thetas, rows: slice):
+    """Per-omega logical sums (|even|^2, |odd|^2, even * conj(odd)) for the omega in rows.
+
+    v is a float or an array of them, and leads the shape of each sum, which
+    is np.shape(v) + (omega, theta).  Nothing here depends on eps: the
+    noise weights enter only in _noise_sum.
+    """
+    amplitude = _amplitudes(plan, v, rows)
     # (v, omega, j, theta) terms, summed by broadcasting: matmul would load
     # BLAS, about 0.4 MB of resident memory, for arrays this small.
     phases = np.exp(np.multiply.outer(plan.phase_rates, thetas))
@@ -358,6 +317,21 @@ def _curve_table(code: GnuParams, v: float, theta: float):
     for part in table:
         part.setflags(write=False)
     return table
+
+
+def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> complex:
+    """Overlap <D^N_s | phi_x> for any input string x of Hamming weight omega.
+
+    A one-point read of the plan path on the (1, N, 1) code, whose j-th
+    logical component is the weight-j Dicke state with scale exactly 1.0:
+    the overlap is amplitude[s] / sqrt(C(N, s)) times e^{i s theta}.
+    """
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise OutOfRangeError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
+    if not (0 <= s <= n_qubits and 0 <= omega <= n_qubits):
+        raise OutOfRangeError(f"need 0 <= s, omega <= {n_qubits}, got s={s}, omega={omega}")
+    amplitude = _amplitudes(_plan(GnuParams(1, n_qubits, 1)), v, slice(omega, omega + 1))[0, s]
+    return float(amplitude) / math.sqrt(math.comb(n_qubits, s)) * cmath.exp(1j * s * theta)
 
 
 def projection_weights(code: GnuParams, v, thetas, eps: float):

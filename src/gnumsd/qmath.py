@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import OutOfRangeError
 
-# The package's one size cap: codes have N = g*n*u <= MAX_QUBITS qubits, and
-# binomial (so every combinatorial weight) is defined up to the same n.
+# The package's one size cap: GnuParams accepts codes of N = g*n*u <= MAX_QUBITS
+# qubits, so every combinatorial weight of a projection has n <= MAX_QUBITS.
 MAX_QUBITS = 60
 
 # Rounding slack of every state check (populations, traces, coherences).
@@ -28,15 +28,14 @@ H_STATE_ANGLE = math.pi / 8.0
 
 
 def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n <= MAX_QUBITS.
+    """Exact binomial coefficient C(n, k) for 0 <= k <= n.
 
-    Integer arithmetic (math.comb), so the combinatorial weights used by the
-    projection sums carry no floating-point error.
+    Integer arithmetic (math.comb), so the combinatorial weights carry no
+    floating-point error.  No cap on n: the size cap MAX_QUBITS belongs to
+    the codes GnuParams accepts.
     """
     if k < 0 or n < 0 or k > n:
         raise OutOfRangeError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    if n > MAX_QUBITS:
-        raise OutOfRangeError(f"binomial is capped at n <= {MAX_QUBITS}, got n={n}")
     return math.comb(n, k)
 
 
@@ -142,11 +141,6 @@ def pauli_expectations(rho: DensityMatrix1Q) -> tuple[float, float, float, float
         -2.0 * rho.m01.imag,
         rho.m00 - rho.m11,
     )
-
-
-def density_from_pauli(x: float, y: float, z: float) -> DensityMatrix1Q:
-    """Inverse of pauli_expectations (the <I> component is fixed at 1)."""
-    return DensityMatrix1Q(0.5 * (1.0 + z), 0.5 * (1.0 - z), complex(x, -y) / 2.0)
 
 
 def m2_densities(m00, m11, m01):

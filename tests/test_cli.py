@@ -137,6 +137,21 @@ class TestDistill:
         assert main("distill --v 2.0 --theta 0 --eps 0".split()) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "distill --u inf --v 0.1",
+            "solve --u inf --target XT",
+            "threshold --protocol gnu --target XT --u inf",
+            "magic-curve --u inf",
+        ],
+    )
+    def test_non_finite_code_exits_2(self, argv, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gnumsd: invalid input: u must be finite, got inf\n"
+
     def test_numeric_domain_failure_exits_3(self, capsys):
         assert main("distill --v 0 --theta 0 --eps 1".split()) == 3
         capsys.readouterr()

@@ -35,6 +35,12 @@ class TestGnuParams:
             GnuParams(0, 1, 2)
         with pytest.raises(OutOfRangeError):
             GnuParams(1, 1, -2)
+        # Non-finite g, n and u are refused before any int() or round().
+        for value in (math.inf, -math.inf, math.nan):
+            for name, args in (("g", (value, 1, 2)), ("n", (1, value, 2)), ("u", (1, 1, value))):
+                message = f"^{name} must be finite, got {value!r}$"
+                with pytest.raises(OutOfRangeError, match=message):
+                    GnuParams(*args)
 
     def test_rejects_gn_above_total(self):
         with pytest.raises(OutOfRangeError):

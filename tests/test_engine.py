@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -15,11 +16,9 @@ from gnumsd.engine import (
     InputEnsemble,
     codespace_projection,
     dicke_overlap,
-    dicke_overlap_term,
     distilled_state,
     final_state,
     final_states,
-    logical_component_overlap,
     max_error,
     max_errors,
     projection_weights,
@@ -77,6 +76,57 @@ class TestInputEnsemble:
         assert abs(overlap) <= 1e-12
 
 
+def dicke_overlap_term(
+    s: int, t: int, omega: int, v: float, theta: float, n_qubits: int
+) -> complex:
+    """Single term of the Dicke-overlap sum.
+
+    Equals (-1)^t e^{i s theta} cos(v)^(N-k) sin(v)^k with k = s + omega - 2t.
+    The split cos/sin power form stays finite at v = pi/2, where the
+    equivalent cos(v)^N tan(v)^k expression would pit a zero against a pole.
+    """
+    if not (0 <= s <= n_qubits and 0 <= omega <= n_qubits):
+        raise OutOfRangeError(f"need 0 <= s, omega <= {n_qubits}, got s={s}, omega={omega}")
+    if not 0 <= t <= min(s, omega):
+        raise OutOfRangeError(f"need 0 <= t <= min(s, omega), got t={t}")
+    k = s + omega - 2 * t
+    sign = -1.0 if t % 2 else 1.0
+    return sign * cmath.exp(1j * s * theta) * math.cos(v) ** (n_qubits - k) * math.sin(v) ** k
+
+
+def reference_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> complex:
+    """<D^N_s | phi_x> summed term by term: the reference for the plan path."""
+    if not (0 <= s <= n_qubits and 0 <= omega <= n_qubits):
+        raise OutOfRangeError(f"need 0 <= s, omega <= {n_qubits}, got s={s}, omega={omega}")
+    total = 0j
+    for t in range(max(0, s + omega - n_qubits), min(s, omega) + 1):
+        total += (
+            dicke_overlap_term(s, t, omega, v, theta, n_qubits)
+            * math.comb(omega, t)
+            * math.comb(n_qubits - omega, s - t)
+        )
+    return total / math.sqrt(math.comb(n_qubits, s))
+
+
+def logical_component_overlap(
+    j: int, omega: int, code: GnuParams, v: float, theta: float
+) -> complex:
+    """Contribution of the j-th Dicke component of a logical state.
+
+    This is sqrt(C(n, j)) times the overlap of the weight-g*j Dicke state
+    with a weight-omega input product state; summing it over even (odd) j and
+    scaling by sqrt(2^-(n-1)) gives <0_L|phi_x> (<1_L|phi_x>).
+    """
+    if not 0 <= j <= code.n:
+        raise OutOfRangeError(f"j must lie in [0, {code.n}], got {j}")
+    n_qubits = code.num_qubits
+    if not 0 <= omega <= n_qubits:
+        raise OutOfRangeError(f"omega must lie in [0, {n_qubits}], got {omega}")
+    return math.sqrt(math.comb(code.n, j)) * reference_overlap(
+        code.g * j, omega, v, theta, n_qubits
+    )
+
+
 class TestDickeOverlapTerm:
     def test_all_zero_input(self):
         assert dicke_overlap_term(0, 0, 0, 0.0, 1.23, 2) == pytest.approx(1.0)
@@ -109,7 +159,8 @@ class TestDickeOverlap:
         assert dicke_overlap(2, 0, 0.0, 0.7, 2) == 0.0
 
     def test_depends_on_weight_only_via_dense_inner_products(self):
-        # brute-force <D_s|phi_x> for every string x of every weight, N <= 4
+        # brute-force <D_s|phi_x> for every string x of every weight, N <= 4,
+        # against the plan path and the term-by-term reference
         from gnumsd.codes import dicke_vector
 
         for n in (2, 3, 4):
@@ -119,8 +170,36 @@ class TestDickeOverlap:
                 for bits in itertools.product((0, 1), repeat=n):
                     omega = sum(bits)
                     dense = np.vdot(dicke, product_state_vector(ens, bits))
-                    analytic = dicke_overlap(s, omega, ens.v, ens.theta, n)
-                    assert abs(dense - analytic) <= 1e-12
+                    for overlap in (dicke_overlap, reference_overlap):
+                        analytic = overlap(s, omega, ens.v, ens.theta, n)
+                        assert abs(dense - analytic) <= 1e-12
+
+    def test_plan_path_matches_reference_for_every_n(self):
+        # Seeded (s, omega, v, theta) on every N = 1..MAX_QUBITS, v past
+        # [0, pi/2] too: the plan path of the (1, N, 1) code against the loop.
+        rng = random.Random(1213)
+        for n_qubits in range(1, MAX_QUBITS + 1):
+            for _ in range(20):
+                s, omega = rng.randint(0, n_qubits), rng.randint(0, n_qubits)
+                v, theta = rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0)
+                value = dicke_overlap(s, omega, v, theta, n_qubits)
+                assert type(value) is complex
+                assert abs(value - reference_overlap(s, omega, v, theta, n_qubits)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "s, omega, n_qubits, message",
+        [
+            # N = 0 is no code's size (the loop returned 1.0 there).
+            (0, 0, 0, "n_qubits must lie in [1, 60], got 0"),
+            (0, 0, -1, "n_qubits must lie in [1, 60], got -1"),
+            (0, 0, 61, "n_qubits must lie in [1, 60], got 61"),
+            (3, 0, 2, "need 0 <= s, omega <= 2, got s=3, omega=0"),
+            (0, -1, 2, "need 0 <= s, omega <= 2, got s=0, omega=-1"),
+        ],
+    )
+    def test_index_validation(self, s, omega, n_qubits, message):
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+            dicke_overlap(s, omega, 0.3, 0.0, n_qubits)
 
 
 class TestLogicalComponentOverlap:
@@ -274,7 +353,7 @@ class TestMaxError:
 
 
 def reference_weights(code: GnuParams, v: float, theta: float, eps: float):
-    """(w00, w11, w01) at one point, summed term by term from dicke_overlap."""
+    """(w00, w11, w01) at one point, summed term by term from logical_component_overlap."""
     n_qubits = code.num_qubits
     w00 = w11 = 0.0
     w01 = 0j
@@ -284,8 +363,7 @@ def reference_weights(code: GnuParams, v: float, theta: float, eps: float):
             continue
         parts = [0j, 0j]
         for j in range(code.n + 1):
-            overlap = dicke_overlap(code.g * j, omega, v, theta, n_qubits)
-            parts[j % 2] += math.sqrt(math.comb(code.n, j)) * overlap
+            parts[j % 2] += logical_component_overlap(j, omega, code, v, theta)
         even, odd = parts
         w00 += weight * abs(even) ** 2
         w11 += weight * abs(odd) ** 2
