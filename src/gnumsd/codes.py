@@ -35,7 +35,11 @@ class GnuParams:
     def __post_init__(self) -> None:
         # Before any int() or round(), which raise OverflowError or ValueError on them.
         for name, value in (("g", self.g), ("n", self.n), ("u", self.u)):
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a float: echo none of its digits
+                raise OutOfRangeError(f"{name} is too large for a float") from None
+            if not finite:
                 raise OutOfRangeError(f"{name} must be finite, got {value!r}")
         if int(self.g) != self.g or self.g < 1:
             raise OutOfRangeError(f"g must be a positive integer, got {self.g!r}")
@@ -46,10 +50,13 @@ class GnuParams:
         object.__setattr__(self, "u", float(self.u))
         if not self.u > 0:
             raise OutOfRangeError(f"u must be positive, got {self.u!r}")
-        total = self.g * self.n * self.u
-        if abs(total - round(total)) > 1e-9:
+        try:
+            total = self.g * self.n * self.u
+            n_qubits = round(total)
+        except OverflowError:  # g*n too large for a float, or g*n*u infinite
+            raise OutOfRangeError(f"N = g*n*u exceeds the cap of {MAX_QUBITS}") from None
+        if abs(total - n_qubits) > 1e-9:
             raise OutOfRangeError(f"g*n*u must be an integer, got {total!r}")
-        n_qubits = int(round(total))
         if n_qubits > MAX_QUBITS:
             raise OutOfRangeError(f"N = g*n*u = {n_qubits} exceeds the cap of {MAX_QUBITS}")
         if self.g * self.n > n_qubits:

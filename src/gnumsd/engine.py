@@ -30,18 +30,21 @@ whole vector of theta, which is how the noiseless solver grid, the solver's
 neighbour probes and the magic curve evaluate many points in one call;
 `max_errors` takes one (v, theta) and a whole vector of eps, which is how
 error curves evaluate a threshold grid or a figure's eps column in one call,
-and `max_error` is its one-point call.  Beside the plan, `max_errors` keeps
-a second cache: the logical sums of every omega = 0..N, one table per
-(code, v, theta) with v and theta as InputEnsemble clamps and wraps them, at
-most CURVE_TABLES of them, read-only.  Only the noise weights depend on
-eps, so every point of an error curve, scalar calls and bisection steps
-included, reads one table and runs only the weighted omega sum and the
-state checks.  `dicke_overlap` is a one-point read of the same amplitudes on
-the (1, N, 1) code; the tests keep the term-by-term sum as the reference
-the plan path is checked against.  `final_states` is the array path's one
-state check; the dataclasses `CodespaceProjection` and `DensityMatrix1Q`
-keep their own, as `distilled_state` runs point by point: one point costs
-about 5 us through them and 26 us through `final_states`.
+and `max_error` is its one-point twin.  Beside the plan, both keep a second
+cache: the logical sums of every omega = 0..N, one table per (code, v,
+theta) with v and theta as InputEnsemble clamps and wraps them, at most
+CURVE_TABLES of them, read-only.  Only the noise weights depend on eps, so
+every point of an error curve, scalar calls and bisection steps included,
+reads one table and runs only the weighted omega sum (`_curve_weights`, the
+one weight step of both) and the state checks.  `dicke_overlap` is a
+one-point read of the same amplitudes on the (1, N, 1) code; the tests keep
+the term-by-term sum as the reference the plan path is checked against.
+`final_states` is the array path's one state check; the dataclasses
+`CodespaceProjection` and `DensityMatrix1Q` keep their own, as
+`distilled_state` and `max_error` run point by point: one point costs about
+5 us through them and 26 us through `final_states`.  So the array path
+serves arrays and the dataclass pair single points, with the same verdicts,
+messages and bits.
 """
 from __future__ import annotations
 
@@ -61,6 +64,7 @@ from .qmath import (
     DensityMatrix1Q,
     PureQubit,
     squared_modulus,
+    trace_distance,
     trace_distances,
 )
 
@@ -444,31 +448,30 @@ def distilled_state(code: GnuParams, ens: InputEnsemble) -> DensityMatrix1Q:
     return final_state(codespace_projection(code, ens))
 
 
-def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatrix1Q):
-    """Worst-case output error over the channel settings {0, e} for each e in eps.
+def _curve_weights(code: GnuParams, v: float, theta: float, eps):
+    """Codespace weights (w00, w11, w01) at the channel settings [0, *eps].
 
-    The noiseless output pins the protocol's intent, the noisy one its
-    degradation.  eps (a 1-D array) only enters through the noise weights of
-    omega flipped inputs, so every call at one (v, theta) on a code reads one
-    cached table of the per-omega logical sums for omega = 0..N, keyed on
-    the code and InputEnsemble's clamped v and wrapped theta, and weights
-    the rows with nonzero noise weight at 0 or at some eps.  A warm call
-    gives the bits of a cold one, and runs every check below.
-    Raises OutOfRangeError with InputEnsemble's message for the first eps
-    outside [0, 1], and ZeroSuccessProbabilityError where
-    codespace_projection would at 0 or at any eps.
+    The one weight step of max_errors and max_error.  eps (a 1-D array)
+    only enters through the noise weights of omega flipped inputs, so every
+    call at one (v, theta) on a code reads one cached table of the
+    per-omega logical sums for omega = 0..N, keyed on the code and
+    InputEnsemble's clamped v and wrapped theta, and weights the rows with
+    nonzero noise weight at 0 or at some eps.  Returns the noiseless
+    ensemble, the settings and the weights, arrays with one entry per
+    setting (None for an empty eps).  Raises OutOfRangeError with
+    InputEnsemble's message for the first eps outside [0, 1].
     """
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 1:
         raise OutOfRangeError(f"eps must be a 1-D array, got shape {eps.shape}")
     ens = InputEnsemble(v, theta, 0.0)
-    bad = ~((eps >= 0.0) & (eps <= 1.0))
-    if bad.any():
-        InputEnsemble(v, theta, eps[bad][0])  # raises the scalar path's message
-    if eps.size == 0:
-        return np.empty(0)
-    table = _curve_table(code, ens.v, ens.theta)
+    inside = (eps >= 0.0) & (eps <= 1.0)
+    if not inside.all():
+        InputEnsemble(v, theta, eps[~inside][0])  # raises the scalar path's message
     settings = np.concatenate(([0.0], eps))
+    if eps.size == 0:
+        return ens, settings, None
+    table = _curve_table(code, ens.v, ens.theta)
     plan = _plan(code)
     noise = _noise_weights(plan, settings[:, None])
     flips = noise.any(axis=0).nonzero()[0]
@@ -476,13 +479,35 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
     # the omega sum's order, and so its bits, follow that layout (a take
     # along axis 1 would change them).
     weights = _noise_sum(plan, [part.take(flips, 0) for part in table], noise[:, flips].T)
+    return ens, settings, weights
+
+
+def _zero_weight_error(code: GnuParams, ens: InputEnsemble, eps) -> ZeroSuccessProbabilityError:
+    """The refusal of an error curve whose weight at the setting eps is too small."""
+    return ZeroSuccessProbabilityError(
+        f"codespace weight at most {MIN_SUCCESS_PROBABILITY} at "
+        f"eps={eps} on (v={ens.v}, theta={ens.theta}) "
+        f"for (g={code.g}, n={code.n}, u={code.u})"
+    )
+
+
+def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatrix1Q):
+    """Worst-case output error over the channel settings {0, e} for each e in eps.
+
+    The noiseless output pins the protocol's intent, the noisy one its
+    degradation.  The weights come from _curve_weights, so a warm call gives
+    the bits of a cold one; final_states checks every setting and
+    trace_distances measures the states.
+    Raises OutOfRangeError with InputEnsemble's message for the first eps
+    outside [0, 1], and ZeroSuccessProbabilityError where
+    codespace_projection would at 0 or at any eps.
+    """
+    ens, settings, weights = _curve_weights(code, v, theta, eps)
+    if weights is None:
+        return np.empty(0)
     accepted, m00, m11, m01 = final_states(*weights)
     if not accepted.all():
-        raise ZeroSuccessProbabilityError(
-            f"codespace weight at most {MIN_SUCCESS_PROBABILITY} at "
-            f"eps={settings[~accepted][0]} on (v={ens.v}, theta={ens.theta}) "
-            f"for (g={code.g}, n={code.n}, u={code.u})"
-        )
+        raise _zero_weight_error(code, ens, settings[~accepted][0])
     errors = trace_distances(m00, m11, m01, target)
     return np.maximum(errors[1:], errors[0])
 
@@ -490,5 +515,22 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
 def max_error(
     code: GnuParams, v: float, theta: float, eps: float, target: DensityMatrix1Q
 ) -> float:
-    """max_errors at the single error weight eps."""
-    return float(max_errors(code, v, theta, [eps], target)[0])
+    """max_errors at the single error weight eps, on the dataclass path.
+
+    The same weight step, then the scalar twins of max_errors' checks, in
+    final_states' order: each setting above MIN_SUCCESS_PROBABILITY is
+    checked as a CodespaceProjection and normalised by final_state before
+    the first one at or below it is refused, and trace_distance measures
+    the states.  The value, error class and message are max_errors'.
+    """
+    ens, settings, weights = _curve_weights(code, v, theta, [eps])
+    # Star-args of a list, not of a generator: a generator's tuple is built
+    # longer and shrunk, which leaves one more 3-tuple on CPython's free list
+    # per call, ~128 KB resident once a curve's calls fill it.
+    points = list(zip(*[part.tolist() for part in weights]))
+    accepted = [not w00 + w11 <= MIN_SUCCESS_PROBABILITY for w00, w11, _ in points]
+    projections = [CodespaceProjection(*point) for point, ok in zip(points, accepted) if ok]
+    states = [final_state(projection) for projection in projections]
+    if not all(accepted):
+        raise _zero_weight_error(code, ens, settings[accepted.index(False)])
+    return max(trace_distance(state, target) for state in states)

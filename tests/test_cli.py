@@ -152,6 +152,16 @@ class TestDistill:
         assert captured.out == ""
         assert captured.err == "gnumsd: invalid input: u must be finite, got inf\n"
 
+    @pytest.mark.parametrize("flag", ["g", "n"])
+    def test_code_too_large_for_a_float_exits_2(self, flag, capsys):
+        # A 401-digit integer, which argparse's int accepts and a float cannot hold.
+        argv = "distill --g 1 --n 1 --u 1 --v 0.1 --theta 0 --eps 0".split()
+        argv[argv.index(f"--{flag}") + 1] = "1" + "0" * 400
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gnumsd: invalid input: {flag} is too large for a float\n"
+
     def test_numeric_domain_failure_exits_3(self, capsys):
         assert main("distill --v 0 --theta 0 --eps 1".split()) == 3
         capsys.readouterr()

@@ -42,6 +42,22 @@ class TestGnuParams:
                 with pytest.raises(OutOfRangeError, match=message):
                     GnuParams(*args)
 
+    @pytest.mark.parametrize("name", ["g", "n", "u"])
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)])
+    def test_rejects_an_integer_too_large_for_a_float(self, name, huge):
+        # math.isfinite(10**400) overflows; the message echoes none of the digits.
+        args = {"g": 1, "n": 1, "u": 2, name: huge}
+        with pytest.raises(OutOfRangeError, match=f"^{name} is too large for a float$"):
+            GnuParams(**args)
+
+    @pytest.mark.parametrize(
+        "args", [(10**200, 10**200, 1), (10**200, 1, 1e200), (2, 1, 1e308)]
+    )
+    def test_rejects_a_product_too_large_for_a_float(self, args):
+        # Each factor converts, but g*n does not, or g*n*u is infinite.
+        with pytest.raises(OutOfRangeError, match=r"^N = g\*n\*u exceeds the cap of 60$"):
+            GnuParams(*args)
+
     def test_rejects_gn_above_total(self):
         with pytest.raises(OutOfRangeError):
             GnuParams(2, 2, 0.5)  # N = 2 < g*n = 4

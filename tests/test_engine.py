@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import struct
 from dataclasses import astuple
 
 import numpy as np
@@ -888,6 +889,23 @@ MAX_ERRORS_CODES = [
     for shape in ((1, 1, 2), (2, 1, 1), (1, 2, 6), (2, 2, 3), (3, 4, 5), (1, 4, 15), (1, 1, 60))
 ]
 
+# max_error's one-point grid and codes: every bitwise code and every curve code.
+ONE_POINT_EPS = (0.0, 1e-300, 1e-3, 1.0 - 1e-15, 1.0)
+ONE_POINT_CODES = list(dict.fromkeys(MAX_ERRORS_CODES + BITWISE_CODES + [GnuParams(3, 5, 4)]))
+ZERO_WEIGHT_POINTS = {(GnuParams(3, 5, 4), 1.5707), (GnuParams(1, 1, 12), math.pi / 2)}
+
+
+def _one_point_outcome(call, code, v, theta, eps, target):
+    """The value's type and bits at one eps, or the error's class and message."""
+    try:
+        if call is max_errors:
+            value = max_errors(code, v, theta, np.array([eps]), target)[0].item()
+        else:
+            value = call(code, v, theta, eps, target)
+    except (OutOfRangeError, ZeroSuccessProbabilityError) as error:
+        return type(error), str(error)
+    return type(value), struct.pack("<d", value)
+
 
 class TestMaxErrors:
     @pytest.mark.parametrize("code", MAX_ERRORS_CODES, ids=_code_id)
@@ -904,15 +922,69 @@ class TestMaxErrors:
             )
             assert abs(got - want) <= 1e-14
 
-    @pytest.mark.parametrize("code", MAX_ERRORS_CODES, ids=_code_id)
+    @pytest.mark.parametrize("code", ONE_POINT_CODES, ids=_code_id)
     def test_max_error_is_one_point_of_max_errors(self, code):
+        # max_error checks and measures its two settings on the dataclass
+        # path, max_errors on the array path: the same bits (zero signs
+        # included), error class and message, from a cold table and a warm one.
         rng = random.Random(code.num_qubits * 7 + code.g)
         target = t_state().density()
-        for _ in range(3):
-            v, theta = rng.uniform(0.3, 1.27), rng.uniform(-math.pi, math.pi)
-            for eps in (0.0, 0.1, 1.0):
-                (want,) = max_errors(code, v, theta, np.array([eps]), target).tolist()
-                assert max_error(code, v, theta, eps, target) == want
+        for v in (0.0, 1.5707, math.pi / 2, rng.uniform(0.3, 1.27)):
+            theta = rng.uniform(-math.pi, math.pi)
+            grid = ONE_POINT_EPS + (rng.uniform(0.0, 1.0),)
+            for warm in (False, True):
+                engine._curve_table.cache_clear()
+                for eps in grid:
+                    if not warm:
+                        engine._curve_table.cache_clear()
+                    one_point = _one_point_outcome(max_error, code, v, theta, eps, target)
+                    if not warm:
+                        engine._curve_table.cache_clear()
+                    batch = _one_point_outcome(max_errors, code, v, theta, eps, target)
+                    assert one_point == batch
+                    if (code, v) in ZERO_WEIGHT_POINTS:
+                        # The noiseless weight underflows: every eps is refused at eps = 0.
+                        assert one_point[0] is ZeroSuccessProbabilityError
+                        assert " at eps=0.0 on " in one_point[1]
+
+    @pytest.mark.parametrize(
+        "points, error",
+        [
+            (((0.0, 0.0, 0j), (-1e-6, 0.5, 0j)), OutOfRangeError),
+            (((-1e-6, 0.5, 0j), (0.0, 0.0, 0j)), OutOfRangeError),
+            # Passes CodespaceProjection, fails the normalised coherence check.
+            (((0.0, 0.0, 0j), (1e-13, 1e-13, 1e-13 * (1 + 1e-10) + 0j)), OutOfRangeError),
+            (((0.0, 0.0, 0j), (0.5, 0.5, 0.1j)), ZeroSuccessProbabilityError),
+            (((0.5, 0.5, 0.1j), (0.0, 0.0, 0j)), ZeroSuccessProbabilityError),
+        ],
+        ids=["zero-negative", "negative-zero", "zero-incoherent", "zero-valid", "valid-zero"],
+    )
+    def test_checks_come_before_the_zero_weight_refusal(self, points, error, monkeypatch):
+        # final_states checks every accepted setting before max_errors refuses
+        # the first zero-weight one; max_error keeps that precedence.
+        real = engine._curve_weights
+
+        def crafted(*args):
+            ens, settings, _ = real(*args)
+            return ens, settings, tuple(np.array(part) for part in zip(*points))
+
+        monkeypatch.setattr(engine, "_curve_weights", crafted)
+        target = t_state().density()
+        one_point = _one_point_outcome(max_error, U2, 0.8, 0.1, 0.2, target)
+        assert one_point == _one_point_outcome(max_errors, U2, 0.8, 0.1, 0.2, target)
+        assert one_point[0] is error
+
+    def test_one_point_calls_run_no_array_check(self, monkeypatch):
+        # The one-point call never reaches the array path, and a warm call
+        # reads the table the first call built.
+        target = t_state().density()
+        engine._curve_table.cache_clear()
+        want = max_errors(U2, 0.8, 0.1, np.array([0.2]), target)[0]
+        for name in ("final_states", "trace_distances"):
+            monkeypatch.setattr(engine, name, lambda *args, name=name: pytest.fail(f"called {name}"))
+        misses = engine._curve_table.cache_info().misses
+        assert max_error(U2, 0.8, 0.1, 0.2, target) == want
+        assert engine._curve_table.cache_info().misses == misses
 
     def test_zero_weight_raises_like_max_error(self):
         # At v = pi/2 the (1, 1, 12) noiseless weight underflows, and every

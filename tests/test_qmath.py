@@ -1,10 +1,13 @@
+import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from gnumsd.errors import OutOfRangeError
 from gnumsd.qmath import (
+    STATE_TOLERANCE,
     DensityMatrix1Q,
     PureQubit,
     binomial,
@@ -180,17 +183,69 @@ def seeded_states(seed: int, count: int):
     return 0.5 * (1.0 + z), 0.5 * (1.0 - z), 0.5 * (x - 1j * y)
 
 
+# A pure state whose orthogonal complement lies 0.5 * (|mean + r| + |mean - r|)
+# = 1 + 2^-52 from it before the clip: found by a seeded search.
+CLIP_V, CLIP_THETA = float.fromhex("0x1.8e73d99646535p-1"), float.fromhex("-0x1.44f93bb9c43b8p-2")
+CLIP_STATE = PureQubit(
+    math.cos(CLIP_V), cmath.exp(1j * CLIP_THETA) * math.sin(CLIP_V)
+).density()
+
+
+def orthogonal(rho: DensityMatrix1Q) -> DensityMatrix1Q:
+    """The antipodal state (the orthogonal complement of a pure rho)."""
+    return DensityMatrix1Q(rho.m11, rho.m00, -rho.m01)
+
+
+def edge_states(sigma: DensityMatrix1Q) -> list[DensityMatrix1Q]:
+    """States where trace_distance meets its edges against sigma."""
+    tol = STATE_TOLERANCE
+    return [
+        sigma,  # identical: 0.0
+        orthogonal(sigma),  # orthogonal to a pure sigma: 1.0
+        CLIP_STATE,
+        orthogonal(CLIP_STATE),
+        *(DensityMatrix1Q(0.5, 0.5, complex(re, im)) for re in (0.0, -0.0) for im in (0.0, -0.0)),
+        DensityMatrix1Q(0.3, 0.7, complex(-0.0, 0.2)),
+        DensityMatrix1Q(0.3, 0.7, complex(0.2, -0.0)),
+        # Populations at the clamp edges: -tol and -0.0 are kept as 0.0 and -0.0.
+        DensityMatrix1Q(-tol, 1.0, 0j),
+        DensityMatrix1Q(1.0, -tol, 0j),
+        DensityMatrix1Q(-0.0, 1.0, 0j),
+        DensityMatrix1Q(tol, 1.0 - tol, 0j),
+        DensityMatrix1Q(1.0 + tol / 2, -tol / 2, 0j),
+    ]
+
+
 class TestOnePointForms:
-    """The scalars are one-point calls of the array forms: the same bits."""
+    """Each scalar gives its array form's bits at one point."""
 
     STATES = seeded_states(2024, 4000)
+    SIGMAS = [t_state().density(), h_state().density(), MIXED, KET1]
 
-    @pytest.mark.parametrize("sigma", [t_state().density(), h_state().density(), MIXED, KET1])
+    @pytest.mark.parametrize("sigma", SIGMAS)
     def test_trace_distance_equals_trace_distances(self, sigma):
         m00, m11, m01 = self.STATES
         batch = trace_distances(m00, m11, m01, sigma)
         for k, state in enumerate(zip(m00.tolist(), m11.tolist(), m01.tolist())):
             assert trace_distance(DensityMatrix1Q(*state), sigma) == batch[k]
+        # The edge states, bit for bit and down to the sign of zero.
+        edges = edge_states(sigma)
+        arrays = (np.array([getattr(rho, m) for rho in edges]) for m in ("m00", "m11", "m01"))
+        for rho, want in zip(edges, trace_distances(*arrays, sigma).tolist()):
+            got = trace_distance(rho, sigma)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want) == 1.0
+
+    def test_edge_states_reach_the_edges(self):
+        assert trace_distance(KET1, KET1) == 0.0
+        assert trace_distance(KET0, KET1) == 1.0
+        clip, rho = CLIP_STATE, orthogonal(CLIP_STATE)
+        d0, d1, q = rho.m00 - clip.m00, rho.m11 - clip.m11, rho.m01 - clip.m01
+        mean, half_gap = 0.5 * (d0 + d1), 0.5 * (d0 - d1)
+        radius = math.sqrt(half_gap * half_gap + squared_modulus(q))
+        assert 0.5 * (abs(mean + radius) + abs(mean - radius)) > 1.0  # the clip acts
+        assert trace_distance(rho, clip) == 1.0
 
     def test_m2_density_equals_m2_densities(self):
         m00, m11, m01 = self.STATES
