@@ -180,11 +180,13 @@ def _code_from_args(args) -> GnuParams:
 
 def _target_from_args(args) -> TargetSpec | None:
     kind = getattr(args, "target", None)
+    raw = getattr(args, "custom_state", None)
+    if raw is not None and kind != "custom":
+        raise OutOfRangeError("--custom-state applies to --target custom only")
     if kind is None:
         return None
     if kind != "custom":
         return TargetSpec(kind)
-    raw = getattr(args, "custom_state", None)
     if raw is None:
         raise OutOfRangeError("--target custom requires --custom-state c0re,c0im,c1re,c1im")
     parts = [float(p) for p in raw.split(",")]

@@ -39,12 +39,13 @@ reads one table and runs only the weighted omega sum (`_curve_weights`, the
 one weight step of both) and the state checks.  `dicke_overlap` is a
 one-point read of the same amplitudes on the (1, N, 1) code; the tests keep
 the term-by-term sum as the reference the plan path is checked against.
-`final_states` is the array path's one state check; the dataclasses
-`CodespaceProjection` and `DensityMatrix1Q` keep their own, as
-`distilled_state` and `max_error` run point by point: one point costs about
-5 us through them and 26 us through `final_states`.  So the array path
-serves arrays and the dataclass pair single points, with the same verdicts,
-messages and bits.
+The dataclass pair `CodespaceProjection` + `final_state` (which builds a
+`DensityMatrix1Q`) is the one definition of the state checks, their order
+and their messages.  `distilled_state` and `max_error` run it point by
+point (`_checked_states`, ~5 us a point); `final_states` only screens an
+array with the same comparisons in one pass and hands the points to
+`_checked_states` when the screen flags one, so a rejection raises the
+pair's own error for the first point it rejects.
 """
 from __future__ import annotations
 
@@ -402,44 +403,49 @@ def final_state(projection: CodespaceProjection) -> DensityMatrix1Q:
     return DensityMatrix1Q(projection.w00 / total, projection.w11 / total, m01)
 
 
+def _checked_states(weights):
+    """The dataclass pair's verdicts on the points of the weight arrays, in order.
+
+    Returns a flag per point, False where the total weight is at most
+    MIN_SUCCESS_PROBABILITY, and final_state(CodespaceProjection(*point)) of
+    each accepted point, so the first accepted point the pair rejects raises.
+    """
+    # Star-args of a list: a generator's tuple is built longer and shrunk,
+    # which leaves one more tuple on CPython's free list per call (~128 KB).
+    points = list(zip(*[part.tolist() for part in weights]))
+    accepted = [not w00 + w11 <= MIN_SUCCESS_PROBABILITY for w00, w11, _ in points]
+    states = [final_state(CodespaceProjection(*point)) for point, ok in zip(points, accepted) if ok]
+    return accepted, states
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def final_states(w00, w11, w01):
-    """final_state over arrays of projection weights: the array path's one state check.
+    """_checked_states over arrays, screened in one pass.
 
     Returns (accepted, m00, m11, m01), the state arrays holding the accepted
-    points only.  A point whose total weight is at most
-    MIN_SUCCESS_PROBABILITY is not accepted, where codespace_projection
-    raises ZeroSuccessProbabilityError; an accepted point that
-    CodespaceProjection or DensityMatrix1Q would reject raises their
-    OutOfRangeError.  Weights that pass normalise to a finite, nonnegative
-    state of trace 1 within a few ulps, so only its coherence is checked.
-    Overflow and invalid values, which come only from rejected points, raise
-    no numpy warning.
+    points only.  The screen runs the pair's comparisons, which nan fails,
+    and sends the accepted points to _checked_states if any fails, so a
+    rejected point raises the pair's own error.  Weights that pass
+    normalise to a finite, nonnegative state of trace 1 within a few ulps,
+    so of the state's checks only its coherence is screened.  Overflow and
+    invalid values, which come only from flagged points, raise no warning.
     """
     accepted = ~(w00 + w11 <= MIN_SUCCESS_PROBABILITY)
     w00, w11, w01 = w00[accepted], w11[accepted], w01[accepted]
-    if not (np.isfinite(w00) & np.isfinite(w11) & np.isfinite(w01)).all():
-        raise OutOfRangeError("projection weights must be finite")
-    negative = np.minimum(w00, w11) < -STATE_TOLERANCE
     # Clamped with max(x, 0.0) as CodespaceProjection clamps them (-0.0 stays).
     c00, c11 = np.where(w00 < 0.0, 0.0, w00), np.where(w11 < 0.0, 0.0, w11)
     total = c00 + c11
-    over = total > 1.0 + STATE_TOLERANCE
-    incoherent = squared_modulus(w01) > c00 * c11 + STATE_TOLERANCE
     m00, m11 = c00 / total, c11 / total
     m01 = np.empty(total.shape, complex)
     m01.real, m01.imag = w01.real / total, w01.imag / total
-    incoherent_state = squared_modulus(m01) > m00 * m11 + STATE_TOLERANCE
-    # One reduction on the common path; the checks in order only to name a failure.
-    if (negative | over | incoherent | incoherent_state).any():
-        if negative.any():
-            a, b = float(w00[negative][0]), float(w11[negative][0])
-            raise OutOfRangeError(f"negative projection weight: {a!r}, {b!r}")
-        if over.any():
-            raise OutOfRangeError(f"total projection weight {float(total[over][0])!r} exceeds 1")
-        if incoherent.any():
-            raise OutOfRangeError("coherence weight violates positive semidefiniteness")
-        raise OutOfRangeError("coherence violates positive semidefiniteness")
+    passes = (
+        (np.minimum(w00, w11) >= -STATE_TOLERANCE)
+        & (total <= 1.0 + STATE_TOLERANCE)
+        & (squared_modulus(w01) <= c00 * c11 + STATE_TOLERANCE)
+        & (squared_modulus(m01) <= m00 * m11 + STATE_TOLERANCE)
+    )
+    if not passes.all():
+        _checked_states((w00, w11, w01))
     return accepted, m00, m11, m01
 
 
@@ -517,20 +523,13 @@ def max_error(
 ) -> float:
     """max_errors at the single error weight eps, on the dataclass path.
 
-    The same weight step, then the scalar twins of max_errors' checks, in
-    final_states' order: each setting above MIN_SUCCESS_PROBABILITY is
-    checked as a CodespaceProjection and normalised by final_state before
-    the first one at or below it is refused, and trace_distance measures
-    the states.  The value, error class and message are max_errors'.
+    The same weight step, then _checked_states on its two settings: every
+    accepted setting is checked before the first at or below
+    MIN_SUCCESS_PROBABILITY is refused, and trace_distance measures the
+    states.  The value, error class and message are max_errors'.
     """
     ens, settings, weights = _curve_weights(code, v, theta, [eps])
-    # Star-args of a list, not of a generator: a generator's tuple is built
-    # longer and shrunk, which leaves one more 3-tuple on CPython's free list
-    # per call, ~128 KB resident once a curve's calls fill it.
-    points = list(zip(*[part.tolist() for part in weights]))
-    accepted = [not w00 + w11 <= MIN_SUCCESS_PROBABILITY for w00, w11, _ in points]
-    projections = [CodespaceProjection(*point) for point, ok in zip(points, accepted) if ok]
-    states = [final_state(projection) for projection in projections]
+    accepted, states = _checked_states(weights)
     if not all(accepted):
         raise _zero_weight_error(code, ens, settings[accepted.index(False)])
     return max(trace_distance(state, target) for state in states)

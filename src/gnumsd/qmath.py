@@ -113,35 +113,30 @@ def h_state() -> PureQubit:
     return PureQubit(math.cos(H_STATE_ANGLE), math.sin(H_STATE_ANGLE))
 
 
-def trace_distances(m00, m11, m01, sigma: DensityMatrix1Q):
-    """(1/2) * sum of |eigenvalues| of rho - sigma for each state given by arrays.
+def _trace_distance(m00, m11, m01, sigma: DensityMatrix1Q, sqrt):
+    """(1/2) * sum of |eigenvalues| of rho - sigma, before the clip to [0, 1].
 
     Closed 2x2 form with only IEEE +, *, abs and sqrt (entries are at most 1,
-    so no overflow): an entry's bits do not depend on the arrays' shape.
+    so no overflow).  math.sqrt and np.sqrt both round correctly, so a state
+    gives the same bits on floats as in arrays of any shape.
     """
     d0 = m00 - sigma.m00
     d1 = m11 - sigma.m11
     q = m01 - sigma.m01
     mean = 0.5 * (d0 + d1)
     half_gap = 0.5 * (d0 - d1)
-    radius = np.sqrt(half_gap * half_gap + squared_modulus(q))
-    return np.clip(0.5 * (np.abs(mean + radius) + np.abs(mean - radius)), 0.0, 1.0)
+    radius = sqrt(half_gap * half_gap + squared_modulus(q))
+    return 0.5 * (abs(mean + radius) + abs(mean - radius))
+
+
+def trace_distances(m00, m11, m01, sigma: DensityMatrix1Q):
+    """Trace distance to sigma of each state given by arrays of matrix elements."""
+    return np.clip(_trace_distance(m00, m11, m01, sigma, np.sqrt), 0.0, 1.0)
 
 
 def trace_distance(rho: DensityMatrix1Q, sigma: DensityMatrix1Q) -> float:
-    """trace_distances at the single state rho, in the same IEEE operations on floats.
-
-    math.sqrt and numpy's sqrt both round correctly, and min(max(x, 0.0),
-    1.0) is np.clip's clip, so the bits are trace_distances' (pinned by
-    tests/test_qmath.py) at a fraction of a one-point array call's cost.
-    """
-    d0 = rho.m00 - sigma.m00
-    d1 = rho.m11 - sigma.m11
-    q = rho.m01 - sigma.m01
-    mean = 0.5 * (d0 + d1)
-    half_gap = 0.5 * (d0 - d1)
-    radius = math.sqrt(half_gap * half_gap + squared_modulus(q))
-    return min(max(0.5 * (abs(mean + radius) + abs(mean - radius)), 0.0), 1.0)
+    """trace_distances at rho, on floats: min(max(x, 0.0), 1.0) is np.clip's clip."""
+    return min(max(_trace_distance(rho.m00, rho.m11, rho.m01, sigma, math.sqrt), 0.0), 1.0)
 
 
 def pauli_expectations(rho: DensityMatrix1Q) -> tuple[float, float, float, float]:
@@ -170,7 +165,7 @@ def m2_densities(m00, m11, m01):
 
 def m2_density(rho: DensityMatrix1Q) -> float:
     """m2_densities at rho as one-element arrays (on floats, ** and log2 round otherwise)."""
-    return float(m2_densities(*(np.array([x]) for x in (rho.m00, rho.m11, rho.m01)))[0])
+    return float(m2_densities(*[np.array([x]) for x in (rho.m00, rho.m11, rho.m01)])[0])
 
 
 def m2_pure(psi: PureQubit) -> float:

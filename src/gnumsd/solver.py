@@ -262,7 +262,7 @@ def magic_curve(
         return []
     vs = np.array([ens.v for ens in ensembles])
     weights = projection_weights(code, vs, np.array([ensembles[0].theta]), 0.0)
-    accepted, m00, m11, m01 = final_states(*(w[:, 0] for w in weights))
+    accepted, m00, m11, m01 = final_states(*[w[:, 0] for w in weights])
     for v in compress(v_grid, ~accepted):
         logger.warning("magic_curve: skipped singular grid point v=%r", v)
     return list(zip(compress(v_grid, accepted), m2_densities(m00, m11, m01).tolist()))

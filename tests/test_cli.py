@@ -324,6 +324,22 @@ class TestSolveCommand:
         assert main("solve --g 1 --n 1 --u 2 --target custom".split()) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "distill --v 0.3 --target T --custom-state 1,0,0,0",
+            "distill --v 0.3 --custom-state 1,0,0,0",
+            "solve --target XT --custom-state 1,0,0,0",
+        ],
+    )
+    def test_custom_state_needs_the_custom_target(self, argv, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gnumsd: invalid input: --custom-state applies to --target custom only\n"
+        )
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_2(self, tol, capsys):
         assert main(["solve", "--target", "XT", "--tol", tol]) == 2

@@ -724,6 +724,19 @@ class TestFinalStates:
         with pytest.raises(OutOfRangeError):
             final_states(w00, w11, w01.astype(complex))
 
+    def test_valid_weights_build_no_dataclass(self, monkeypatch):
+        # On valid weights the screen passes every point, so neither a
+        # solver block nor a max_errors grid reaches the per-point checks.
+        monkeypatch.setattr(
+            engine, "CodespaceProjection", lambda *args: pytest.fail("built a CodespaceProjection")
+        )
+        code, target = GnuParams(1, 2, 3), t_state().density()
+        vs = np.arange(GRID_BLOCK_ROWS) * GRID_STEP
+        thetas = -math.pi + np.arange(400) * GRID_STEP
+        accepted, m00, _, _ = final_states(*projection_weights(code, vs, thetas, 0.0))
+        assert accepted.all() and m00.size == vs.size * thetas.size
+        assert max_errors(code, 0.7, 0.3, FIGURE_EPS, target).shape == FIGURE_EPS.shape
+
 
 def tolerance_edges():
     """(kind, (a, b, c)) triples straddling each state check's tolerance.
@@ -956,12 +969,25 @@ class TestMaxErrors:
             (((0.0, 0.0, 0j), (1e-13, 1e-13, 1e-13 * (1 + 1e-10) + 0j)), OutOfRangeError),
             (((0.0, 0.0, 0j), (0.5, 0.5, 0.1j)), ZeroSuccessProbabilityError),
             (((0.5, 0.5, 0.1j), (0.0, 0.0, 0j)), ZeroSuccessProbabilityError),
+            # Both settings fail, each a different check: the first one names the error.
+            (((0.9, 0.9, 0j), (-1e-6, 0.5, 0j)), OutOfRangeError),
+            (((-1e-6, 0.5, 0j), (math.nan, 0.5, 0j)), OutOfRangeError),
+            (((0.1, 0.1, 0.5 + 0j), (-1e-6, 0.5, 0j)), OutOfRangeError),
         ],
-        ids=["zero-negative", "negative-zero", "zero-incoherent", "zero-valid", "valid-zero"],
+        ids=[
+            "zero-negative",
+            "negative-zero",
+            "zero-incoherent",
+            "zero-valid",
+            "valid-zero",
+            "over-negative",
+            "negative-nan",
+            "incoherent-negative",
+        ],
     )
     def test_checks_come_before_the_zero_weight_refusal(self, points, error, monkeypatch):
-        # final_states checks every accepted setting before max_errors refuses
-        # the first zero-weight one; max_error keeps that precedence.
+        # Every accepted setting is checked, in order, by the dataclass pair
+        # before the first zero-weight one is refused, on both paths.
         real = engine._curve_weights
 
         def crafted(*args):
@@ -973,6 +999,18 @@ class TestMaxErrors:
         one_point = _one_point_outcome(max_error, U2, 0.8, 0.1, 0.2, target)
         assert one_point == _one_point_outcome(max_errors, U2, 0.8, 0.1, 0.2, target)
         assert one_point[0] is error
+        pair = None
+        for point in points:
+            if not point[0] + point[1] <= MIN_SUCCESS_PROBABILITY:
+                try:
+                    final_state(CodespaceProjection(*point))
+                except OutOfRangeError as exc:
+                    pair = type(exc), str(exc)
+                    break
+        if error is OutOfRangeError:
+            assert one_point == pair
+        else:
+            assert pair is None
 
     def test_one_point_calls_run_no_array_check(self, monkeypatch):
         # The one-point call never reaches the array path, and a warm call

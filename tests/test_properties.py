@@ -109,20 +109,30 @@ def weight_triples(draw):
     return parts[0], parts[1], complex(parts[2], parts[3])
 
 
+def _pair_run(*triples):
+    """The dataclass pair run on the triples in order: each state's parts, or the first error.
+
+    Every accepted triple is checked before a zero-weight one is refused.
+    """
+    states, refused = [], False
+    for w00, w11, w01 in triples:
+        if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
+            refused = True
+            continue
+        rho = final_state(CodespaceProjection(w00, w11, w01))
+        states.append((rho.m00, rho.m11, rho.m01))
+    if refused:
+        raise ZeroSuccessProbabilityError("zero weight")
+    return states
+
+
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @hypothesis.given(triple=weight_triples())
 def test_final_states_gives_the_scalar_verdicts(triple):
-    # The scalar pair: the zero-weight floor, CodespaceProjection, final_state.
-    def scalar(w00, w11, w01):
-        if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
-            raise ZeroSuccessProbabilityError("zero weight")
-        rho = final_state(CodespaceProjection(w00, w11, w01))
-        return rho.m00, rho.m11, rho.m01
-
     # The triple as entry 1 of three, between two valid points.
-    def array(w00, w11, w01):
+    def array(triple):
         fills = (0.4, 0.6, 0.2 + 0.1j)
-        weights = (np.array([fill, x, fill]) for fill, x in zip(fills, (w00, w11, w01)))
+        weights = (np.array([fill, x, fill]) for fill, x in zip(fills, triple))
         accepted, m00, m11, m01 = final_states(*weights)
         if not accepted[1]:
             raise ZeroSuccessProbabilityError("zero weight")
@@ -130,8 +140,30 @@ def test_final_states_gives_the_scalar_verdicts(triple):
 
     def outcome(check):
         try:
-            return np.array(check(*triple), dtype=complex).tobytes()
+            return np.array(check(triple), dtype=complex).tobytes()
         except (OutOfRangeError, ZeroSuccessProbabilityError) as exc:
             return type(exc), str(exc)
 
-    assert outcome(array) == outcome(scalar)
+    assert outcome(array) == outcome(_pair_run)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(first=weight_triples(), second=weight_triples())
+def test_final_states_gives_the_scalar_verdicts_in_point_order(first, second):
+    # Two triples as entries 1 and 2 of four, between two valid points: the
+    # first triple the pair rejects names the error, whichever check it fails.
+    def array(*triples):
+        fills = (0.4, 0.6, 0.2 + 0.1j)
+        weights = [np.array([fill, *parts, fill]) for fill, *parts in zip(fills, *triples)]
+        accepted, m00, m11, m01 = final_states(*weights)
+        if not accepted[1:3].all():
+            raise ZeroSuccessProbabilityError("zero weight")
+        return list(zip(m00[1:3], m11[1:3], m01[1:3]))
+
+    def outcome(check):
+        try:
+            return np.array(check(first, second), dtype=complex).tobytes()
+        except (OutOfRangeError, ZeroSuccessProbabilityError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(array) == outcome(_pair_run)
