@@ -7,9 +7,9 @@ identical bytes.  Angles are radians; `pi`-fraction literals such as pi/4,
 may follow its flag after a space or an `=`: `--theta -pi/4`,
 `--theta=-pi/4`.
 
-Exit codes: 0 success, 1 failed verification, 2 usage or validation error,
-3 numeric-domain failure (zero success probability, unreachable target, no
-crossover).
+Exit codes: 0 success, 1 failed verification, 2 usage or validation error
+or an --out path that cannot be written, 3 numeric-domain failure (zero
+success probability, unreachable target, no crossover).
 """
 from __future__ import annotations
 
@@ -127,14 +127,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".gnumsd-", suffix=".tmp")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".gnumsd-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, out)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):  # a bad --out, not a failed command
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -198,6 +201,8 @@ def _target_from_args(args) -> TargetSpec | None:
 def cmd_distill(args) -> int:
     code = _code_from_args(args)
     ens = InputEnsemble(args.v, args.theta, args.eps)
+    # The flags first, so a usage error is never reported as a refusal.
+    target = _target_from_args(args)
     projection = codespace_projection(code, ens)
     state = final_state(projection)
     record = {
@@ -220,7 +225,6 @@ def cmd_distill(args) -> int:
         "rho10_im": -state.m01.imag,
         "m2": m2_density(state),
     }
-    target = _target_from_args(args)
     if target is not None:
         record["trace_distance_to_target"] = trace_distance(state, target.density())
     _emit_record(record, args)

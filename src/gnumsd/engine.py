@@ -35,8 +35,8 @@ cache: the logical sums of every omega = 0..N, one table per (code, v,
 theta) with v and theta as InputEnsemble clamps and wraps them, at most
 CURVE_TABLES of them, read-only.  Only the noise weights depend on eps, so
 every point of an error curve, scalar calls and bisection steps included,
-reads one table and runs only the weighted omega sum (`_curve_weights`, the
-one weight step of both) and the state checks.  `dicke_overlap` is a
+reads one table and runs only the weighted omega sum, the state checks and
+the refusal (`_curve_states`, the one step of both).  `dicke_overlap` is a
 one-point read of the same amplitudes on the (1, N, 1) code; the tests keep
 the term-by-term sum as the reference the plan path is checked against.
 The dataclass pair `CodespaceProjection` + `final_state` (which builds a
@@ -45,7 +45,8 @@ and their messages.  `distilled_state` and `max_error` run it point by
 point (`_checked_states`, ~5 us a point); `final_states` only screens an
 array with the same comparisons in one pass and hands the points to
 `_checked_states` when the screen flags one, so a rejection raises the
-pair's own error for the first point it rejects.
+pair's own error for the first point it rejects.  `_zero_weight_error`
+words every refusal of a setting too weak to normalise, curves included.
 """
 from __future__ import annotations
 
@@ -379,11 +380,16 @@ def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjec
     w00, w11, w01 = projection_weights(code, ens.v, np.array([ens.theta]), ens.eps)
     w00, w11, w01 = w00.item(), w11.item(), w01.item()
     if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
-        raise ZeroSuccessProbabilityError(
-            f"codespace weight {w00 + w11!r} at (v={ens.v}, theta={ens.theta}, "
-            f"eps={ens.eps}) on (g={code.g}, n={code.n}, u={code.u})"
-        )
+        raise _zero_weight_error(code, ens, w00 + w11)
     return CodespaceProjection(w00, w11, w01)
+
+
+def _zero_weight_error(code: GnuParams, ens: InputEnsemble, weight: float):
+    """The one refusal of a setting whose codespace weight is too small to normalise."""
+    return ZeroSuccessProbabilityError(
+        f"codespace weight {weight!r} at (v={ens.v}, theta={ens.theta}, "
+        f"eps={ens.eps}) on (g={code.g}, n={code.n}, u={code.u})"
+    )
 
 
 def success_probability(projection: CodespaceProjection) -> float:
@@ -403,19 +409,18 @@ def final_state(projection: CodespaceProjection) -> DensityMatrix1Q:
     return DensityMatrix1Q(projection.w00 / total, projection.w11 / total, m01)
 
 
-def _checked_states(weights):
+def _checked_states(w00, w11, w01):
     """The dataclass pair's verdicts on the points of the weight arrays, in order.
 
-    Returns a flag per point, False where the total weight is at most
-    MIN_SUCCESS_PROBABILITY, and final_state(CodespaceProjection(*point)) of
-    each accepted point, so the first accepted point the pair rejects raises.
+    Returns a list of flags, one per point, False where the total weight is
+    at most MIN_SUCCESS_PROBABILITY, followed by
+    final_state(CodespaceProjection(*point)) of each accepted point, so the
+    first accepted point the pair rejects raises.
     """
-    # Star-args of a list: a generator's tuple is built longer and shrunk,
-    # which leaves one more tuple on CPython's free list per call (~128 KB).
-    points = list(zip(*[part.tolist() for part in weights]))
-    accepted = [not w00 + w11 <= MIN_SUCCESS_PROBABILITY for w00, w11, _ in points]
+    points = list(zip(w00.tolist(), w11.tolist(), w01.tolist()))
+    accepted = [not a + b <= MIN_SUCCESS_PROBABILITY for a, b, _ in points]
     states = [final_state(CodespaceProjection(*point)) for point, ok in zip(points, accepted) if ok]
-    return accepted, states
+    return accepted, *states
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -445,7 +450,7 @@ def final_states(w00, w11, w01):
         & (squared_modulus(m01) <= m00 * m11 + STATE_TOLERANCE)
     )
     if not passes.all():
-        _checked_states((w00, w11, w01))
+        _checked_states(w00, w11, w01)
     return accepted, m00, m11, m01
 
 
@@ -454,17 +459,19 @@ def distilled_state(code: GnuParams, ens: InputEnsemble) -> DensityMatrix1Q:
     return final_state(codespace_projection(code, ens))
 
 
-def _curve_weights(code: GnuParams, v: float, theta: float, eps):
-    """Codespace weights (w00, w11, w01) at the channel settings [0, *eps].
+def _curve_states(code: GnuParams, v: float, theta: float, eps, check):
+    """The checked output states of an error curve at the channel settings [0, *eps].
 
-    The one weight step of max_errors and max_error.  eps (a 1-D array)
-    only enters through the noise weights of omega flipped inputs, so every
-    call at one (v, theta) on a code reads one cached table of the
-    per-omega logical sums for omega = 0..N, keyed on the code and
-    InputEnsemble's clamped v and wrapped theta, and weights the rows with
-    nonzero noise weight at 0 or at some eps.  Returns the noiseless
-    ensemble, the settings and the weights, arrays with one entry per
-    setting (None for an empty eps).  Raises OutOfRangeError with
+    The one weight and refusal step of max_errors and max_error.  eps (a
+    1-D array) only enters through the noise weights of omega flipped
+    inputs, so every call at one (v, theta) on a code reads one cached
+    table of the per-omega logical sums for omega = 0..N, keyed on the code
+    and InputEnsemble's clamped v and wrapped theta, and weights the rows
+    with nonzero noise weight at 0 or at some eps.  check (final_states or
+    _checked_states) then checks every setting, and only after it the first
+    setting at or below MIN_SUCCESS_PROBABILITY is refused with
+    codespace_projection's error.  Returns the states check returns after
+    its flags, or None for an empty eps.  Raises OutOfRangeError with
     InputEnsemble's message for the first eps outside [0, 1].
     """
     eps = np.asarray(eps, dtype=float)
@@ -474,9 +481,9 @@ def _curve_weights(code: GnuParams, v: float, theta: float, eps):
     inside = (eps >= 0.0) & (eps <= 1.0)
     if not inside.all():
         InputEnsemble(v, theta, eps[~inside][0])  # raises the scalar path's message
-    settings = np.concatenate(([0.0], eps))
     if eps.size == 0:
-        return ens, settings, None
+        return None
+    settings = np.concatenate(([0.0], eps))
     table = _curve_table(code, ens.v, ens.theta)
     plan = _plan(code)
     noise = _noise_weights(plan, settings[:, None])
@@ -485,36 +492,29 @@ def _curve_weights(code: GnuParams, v: float, theta: float, eps):
     # the omega sum's order, and so its bits, follow that layout (a take
     # along axis 1 would change them).
     weights = _noise_sum(plan, [part.take(flips, 0) for part in table], noise[:, flips].T)
-    return ens, settings, weights
-
-
-def _zero_weight_error(code: GnuParams, ens: InputEnsemble, eps) -> ZeroSuccessProbabilityError:
-    """The refusal of an error curve whose weight at the setting eps is too small."""
-    return ZeroSuccessProbabilityError(
-        f"codespace weight at most {MIN_SUCCESS_PROBABILITY} at "
-        f"eps={eps} on (v={ens.v}, theta={ens.theta}) "
-        f"for (g={code.g}, n={code.n}, u={code.u})"
-    )
+    accepted, *states = check(*weights)
+    if False in accepted:  # no Python loop over an array, unlike all()
+        first = list(accepted).index(False)
+        weight = float(weights[0][first] + weights[1][first])
+        raise _zero_weight_error(code, InputEnsemble(v, theta, settings[first]), weight)
+    return states
 
 
 def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatrix1Q):
     """Worst-case output error over the channel settings {0, e} for each e in eps.
 
     The noiseless output pins the protocol's intent, the noisy one its
-    degradation.  The weights come from _curve_weights, so a warm call gives
-    the bits of a cold one; final_states checks every setting and
-    trace_distances measures the states.
+    degradation.  The states come from _curve_states, checked by
+    final_states, so a warm call gives the bits of a cold one, and
+    trace_distances measures them.
     Raises OutOfRangeError with InputEnsemble's message for the first eps
-    outside [0, 1], and ZeroSuccessProbabilityError where
-    codespace_projection would at 0 or at any eps.
+    outside [0, 1], and ZeroSuccessProbabilityError, with its message,
+    where codespace_projection would at 0 or at any eps.
     """
-    ens, settings, weights = _curve_weights(code, v, theta, eps)
-    if weights is None:
+    states = _curve_states(code, v, theta, eps, final_states)
+    if states is None:
         return np.empty(0)
-    accepted, m00, m11, m01 = final_states(*weights)
-    if not accepted.all():
-        raise _zero_weight_error(code, ens, settings[~accepted][0])
-    errors = trace_distances(m00, m11, m01, target)
+    errors = trace_distances(*states, target)
     return np.maximum(errors[1:], errors[0])
 
 
@@ -523,13 +523,9 @@ def max_error(
 ) -> float:
     """max_errors at the single error weight eps, on the dataclass path.
 
-    The same weight step, then _checked_states on its two settings: every
-    accepted setting is checked before the first at or below
-    MIN_SUCCESS_PROBABILITY is refused, and trace_distance measures the
-    states.  The value, error class and message are max_errors'.
+    The same step, checking its two settings with _checked_states;
+    trace_distance measures the states.  The value, error class and
+    message are max_errors'.
     """
-    ens, settings, weights = _curve_weights(code, v, theta, [eps])
-    accepted, states = _checked_states(weights)
-    if not all(accepted):
-        raise _zero_weight_error(code, ens, settings[accepted.index(False)])
+    states = _curve_states(code, v, theta, [eps], _checked_states)
     return max(trace_distance(state, target) for state in states)

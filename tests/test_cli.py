@@ -166,6 +166,21 @@ class TestDistill:
         assert main("distill --v 0 --theta 0 --eps 1".split()) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--target custom", "--target custom requires --custom-state c0re,c0im,c1re,c1im"),
+            ("--target T --custom-state 1,0,0,0", "--custom-state applies to --target custom only"),
+        ],
+        ids=["custom-without-state", "state-without-custom"],
+    )
+    def test_target_flags_are_read_before_projecting(self, flags, message, capsys):
+        # At a zero-weight point a bad target flag is still a usage error, not a refusal.
+        assert main(f"distill --g 1 --n 1 --u 12 --v pi/2 {flags}".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gnumsd: invalid input: {message}\n"
+
     def test_target_distance_included(self, capsys):
         assert main("distill --v 0 --theta 0 --eps 0 --target T".split()) == 0
         record = json.loads(capsys.readouterr().out)
@@ -408,6 +423,33 @@ class TestVerifyCommand:
         assert "oracle-equivalence: PASS" in out
         assert "circuit-equivalence: PASS" in out
         assert "closed-form-reconciliation: PASS" in out
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written exits 2 and leaves no temporary file."""
+
+    @pytest.mark.parametrize("argv", [["distill", "--v", "0.3"], ["verify"]])
+    def test_missing_directory_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gnumsd: invalid input: cannot write {out}: No such file or directory\n"
+        )
+        assert list(tmp_path.rglob(".gnumsd-*.tmp")) == []
+
+    def test_directory_target_removes_the_temporary_file(self, tmp_path, capsys):
+        # The temporary file is written beside the target; os.replace then fails.
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert main(["distill", "--v", "0.3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gnumsd: invalid input: cannot write {out}: Is a directory\n"
+        )
+        assert list(tmp_path.rglob(".gnumsd-*.tmp")) == []
 
 
 class TestEntryPoint:

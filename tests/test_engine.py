@@ -958,7 +958,31 @@ class TestMaxErrors:
                     if (code, v) in ZERO_WEIGHT_POINTS:
                         # The noiseless weight underflows: every eps is refused at eps = 0.
                         assert one_point[0] is ZeroSuccessProbabilityError
-                        assert " at eps=0.0 on " in one_point[1]
+                        assert ", eps=0.0) on " in one_point[1]
+
+    @pytest.mark.parametrize(
+        "code, v, eps",
+        [(code, v, 0.0) for code, v in sorted(ZERO_WEIGHT_POINTS, key=str)]
+        # At v = 0 every error state is |1>, whose all-ones string misses the codespace.
+        + [(GnuParams(1, 1, 12), 0.0, 1.0), (U2, 0.0, 1.0)],
+        ids=lambda value: _code_id(value) if isinstance(value, GnuParams) else repr(value),
+    )
+    def test_zero_weight_refusal_is_worded_once(self, code, v, eps):
+        # codespace_projection, max_error and max_errors refuse one setting
+        # with one message, which names its weight and its eps.
+        target = t_state().density()
+        messages = []
+        for call in (
+            lambda: codespace_projection(code, InputEnsemble(v, 0.3, eps)),
+            lambda: max_error(code, v, 0.3, eps, target),
+            lambda: max_errors(code, v, 0.3, np.array([0.5, eps]), target),
+        ):
+            with pytest.raises(ZeroSuccessProbabilityError) as refusal:
+                call()
+            messages.append(str(refusal.value))
+        assert messages == [messages[0]] * 3
+        assert messages[0].startswith("codespace weight 0.0 at (v=")
+        assert f", eps={eps}) on (g={code.g}, " in messages[0]
 
     @pytest.mark.parametrize(
         "points, error",
@@ -988,13 +1012,10 @@ class TestMaxErrors:
     def test_checks_come_before_the_zero_weight_refusal(self, points, error, monkeypatch):
         # Every accepted setting is checked, in order, by the dataclass pair
         # before the first zero-weight one is refused, on both paths.
-        real = engine._curve_weights
-
         def crafted(*args):
-            ens, settings, _ = real(*args)
-            return ens, settings, tuple(np.array(part) for part in zip(*points))
+            return tuple(np.array(part) for part in zip(*points))
 
-        monkeypatch.setattr(engine, "_curve_weights", crafted)
+        monkeypatch.setattr(engine, "_noise_sum", crafted)
         target = t_state().density()
         one_point = _one_point_outcome(max_error, U2, 0.8, 0.1, 0.2, target)
         assert one_point == _one_point_outcome(max_errors, U2, 0.8, 0.1, 0.2, target)

@@ -20,3 +20,22 @@ def test_no_star_args_of_a_generator():
                         found.append(f"{path.name}:{node.lineno}")
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_one_zero_weight_message():
+    # The refusal of a setting too weak to normalise is worded in one place,
+    # whichever call refuses it.  Docstrings and comments do not count.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and id(node) not in docstrings:
+                if isinstance(node.value, str) and "codespace weight" in node.value:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1 and found[0].startswith("engine.py:"), found
