@@ -36,7 +36,13 @@ theta) with v and theta as InputEnsemble clamps and wraps them, at most
 CURVE_TABLES of them, read-only.  Only the noise weights depend on eps, so
 every point of an error curve, scalar calls and bisection steps included,
 reads one table and runs only the weighted omega sum, the state checks and
-the refusal (`_curve_states`, the one step of both).  `dicke_overlap` is a
+the refusal (`_refuse_zero_weight`, the one curve refusal of both).
+`max_errors` sums the table's arrays in numpy (`_curve_states`); the
+one-point `max_error` sums the same entry's Python copy of them in floats
+(`_point_weights`), in the array sum's order and with its noise row from
+numpy's pow, so its bits are max_errors' without an array step per point.
+The entry also holds the eps = 0 weights, which every curve point
+includes.  `dicke_overlap` is a
 one-point read of the same amplitudes on the (1, N, 1) code; the tests keep
 the term-by-term sum as the reference the plan path is checked against.
 The dataclass pair `CodespaceProjection` + `final_state` (which builds a
@@ -310,19 +316,34 @@ def _noise_sum(plan: _Plan, sums, noise):
     )
 
 
+class _CurveTable(NamedTuple):
+    """The logical sums of one code at one (v, theta), read by every eps of an error curve."""
+
+    sums: tuple  # (|even|^2, |odd|^2, even * conj(odd)) arrays, one row per omega = 0..N
+    rows: tuple  # the same sums per omega as Python (float, float, complex) triples
+    noiseless: tuple  # (w00, w11, w01) at eps = 0: logical_norm times row 0
+
+
 @lru_cache(maxsize=CURVE_TABLES)
-def _curve_table(code: GnuParams, v: float, theta: float):
+def _curve_table(code: GnuParams, v: float, theta: float) -> _CurveTable:
     """The logical sums of code at one (v, theta) for every omega = 0..N.
 
-    All that max_errors needs besides the noise weights, so every eps of an
-    error curve shares it.  v and theta come clamped and wrapped by
-    InputEnsemble, so equal keys build equal tables.  The arrays are shared
-    by every call and so read-only.
+    All that max_errors and max_error need besides the noise weights, so
+    every eps of an error curve shares it: the arrays for max_errors, the
+    same numbers as Python triples for max_error, and the weights at eps = 0
+    (where only omega = 0 has noise weight, exactly 1.0).  v and theta come
+    clamped and wrapped by InputEnsemble, so equal keys build equal tables.
+    The entry is shared by every call and so read-only.
     """
-    table = _logical_sums(_plan(code), v, np.array([theta]), slice(0, code.num_qubits + 1))
-    for part in table:
+    plan = _plan(code)
+    sums = _logical_sums(plan, v, np.array([theta]), slice(0, code.num_qubits + 1))
+    for part in sums:
         part.setflags(write=False)
-    return table
+    rows = tuple(zip(*[part[:, 0].tolist() for part in sums]))
+    norm = plan.logical_norm
+    s00, s11, s01 = rows[0]
+    # Summed from +0 like every _point_weights sum.
+    return _CurveTable(sums, rows, (0.0 + norm * s00, 0.0 + norm * s11, 0j + complex(norm) * s01))
 
 
 def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> complex:
@@ -410,17 +431,20 @@ def final_state(projection: CodespaceProjection) -> DensityMatrix1Q:
 
 
 def _checked_states(w00, w11, w01):
-    """The dataclass pair's verdicts on the points of the weight arrays, in order.
+    """The dataclass pair's verdicts on the points of the weight lists, in order.
 
     Returns a list of flags, one per point, False where the total weight is
-    at most MIN_SUCCESS_PROBABILITY, followed by
+    at most MIN_SUCCESS_PROBABILITY, and the list of
     final_state(CodespaceProjection(*point)) of each accepted point, so the
     first accepted point the pair rejects raises.
     """
-    points = list(zip(w00.tolist(), w11.tolist(), w01.tolist()))
-    accepted = [not a + b <= MIN_SUCCESS_PROBABILITY for a, b, _ in points]
-    states = [final_state(CodespaceProjection(*point)) for point, ok in zip(points, accepted) if ok]
-    return accepted, *states
+    accepted = [not a + b <= MIN_SUCCESS_PROBABILITY for a, b in zip(w00, w11)]
+    states = [
+        final_state(CodespaceProjection(a, b, c))
+        for a, b, c, ok in zip(w00, w11, w01, accepted)
+        if ok
+    ]
+    return accepted, states
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -450,7 +474,7 @@ def final_states(w00, w11, w01):
         & (squared_modulus(m01) <= m00 * m11 + STATE_TOLERANCE)
     )
     if not passes.all():
-        _checked_states(w00, w11, w01)
+        _checked_states(w00.tolist(), w11.tolist(), w01.tolist())
     return accepted, m00, m11, m01
 
 
@@ -459,20 +483,31 @@ def distilled_state(code: GnuParams, ens: InputEnsemble) -> DensityMatrix1Q:
     return final_state(codespace_projection(code, ens))
 
 
-def _curve_states(code: GnuParams, v: float, theta: float, eps, check):
+def _refuse_zero_weight(code: GnuParams, v: float, theta: float, settings, accepted, weights):
+    """Refuse the first channel setting not accepted, with codespace_projection's error.
+
+    The one curve refusal of max_errors and max_error, raised only after
+    every setting has been checked.
+    """
+    if False in accepted:  # no Python loop over an array, unlike all()
+        first = list(accepted).index(False)
+        weight = float(weights[0][first] + weights[1][first])
+        raise _zero_weight_error(code, InputEnsemble(v, theta, settings[first]), weight)
+
+
+def _curve_states(code: GnuParams, v: float, theta: float, eps):
     """The checked output states of an error curve at the channel settings [0, *eps].
 
-    The one weight and refusal step of max_errors and max_error.  eps (a
-    1-D array) only enters through the noise weights of omega flipped
-    inputs, so every call at one (v, theta) on a code reads one cached
-    table of the per-omega logical sums for omega = 0..N, keyed on the code
-    and InputEnsemble's clamped v and wrapped theta, and weights the rows
-    with nonzero noise weight at 0 or at some eps.  check (final_states or
-    _checked_states) then checks every setting, and only after it the first
-    setting at or below MIN_SUCCESS_PROBABILITY is refused with
-    codespace_projection's error.  Returns the states check returns after
-    its flags, or None for an empty eps.  Raises OutOfRangeError with
-    InputEnsemble's message for the first eps outside [0, 1].
+    eps (a 1-D array) only enters through the noise weights of omega
+    flipped inputs, so every call at one (v, theta) on a code reads one
+    cached table of the per-omega logical sums for omega = 0..N, keyed on
+    the code and InputEnsemble's clamped v and wrapped theta, and weights
+    the rows with nonzero noise weight at 0 or at some eps.  final_states
+    then checks every setting, and only after it the first setting at or
+    below MIN_SUCCESS_PROBABILITY is refused.  Returns the states
+    final_states returns after its flags, or None for an empty eps.  Raises
+    OutOfRangeError with InputEnsemble's message for the first eps outside
+    [0, 1].
     """
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 1:
@@ -484,19 +519,16 @@ def _curve_states(code: GnuParams, v: float, theta: float, eps, check):
     if eps.size == 0:
         return None
     settings = np.concatenate(([0.0], eps))
-    table = _curve_table(code, ens.v, ens.theta)
+    table = _curve_table(code, ens.v, ens.theta).sums
     plan = _plan(code)
     noise = _noise_weights(plan, settings[:, None])
     flips = noise.any(axis=0).nonzero()[0]
     # noise[:, flips] comes out F-ordered, so its transpose is C-contiguous;
     # the omega sum's order, and so its bits, follow that layout (a take
-    # along axis 1 would change them).
+    # along axis 1 would change them): a sum row by row, omega ascending.
     weights = _noise_sum(plan, [part.take(flips, 0) for part in table], noise[:, flips].T)
-    accepted, *states = check(*weights)
-    if False in accepted:  # no Python loop over an array, unlike all()
-        first = list(accepted).index(False)
-        weight = float(weights[0][first] + weights[1][first])
-        raise _zero_weight_error(code, InputEnsemble(v, theta, settings[first]), weight)
+    accepted, *states = final_states(*weights)
+    _refuse_zero_weight(code, v, theta, settings, accepted, weights)
     return states
 
 
@@ -511,21 +543,61 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
     outside [0, 1], and ZeroSuccessProbabilityError, with its message,
     where codespace_projection would at 0 or at any eps.
     """
-    states = _curve_states(code, v, theta, eps, final_states)
+    states = _curve_states(code, v, theta, eps)
     if states is None:
         return np.empty(0)
     errors = trace_distances(*states, target)
     return np.maximum(errors[1:], errors[0])
 
 
+def _point_weights(code: GnuParams, v: float, theta: float, eps: float):
+    """Codespace weights (w00, w11, w01) at the settings 0 and eps, each a list of two.
+
+    max_errors' weights at one eps, in Python numbers and with its bits.
+    The noise row is numpy's _noise_weights at this eps, whose pow gives
+    the bits of the [0, eps] table's row where Python's ** does not on
+    every platform.  The sum runs over that table's rows in its order
+    (omega = 0, then every omega with nonzero noise weight) from +0, as
+    numpy's add.reduce does (so an all -0 sum comes out +0), and the
+    coherence term is complex times complex, as numpy promotes the weight,
+    since float times complex keeps a zero's sign or not by Python version.
+    At eps = 0 only omega = 0 carries weight, and every other row adds a
+    zero that leaves the sum's bits as they are, so those weights come with
+    the table.
+    """
+    table = _curve_table(code, v, theta)
+    plan = _plan(code)
+    norm = plan.logical_norm
+    noise = _noise_weights(plan, eps).tolist()
+    w00 = w11 = 0.0
+    w01 = 0j
+    for k, noise_k in enumerate(noise):
+        if noise_k or not k:
+            weight = norm * noise_k
+            s00, s11, s01 = table.rows[k]
+            w00 += weight * s00
+            w11 += weight * s11
+            w01 += complex(weight) * s01
+    n00, n11, n01 = table.noiseless
+    return [n00, w00], [n11, w11], [n01, w01]
+
+
 def max_error(
     code: GnuParams, v: float, theta: float, eps: float, target: DensityMatrix1Q
 ) -> float:
-    """max_errors at the single error weight eps, on the dataclass path.
+    """max_errors at the single error weight eps, with no array step past its noise row.
 
-    The same step, checking its two settings with _checked_states;
-    trace_distance measures the states.  The value, error class and
-    message are max_errors'.
+    _point_weights sums the cached table in Python numbers;
+    _checked_states checks both settings with the dataclass pair before the
+    first zero-weight one is refused, and trace_distance measures the
+    states.  The value, error class and message are max_errors'.
     """
-    states = _curve_states(code, v, theta, [eps], _checked_states)
-    return max(trace_distance(state, target) for state in states)
+    ens = InputEnsemble(v, theta, 0.0)
+    eps = float(eps)
+    if not 0.0 <= eps <= 1.0:
+        InputEnsemble(v, theta, eps)  # raises InputEnsemble's message
+    weights = _point_weights(code, ens.v, ens.theta, eps)
+    accepted, states = _checked_states(*weights)
+    _refuse_zero_weight(code, v, theta, (0.0, eps), accepted, weights)
+    clean, noisy = states
+    return max(trace_distance(clean, target), trace_distance(noisy, target))

@@ -45,10 +45,8 @@ def squared_modulus(z):
 
 
 def _require_finite(*values: complex) -> None:
-    for z in values:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise OutOfRangeError("non-finite component")
+    if not all(map(cmath.isfinite, values)):
+        raise OutOfRangeError("non-finite component")
 
 
 @dataclass(frozen=True)

@@ -258,15 +258,25 @@ class TestCodespaceProjection:
 
     def test_theta_covariance_for_n1_codes(self):
         # populations are theta-independent; the coherence phase shifts by -g*delta
-        for code in (GnuParams(1, 1, 3), GnuParams(2, 1, 1)):
-            base = codespace_projection(code, InputEnsemble(0.6, 0.0, 0.15))
-            for delta in (0.3, 1.1, -2.0):
-                shifted = codespace_projection(code, InputEnsemble(0.6, delta, 0.15))
-                assert shifted.w00 == pytest.approx(base.w00, abs=1e-12)
-                assert shifted.w11 == pytest.approx(base.w11, abs=1e-12)
-                assert abs(shifted.w01) == pytest.approx(abs(base.w01), abs=1e-12)
-                expected = base.w01 * cmath.exp(-1j * code.g * delta)
-                assert abs(shifted.w01 - expected) <= 1e-12
+        shapes = (
+            (1, 1, 3), (2, 1, 1), (1, 1, 2), (1, 1, 12), (3, 1, 4),
+            (1, 1, 30), (5, 1, 12), (1, 1, 60), (60, 1, 1),
+        )
+        for shape in shapes:
+            code = GnuParams(*shape)
+            rng = random.Random(code.num_qubits * 53 + code.g)
+            points = [(0.6, 0.0, 0.15)] + [
+                (rng.uniform(0.2, 1.3), rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 0.5))
+                for _ in range(3)
+            ]
+            for v, theta, eps in points:
+                for delta in (0.3, 1.1, -2.0, rng.uniform(-math.pi, math.pi)):
+                    assert theta_covariance_gap(code, v, theta, eps, delta) <= 1e-12, code
+
+    def test_theta_covariance_fails_for_an_n2_code(self):
+        # The negative control: with n = 2 the logical components D_0, D_g and
+        # D_2g put theta into the populations too, so the relation breaks.
+        assert theta_covariance_gap(GnuParams(1, 2, 3), 0.6, 0.0, 0.15, 1.1) > 1e-3
 
     def test_success_probability_within_unit_interval(self):
         for v in GRID_V:
@@ -282,6 +292,24 @@ class TestCodespaceProjection:
             CodespaceProjection(0.9, 0.9, 0.0)
         with pytest.raises(OutOfRangeError):
             CodespaceProjection(0.1, 0.1, 0.5)
+
+
+def theta_covariance_gap(code: GnuParams, v: float, theta: float, eps: float, delta: float):
+    """Largest miss of the z-rotation covariance of n = 1 codes between theta and theta + delta.
+
+    There w00 and w11 do not depend on theta and w01 turns by e^{-i g delta}.
+    The miss is relative to the success probability at theta, which on the
+    large codes is far below 1e-12.
+    """
+    base = codespace_projection(code, InputEnsemble(v, theta, eps))
+    shifted = codespace_projection(code, InputEnsemble(v, theta + delta, eps))
+    expected = base.w01 * cmath.exp(-1j * code.g * delta)
+    return max(
+        abs(shifted.w00 - base.w00),
+        abs(shifted.w11 - base.w11),
+        abs(abs(shifted.w01) - abs(base.w01)),
+        abs(shifted.w01 - expected),
+    ) / success_probability(base)
 
 
 class TestFinalState:
@@ -960,6 +988,66 @@ class TestMaxErrors:
                         assert one_point[0] is ZeroSuccessProbabilityError
                         assert ", eps=0.0) on " in one_point[1]
 
+    @pytest.mark.parametrize("shape", [(1, 2, 6), (2, 2, 3), (1, 1, 12), (1, 1, 60)])
+    def test_max_error_keeps_numpy_pow_bits_at_seeded_eps(self, shape, monkeypatch):
+        # max_error sums its noise row in Python floats, but the row itself
+        # must be numpy's pow: float ** int rounds otherwise at ~1.5% of
+        # (eps, k) pairs on some platforms, enough to move a value by 1 ulp.
+        noise_sum, summed = engine._noise_sum, []
+
+        def spy(*args):
+            summed.append(noise_sum(*args))
+            return summed[-1]
+
+        monkeypatch.setattr(engine, "_noise_sum", spy)
+        code = GnuParams(*shape)
+        plan = engine._plan(code)
+        rng = random.Random(code.num_qubits * 41 + code.g)
+        v, theta = rng.uniform(0.3, 1.27), rng.uniform(-math.pi, math.pi)
+        ens = InputEnsemble(v, theta, 0.0)
+        target = t_state().density()
+        grid = (
+            [rng.uniform(0.0, 1.0) for _ in range(200)]
+            + [10.0 ** rng.uniform(-300, -1) for _ in range(25)]
+            + [1.0 - 10.0 ** rng.uniform(-15, -1) for _ in range(25)]
+        )
+        for eps in grid:
+            row = engine._noise_weights(plan, eps)
+            table = engine._noise_weights(plan, np.array([0.0, eps])[:, None])
+            assert row.tobytes() == table[1].tobytes()
+            one_point = _one_point_outcome(max_error, code, v, theta, eps, target)
+            assert one_point == _one_point_outcome(max_errors, code, v, theta, eps, target)
+            assert one_point[0] is float
+            # The weights of both settings too, zero signs included.
+            point = engine._point_weights(code, ens.v, ens.theta, eps)
+            for got, want in zip(point, summed[-1], strict=True):
+                assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("code", ONE_POINT_CODES, ids=_code_id)
+    def test_point_weights_are_the_array_sums_bitwise(self, code, monkeypatch):
+        # max_error's Python sums give the weights of max_errors' numpy sums
+        # at both settings, zero signs included: numpy's add.reduce starts
+        # from +0, so an all -0 coherence part comes out +0 on both paths.
+        noise_sum, summed = engine._noise_sum, []
+
+        def spy(*args):
+            summed.append(noise_sum(*args))
+            return summed[-1]
+
+        monkeypatch.setattr(engine, "_noise_sum", spy)
+        rng = random.Random(code.num_qubits * 59 + code.n)
+        target = t_state().density()
+        for v in (0.0, 1.5707, math.pi / 2, rng.uniform(0.3, 1.27)):
+            ens = InputEnsemble(v, rng.uniform(-math.pi, math.pi), 0.0)
+            for eps in ONE_POINT_EPS + (rng.uniform(0.0, 1.0),):
+                try:
+                    max_errors(code, ens.v, ens.theta, np.array([eps]), target)
+                except ZeroSuccessProbabilityError:
+                    pass
+                point = engine._point_weights(code, ens.v, ens.theta, eps)
+                for got, want in zip(point, summed[-1], strict=True):
+                    assert np.array(got).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "code, v, eps",
         [(code, v, 0.0) for code, v in sorted(ZERO_WEIGHT_POINTS, key=str)]
@@ -1011,11 +1099,16 @@ class TestMaxErrors:
     )
     def test_checks_come_before_the_zero_weight_refusal(self, points, error, monkeypatch):
         # Every accepted setting is checked, in order, by the dataclass pair
-        # before the first zero-weight one is refused, on both paths.
-        def crafted(*args):
+        # before the first zero-weight one is refused, on both paths: the
+        # weights seam of each path returns the crafted settings.
+        def crafted_arrays(*args):
             return tuple(np.array(part) for part in zip(*points))
 
-        monkeypatch.setattr(engine, "_noise_sum", crafted)
+        def crafted_lists(*args):
+            return tuple(list(part) for part in zip(*points))
+
+        monkeypatch.setattr(engine, "_noise_sum", crafted_arrays)
+        monkeypatch.setattr(engine, "_point_weights", crafted_lists)
         target = t_state().density()
         one_point = _one_point_outcome(max_error, U2, 0.8, 0.1, 0.2, target)
         assert one_point == _one_point_outcome(max_errors, U2, 0.8, 0.1, 0.2, target)
@@ -1039,7 +1132,7 @@ class TestMaxErrors:
         target = t_state().density()
         engine._curve_table.cache_clear()
         want = max_errors(U2, 0.8, 0.1, np.array([0.2]), target)[0]
-        for name in ("final_states", "trace_distances"):
+        for name in ("final_states", "trace_distances", "_noise_sum"):
             monkeypatch.setattr(engine, name, lambda *args, name=name: pytest.fail(f"called {name}"))
         misses = engine._curve_table.cache_info().misses
         assert max_error(U2, 0.8, 0.1, 0.2, target) == want
@@ -1152,10 +1245,13 @@ class TestCurveTable:
         assert info.maxsize == engine.CURVE_TABLES
         assert info.currsize <= info.maxsize
         table = engine._curve_table(code, 0.3, -1.0)
-        assert len(table) == 3
-        for part in table:
+        assert len(table.sums) == 3
+        for part in table.sums:
             assert part.shape == (code.num_qubits + 1, 1)
             assert not part.flags.writeable
+        # The Python copies of the sums are tuples, one triple per omega.
+        assert isinstance(table.rows, tuple) and len(table.rows) == code.num_qubits + 1
+        assert all(isinstance(row, tuple) and len(row) == 3 for row in table.rows)
 
     def test_zero_weight_point_raises_the_same_on_miss_and_hit(self):
         code, target = GnuParams(3, 5, 4), t_state().density()
