@@ -2,19 +2,16 @@
 
 Two related jobs live here.  `solve_input_params` finds every (v, theta) whose
 noiseless distilled output hits a target state, by a coarse grid scan followed
-by derivative-free coordinate descent.  `magic_curve` / `solve_for_magic` map
-and invert the relationship between the input angle v and the magic of the
-distilled state at fixed theta.
+by Gauss-Newton refinement.  `magic_curve` / `solve_for_magic` map and invert
+the relationship between the input angle v and the magic of the distilled
+state at fixed theta.
 
 Both scans run on the engine's array path.  At eps = 0 only the unflipped
 input string carries weight, and theta enters the output only through the
 phases e^{i g j theta}, so `projection_weights` evaluates a whole v x theta
-grid per call: the 101 x 400 solver grid is filled in blocks of
-`GRID_BLOCK_ROWS` v-rows, each coordinate descent starts from its grid
-point's residual and scores its four axis neighbours per round with one
-call, and the magic curve is one single-angle call over all of its v;
-`final_states` checks every state, and `_residual_row` scores the grid and
-the neighbours alike.
+grid per call: the 101 x 400 solver grid in blocks of `GRID_BLOCK_ROWS`
+v-rows, each Gauss-Newton iteration as one 3 x 3 block, and the magic curve
+as one single-angle call; `final_states` checks every state.
 `solve_for_magic` searches the sampled magic curve with `roots.first_root`,
 the root search of the threshold and crossover searches.
 """
@@ -23,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import compress
 
 import numpy as np
@@ -44,6 +41,7 @@ from .qmath import (
     m2_densities,
     m2_density,
     m2_pure,
+    pauli_expectations,
     t_state,
     trace_distances,
 )
@@ -60,6 +58,9 @@ GRID_BLOCK_ROWS = 16
 MAGIC_GRID_STEP = math.pi / 1000
 # Grid residuals above this mean the target is unreachable for the code.
 UNREACHABLE_RESIDUAL = 0.1
+# Gauss-Newton: the Jacobian's difference step, and the most halvings of a rejected step.
+NEWTON_DIFFERENCE_STEP = 1e-6
+NEWTON_HALVINGS = 8
 _HALF_PI = math.pi / 2.0
 
 
@@ -117,90 +118,101 @@ def _residual_row(code: GnuParams, target: DensityMatrix1Q, v, thetas):
     return row
 
 
-def _neighbour_residuals(
-    code: GnuParams, target: DensityMatrix1Q, v: float, theta: float, step: float
-):
-    """The four axis neighbours of (v, theta) at this step, as (v, theta, residual).
+def _dot(p, q) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
-    Each neighbour is clamped into [0, pi/2] x [-pi, pi) and scored at its
-    InputEnsemble's angles.  The two v-neighbours share a theta and the two
-    theta-neighbours a v, so one _residual_row call over the 3 x 3 grid of
-    those angles holds all four.
+
+def _newton_step(code: GnuParams, target: DensityMatrix1Q, v: float, theta: float):
+    """(residual, dv, dtheta) at (v, theta) from one engine call; None if its block has no weight.
+
+    The Gauss-Newton step on r = Bloch(output) - Bloch(target), whose length
+    is twice the residual, from a difference Jacobian whose four probes share
+    the point's 3 x 3 block (one-sided at the v edges); it is in v alone
+    where the theta column vanishes, at the poles.  The residual has
+    _residual_row's bits.
     """
-    neighbours = [
-        (min(max(cand_v, 0.0), _HALF_PI), wrap_angle(cand_theta))
-        for cand_v, cand_theta in (
-            (v + step, theta),
-            (v - step, theta),
-            (v, theta + step),
-            (v, theta - step),
-        )
-    ]
-    up, down, right, left = (InputEnsemble(*cand, 0.0) for cand in neighbours)
-    vs = np.array([up.v, down.v, right.v])
-    thetas = np.array([up.theta, right.theta, left.theta])
-    residuals = _residual_row(code, target, vs, thetas)[[0, 1, 2, 2], [0, 0, 1, 2]].tolist()
-    return [(*cand, residual) for cand, residual in zip(neighbours, residuals)]
+    h = NEWTON_DIFFERENCE_STEP
+    lo, hi = (v - h if v >= h else v), (v + h if v + h < _HALF_PI else v)
+    # Each probe at its InputEnsemble's angles, as a scalar call takes them.
+    thetas = np.array([wrap_angle(theta - h), theta, wrap_angle(theta + h)])
+    weights = projection_weights(code, np.array([lo, v, hi]), thetas, 0.0)
+    accepted, m00, m11, m01 = final_states(*weights)
+    if not accepted.all():
+        return None
+    # r[k] = Bloch(output) - Bloch(target) at the block's v k // 3 and theta k % 3.
+    dz = (m00 - m11 - (target.m00 - target.m11)).tolist()
+    r = [(2.0 * w.real, -2.0 * w.imag, z) for w, z in zip((m01 - target.m01).tolist(), dz)]
+    jv = [(p - q) / (hi - lo) for p, q in zip(r[7], r[1])]
+    jt = [(p - q) / (2.0 * h) for p, q in zip(r[5], r[3])]
+    a, b, c = _dot(jv, jv), _dot(jv, jt), _dot(jt, jt)
+    gv, gt = _dot(jv, r[4]), _dot(jt, r[4])
+    det = a * c - b * b
+    residual = trace_distances(m00, m11, m01, target).item(4)
+    if det > 1e-12 * a * c:
+        return residual, (b * gt - c * gv) / det, (b * gv - a * gt) / det
+    return residual, (-gv / a if a > 0.0 else 0.0), 0.0
 
 
-def _pattern_search(
-    code: GnuParams, target: DensityMatrix1Q, v: float, theta: float, best: float, stop: float
-):
-    """Coordinate descent with shrinking steps from (v, theta), whose residual is best.
+def _gauss_newton(code: GnuParams, target: DensityMatrix1Q, v: float, theta: float, best: float):
+    """Gauss-Newton from (v, theta), whose residual is best: (v, theta, residual).
 
-    Returns (v, theta, residual).
+    A trial point, clamped and wrapped as InputEnsemble does, is taken if it
+    lowers the residual; else its step halves, at most NEWTON_HALVINGS times.
     """
-    step = GRID_STEP
-    while step > 1e-12 and best > stop:
-        move = None
-        for cand in _neighbour_residuals(code, target, v, theta, step):
-            if cand[2] < (move[2] if move else best):
-                move = cand
-        if move:
-            v, theta, best = move
+    step, scale = _newton_step(code, target, v, theta), 1.0
+    while step is not None and scale >= 0.5**NEWTON_HALVINGS:
+        trial_v = min(max(v + scale * step[1], 0.0), _HALF_PI)
+        trial = InputEnsemble(trial_v, theta + scale * step[2], 0.0)
+        if (trial.v, trial.theta) == (v, theta):  # the step is below rounding
+            break
+        found = _newton_step(code, target, trial.v, trial.theta)
+        if found is not None and found[0] < best:
+            v, theta, best, step, scale = trial.v, trial.theta, found[0], found, 1.0
         else:
-            step *= 0.5
+            scale *= 0.5
     return v, theta, best
 
 
-def _angle_distance(a: float, b: float) -> float:
-    return abs(wrap_angle(a - b))
+def _canonical_order(a: SolvedInput, b: SolvedInput) -> int:
+    """By input magic, v, then theta; magic and v tie within 1e-12, as g-fold images do."""
+    ties = ((a.input_magic, b.input_magic, 1e-12), (a.v, b.v, 1e-12), (a.theta, b.theta, 0.0))
+    for x, y, tie in ties:
+        if abs(x - y) > tie:
+            return -1 if x < y else 1
+    return 0
 
 
 @lru_cache(maxsize=None)
 def solve_to_density(
     code: GnuParams, target: DensityMatrix1Q, tol: float = 1e-9
 ) -> tuple[SolvedInput, ...]:
-    """All distinct (v, theta) whose noiseless output matches a target state.
+    """All distinct inputs (v, theta) whose noiseless output matches a target state.
 
     Scans a pi/200 grid over v in [0, pi/2] and theta in [-pi, pi), refines
-    every grid-local minimum by coordinate descent, keeps refined points with
-    trace-distance residual <= tol, deduplicates within 1e-6 and returns the
-    solutions sorted by the magic of the required input state (ties broken by
-    (v, theta)), so the head of the tuple is the canonical minimum-magic
-    solution.
+    every grid-local minimum by Gauss-Newton, keeps refined points with
+    trace-distance residual <= tol, one per input state (clean-state Bloch
+    vectors within 1e-6 are one state, as is every theta at a pole), and
+    sorts them by _canonical_order, so the head of the tuple is the
+    canonical minimum-magic solution.
 
     Raises NoSolutionError when the best grid residual exceeds 0.1, which
     signals a target outside the code's reachable set rather than a grid that
-    is merely too coarse.
+    is merely too coarse, or when no refined point reaches tol.
     """
     if not (math.isfinite(tol) and tol >= 1e-10):
         raise OutOfRangeError(f"tol must be a finite number of at least 1e-10, got {tol!r}")
 
-    vs = step_grid(_HALF_PI, GRID_STEP)
+    # The last v overshoots pi/2 by rounding; InputEnsemble clamps it too.
+    vs = np.minimum(step_grid(_HALF_PI, GRID_STEP), _HALF_PI)
     thetas = -math.pi + step_grid(2.0 * math.pi, GRID_STEP)[:-1]
-    # The last row overshoots pi/2 by rounding; InputEnsemble clamps it too.
-    grid_vs = np.minimum(vs, _HALF_PI)
     grid = np.empty((vs.size, thetas.size))
     for i in range(0, vs.size, GRID_BLOCK_ROWS):
         block = slice(i, i + GRID_BLOCK_ROWS)
-        grid[block] = _residual_row(code, target, grid_vs[block], thetas)
+        grid[block] = _residual_row(code, target, vs[block], thetas)
 
     grid_min = grid.min()
     if grid_min > UNREACHABLE_RESIDUAL:
-        raise NoSolutionError(
-            f"best grid residual {grid_min:.4f} exceeds {UNREACHABLE_RESIDUAL}"
-        )
+        raise NoSolutionError(f"best grid residual {grid_min:.4f} exceeds {UNREACHABLE_RESIDUAL}")
 
     # Grid-local minima: no larger than any theta (cyclic) or v neighbour.
     is_min = (
@@ -212,34 +224,21 @@ def solve_to_density(
     is_min[:-1] &= grid[:-1] <= grid[1:]
 
     refined = []
-    # grid[i, j] is the residual at (vs[i], thetas[j]): the grid's angles are
-    # wrapped already, and each v clamps to its grid row.
-    for i, j in zip(*np.nonzero(is_min)):
-        v0, theta0, value0 = float(vs[i]), float(thetas[j]), float(grid[i, j])
-        v, theta, value = _pattern_search(code, target, v0, theta0, value0, stop=tol * 1e-3)
+    # grid[i, j] is the residual at (vs[i], thetas[j]), whose angles are wrapped.
+    rows, cols = np.nonzero(is_min)
+    for start in zip(vs[rows].tolist(), thetas[cols].tolist(), grid[rows, cols].tolist()):
+        v, theta, value = _gauss_newton(code, target, *start)
         if value <= tol:
-            refined.append(
-                SolvedInput(
-                    v=v,
-                    theta=theta,
-                    residual=value,
-                    input_magic=m2_pure(InputEnsemble(v, theta, 0.0).clean_state()),
-                )
-            )
-
+            clean = InputEnsemble(v, theta, 0.0).clean_state()
+            refined.append((value, pauli_expectations(clean.density()), v, theta, m2_pure(clean)))
     if not refined:
         raise NoSolutionError(f"no refined point reached the tolerance {tol!r}")
 
-    deduped: list[SolvedInput] = []
-    for sol in sorted(refined, key=lambda s: s.residual):
-        if any(
-            abs(sol.v - kept.v) <= 1e-6 and _angle_distance(sol.theta, kept.theta) <= 1e-6
-            for kept in deduped
-        ):
-            continue
-        deduped.append(sol)
-    deduped.sort(key=lambda s: (s.input_magic, s.v, s.theta))
-    return tuple(deduped)
+    kept = {}  # input Bloch vector -> solution, one per input state
+    for value, bloch, v, theta, magic in sorted(refined, key=lambda item: item[0]):
+        if all(math.dist(bloch, other) > 1e-6 for other in kept):
+            kept[bloch] = SolvedInput(v, theta, value, magic)
+    return tuple(sorted(kept.values(), key=cmp_to_key(_canonical_order)))
 
 
 def solve_input_params(

@@ -231,8 +231,8 @@ def test_criterion_12_regression_locked_solver_outputs():
     # locked against the closed-form inversions derived independently above.
     for (u, kind), (v_expected, theta_expected) in EXPECTED_CANONICAL.items():
         head = solve_input_params(GnuParams(1, 1, u), TargetSpec(kind), tol=1e-9)[0]
-        assert head.v == pytest.approx(v_expected, abs=1e-8), (u, kind)
-        assert head.theta == pytest.approx(theta_expected, abs=1e-8), (u, kind)
+        assert head.v == pytest.approx(v_expected, abs=1e-12), (u, kind)
+        assert head.theta == pytest.approx(theta_expected, abs=1e-12), (u, kind)
     # repetition-code rows: the exact reference parameters appear among the
     # solutions
     for kind in ("T", "H"):

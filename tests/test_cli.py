@@ -390,8 +390,8 @@ class TestComposeCommand:
         assert main("compose --eps -0 --target T".split()) == 0
         out = capsys.readouterr().out
         assert out == (
-            '{\n  "target": "T",\n  "eps": 0.0,\n  "error_stage_a": 8.05747904495e-13,\n'
-            '  "error_total": 3.246148428e-24\n}\n'
+            '{\n  "target": "T",\n  "eps": 0.0,\n  "error_stage_a": 9.71445146547e-17,\n'
+            '  "error_total": 4.71852836375e-32\n}\n'
         )
         assert math.copysign(1.0, json.loads(out)["eps"]) == 1.0
 

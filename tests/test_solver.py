@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -21,10 +22,8 @@ from gnumsd.qmath import (
 )
 from gnumsd.roots import bisect_sign_change, first_root, step_grid
 from gnumsd.solver import (
-    GRID_STEP,
+    SolvedInput,
     TargetSpec,
-    _neighbour_residuals,
-    _pattern_search,
     default_magic_grid,
     magic_curve,
     solve_for_magic,
@@ -79,10 +78,11 @@ class TestSolveInputParams:
 
     def test_codeword_fixed_point_family(self):
         solutions = solve_to_density(U2, DensityMatrix1Q(1.0, 0.0, 0.0), 1e-9)
-        # an entire theta family solves v=0; the canonical head has v = 0
+        # every theta solves at v = 0, but all of them are the one input
+        # state |0>, so the family is one solution
         assert solutions[0].v == pytest.approx(0.0, abs=1e-9)
         assert solutions[0].input_magic == pytest.approx(0.0, abs=1e-12)
-        assert len(solutions) > 10
+        assert len(solutions) == 1
 
     def test_round_trip_property(self):
         for code in (U2, GnuParams(1, 1, 3)):
@@ -104,6 +104,24 @@ class TestSolveInputParams:
                 head = solve_input_params(code, TargetSpec(kind))[0]
                 assert head.input_magic < m2_pure(reference)
 
+    def test_images_order_by_theta_whatever_the_rounding(self):
+        # The g-fold images differ in magic and v by rounding only, so theta
+        # alone orders them, whichever way the rounding falls.
+        a = SolvedInput(0.6, 0.39, 1e-16, 0.3)
+        b = SolvedInput(math.nextafter(0.6, 0.0), -2.75, 1e-16, math.nextafter(0.3, 1.0))
+        for pair in ([a, b], [b, a]):
+            assert sorted(pair, key=cmp_to_key(solver._canonical_order)) == [b, a]
+        rng = random.Random(7)
+        for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 2)):
+            code = GnuParams(*shape)
+            for _ in range(3):
+                state = InputEnsemble(rng.uniform(0.25, 1.32), rng.uniform(-math.pi, math.pi), 0.0)
+                solutions = solve_to_density(code, distilled_state(code, state), 1e-9)
+                for first, second in zip(solutions, solutions[1:]):
+                    gap = max(abs(first.input_magic - second.input_magic), abs(first.v - second.v))
+                    if gap <= 1e-12:
+                        assert first.theta < second.theta
+
     def test_unreachable_mixed_target(self):
         with pytest.raises(NoSolutionError):
             solve_to_density(U2, DensityMatrix1Q(0.5, 0.5, 0.0), 1e-9)
@@ -122,100 +140,221 @@ def _residual(code, target, v, theta):
         return math.inf
 
 
-def _reference_pattern_search(code, target, v, theta, stop):
-    """_pattern_search probing one neighbour at a time through _residual."""
-    best = _residual(code, target, v, theta)
-    step = GRID_STEP
-    while step > 1e-12 and best > stop:
-        move = None
-        for cand_v, cand_theta in (
-            (v + step, theta),
-            (v - step, theta),
-            (v, theta + step),
-            (v, theta - step),
-        ):
-            cand_v = min(max(cand_v, 0.0), math.pi / 2)
-            cand_theta = wrap_angle(cand_theta)
-            value = _residual(code, target, cand_v, cand_theta)
-            if value < (move[2] if move else best):
-                move = (cand_v, cand_theta, value)
-        if move:
-            v, theta, best = move
-        else:
-            step *= 0.5
-    return v, theta, best
+def _bloch_residual(code, target, v, theta):
+    """Bloch(output) - Bloch(target) at one point, one scalar call."""
+    state = distilled_state(code, InputEnsemble(v, theta, 0.0))
+    d01 = state.m01 - target.m01
+    return (2.0 * d01.real, -2.0 * d01.imag, state.m00 - state.m11 - (target.m00 - target.m11))
 
 
-NEIGHBOUR_CODES = [
+def _reference_newton_step(code, target, v, theta):
+    """_newton_step's residual and step, reading each probe with its own scalar call."""
+    h = solver.NEWTON_DIFFERENCE_STEP
+    lo = v - h if v >= h else v
+    hi = v + h if v + h < math.pi / 2 else v
+    up, down = _bloch_residual(code, target, hi, theta), _bloch_residual(code, target, lo, theta)
+    right, left = (_bloch_residual(code, target, v, theta + d) for d in (h, -h))
+    r = _bloch_residual(code, target, v, theta)
+    jv = [(p - q) / (hi - lo) for p, q in zip(up, down)]
+    jt = [(p - q) / (2.0 * h) for p, q in zip(right, left)]
+
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+    a, b, c = dot(jv, jv), dot(jv, jt), dot(jt, jt)
+    gv, gt = dot(jv, r), dot(jt, r)
+    det = a * c - b * b
+    if det > 1e-12 * a * c:
+        step = ((b * gt - c * gv) / det, (b * gv - a * gt) / det)
+    else:
+        step = (-gv / a if a > 0.0 else 0.0, 0.0)
+    return (_residual(code, target, v, theta), *step)
+
+
+SEEDED_CODES = [
     GnuParams(*shape)
     for shape in ((1, 1, 2), (2, 1, 1), (1, 1, 12), (1, 2, 3), (3, 2, 2), (1, 4, 2.5))
 ]
+ONE = DensityMatrix1Q(0.0, 1.0, 0.0)
 
 
-class TestNeighbourResiduals:
+def _start(code, target, v, theta):
+    """A refinement start at (v, theta), seeded with its residual."""
+    return code, target, v, theta, _residual(code, target, v, theta)
+
+
+class TestGaussNewton:
     XT = TargetSpec("XT").density()
 
-    def _check(self, code, v, theta, step):
-        """The four neighbours, each checked bitwise against the scalar residual."""
-        neighbours = _neighbour_residuals(code, self.XT, v, theta, step)
-        axis = ((v + step, theta), (v - step, theta), (v, theta + step), (v, theta - step))
-        assert len(neighbours) == 4
-        for (cand_v, cand_theta, value), (raw_v, raw_theta) in zip(neighbours, axis):
-            assert cand_v == min(max(raw_v, 0.0), math.pi / 2)
-            assert cand_theta == wrap_angle(raw_theta)
-            assert value == _residual(code, self.XT, cand_v, cand_theta)
-        return neighbours
-
-    @pytest.mark.parametrize("code", NEIGHBOUR_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
-    def test_seeded_points_match_scalar_residual(self, code):
+    @pytest.mark.parametrize("code", SEEDED_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
+    def test_step_matches_one_point_at_a_time(self, code):
+        # The centre and its four probes come out of one 3 x 3 block; each
+        # must be the scalar state there, and the residual its bits.
         rng = random.Random(code.num_qubits * 10 + code.g)
-        for _ in range(50):
-            step = GRID_STEP * 0.5 ** rng.randrange(40)
-            self._check(code, rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi), step)
+        points = [(0.0, 0.4), (math.pi / 2, -0.4)] if code.num_qubits < 12 else []
+        for _ in range(20):
+            points.append((rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi)))
+        for v, theta in points:
+            found = solver._newton_step(code, self.XT, v, theta)
+            reference = _reference_newton_step(code, self.XT, v, theta)
+            assert found == reference
 
-    def test_v_clamps_and_theta_wraps(self):
-        low = self._check(U2, 0.001, -math.pi + 0.001, GRID_STEP)
-        assert low[1][0] == 0.0 and low[3][1] > 3.1
-        high = self._check(U2, math.pi / 2 - 0.001, math.pi - 0.002, GRID_STEP)
-        assert high[0][0] == math.pi / 2 and high[2][1] < -3.1
+    def test_v_clamps_and_theta_wraps(self, monkeypatch):
+        # Steps 100 times too long leave [0, pi/2] x [-pi, pi); every trial
+        # point is clamped and wrapped as InputEnsemble does.
+        trials = []
+        step = solver._newton_step
 
-    def test_zero_weight_neighbour_is_inf(self):
-        # The (1, 1, 12) weight underflows at v = pi/2 only.
+        def long_step(code, target, v, theta):
+            trials.append((v, theta))
+            found = step(code, target, v, theta)
+            return found and (found[0], 100.0 * found[1], 100.0 * found[2])
+
+        monkeypatch.setattr(solver, "_newton_step", long_step)
+        target = distilled_state(U2, InputEnsemble(0.05, -math.pi + 1e-3, 0.0))
+        solver._gauss_newton(*_start(U2, target, 0.06, math.pi - 0.004))
+        assert trials[1][0] == 0.0 and -math.pi <= trials[1][1] < 0.0
+        assert all(0.0 <= v <= math.pi / 2 and -math.pi <= theta < math.pi for v, theta in trials)
+
+    def test_roots_across_the_edges(self):
+        # A root just past theta = -pi, from a start just below +pi.
+        target = distilled_state(U2, InputEnsemble(0.7, -math.pi + 1e-3, 0.0))
+        v, theta, value = solver._gauss_newton(*_start(U2, target, 0.72, math.pi - 0.004))
+        assert -math.pi <= theta < -math.pi + 2e-3
+        assert v == pytest.approx(0.7, abs=1e-12)
+        assert theta == pytest.approx(-math.pi + 1e-3, abs=1e-12)
+        assert value <= 1e-15
+        # A root just below v = pi/2, from the v = pi/2 grid row.
+        target = distilled_state(U2, InputEnsemble(math.pi / 2 - 1e-7, 0.4, 0.0))
+        v, theta, value = solver._gauss_newton(*_start(U2, target, math.pi / 2, 0.42))
+        assert v == pytest.approx(math.pi / 2 - 1e-7, abs=1e-12)
+        assert theta == pytest.approx(0.4, abs=1e-9)
+        assert value <= 1e-15
+
+    def test_probes_stay_inside_the_v_edge(self):
+        # The (1, 1, 12) weight underflows at v = pi/2 only: a block centred
+        # there has no weight, and one just inside probes no further out.
         code = GnuParams(1, 1, 12)
-        neighbours = self._check(code, math.pi / 2 - GRID_STEP / 2, 0.3, GRID_STEP)
-        assert neighbours[0][0] == math.pi / 2 and neighbours[0][2] == math.inf
-        assert all(math.isfinite(value) for _, _, value in neighbours[1:])
+        assert solver._newton_step(code, ONE, math.pi / 2, 0.3) is None
+        inside = math.pi / 2 - solver.NEWTON_DIFFERENCE_STEP / 2
+        found = solver._newton_step(code, ONE, inside, 0.3)
+        assert found is not None and all(math.isfinite(x) for x in found)
 
-    @pytest.mark.parametrize("code", NEIGHBOUR_CODES[:4], ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
-    def test_pattern_search_matches_one_probe_at_a_time(self, code):
-        rng = random.Random(code.num_qubits)
-        for kind in ("XT", "XH"):
-            target = TargetSpec(kind).density()
-            for _ in range(2):
-                start = (rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi))
-                best = _residual(code, target, *start)
-                assert _pattern_search(
-                    code, target, *start, best, 1e-12
-                ) == _reference_pattern_search(code, target, *start, 1e-12)
+    def test_target_one_near_the_v_edge(self):
+        # |1> is reached only as v -> pi/2 on (1, 1, 12), where every theta
+        # is the same input state: one solution.
+        (sol,) = solve_to_density(GnuParams(1, 1, 12), ONE, 1e-9)
+        assert math.pi / 2 - 1e-6 < sol.v <= math.pi / 2
+        assert sol.residual <= 1e-12 and sol.input_magic == 0.0
 
-    @pytest.mark.parametrize("code", NEIGHBOUR_CODES[:4], ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
-    def test_search_starts_from_the_grid_residual(self, code, monkeypatch):
-        # solve_to_density seeds each descent with its grid point's residual,
-        # which must be the scalar residual there, bit for bit.
+    def test_mixed_target_stays_refused(self):
+        # A mixed target has no zero residual: its grid minimum is in range,
+        # but no refined point reaches the tolerance.
+        t = t_state().density()
+        mixed = DensityMatrix1Q(0.98 * t.m00 + 0.01, 0.98 * t.m11 + 0.01, 0.98 * t.m01)
+        for code in (U2, REPETITION):
+            with pytest.raises(NoSolutionError, match="no refined point reached the tolerance"):
+                solve_to_density(code, mixed, 1e-9)
+
+    @pytest.mark.parametrize("code", SEEDED_CODES[:4], ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
+    def test_refinement_starts_from_the_grid_residual(self, code, monkeypatch):
+        # solve_to_density seeds each refinement with its grid point's
+        # residual, which must be the scalar residual there, bit for bit, and
+        # reports the scalar residual of each solution.
         starts = []
-        search = solver._pattern_search
+        refine = solver._gauss_newton
 
-        def recorded(*args, **kwargs):
+        def recorded(*args):
             starts.append(args)
-            return search(*args, **kwargs)
+            return refine(*args)
 
-        monkeypatch.setattr(solver, "_pattern_search", recorded)
+        monkeypatch.setattr(solver, "_gauss_newton", recorded)
         for kind in ("XT", "XH"):
             target = TargetSpec(kind).density()
-            solve_to_density.__wrapped__(code, target, 1e-9)
+            for sol in solve_to_density.__wrapped__(code, target, 1e-9):
+                assert sol.residual == _residual(code, target, sol.v, sol.theta)
+                assert type(sol.v) is type(sol.theta) is type(sol.residual) is float
         assert starts
         for _, target, v, theta, best in starts:
             assert best == _residual(code, target, v, theta)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 2, 3), (3, 2, 2), (2, 3, 2)], ids=lambda s: "-".join(map(str, s))
+    )
+    def test_generated_targets_solve_to_float_precision(self, shape):
+        code = GnuParams(*shape)
+        rng = random.Random(sum(shape))
+        for _ in range(3):
+            v0, theta0 = rng.uniform(0.25, 1.32), rng.uniform(-math.pi, math.pi)
+            target = distilled_state(code, InputEnsemble(v0, theta0, 0.0))
+            solutions = solve_to_density.__wrapped__(code, target, 1e-9)
+            assert max(s.residual for s in solutions) <= 1e-12
+            assert any(
+                abs(s.v - v0) <= 1e-9 and abs(wrap_angle(s.theta - theta0)) <= 1e-9
+                for s in solutions
+            )
+
+
+def _n1_reference(code, target):
+    """Every (v, theta) with noiseless output target on an n = 1 code, sorted.
+
+    For n = 1, m00 does not depend on theta and m01 turns as e^{-i g theta},
+    so a solution is a root in v of m00(v) = t00, bisected here from a
+    sampled sign change, with theta = (arg m01(v, 0) - arg t01 + 2 pi k) / g.
+    """
+    def offset(v):
+        return distilled_state(code, InputEnsemble(v, 0.0, 0.0)).m00 - target.m00
+
+    samples = []
+    for k in range(2001):
+        v = k * (math.pi / 4000)
+        try:
+            samples.append((v, offset(v)))
+        except ZeroSuccessProbabilityError:
+            continue
+    roots = []
+    for (lo, f_lo), (hi, f_hi) in zip(samples, samples[1:]):
+        if f_lo == 0.0:
+            roots.append(lo)
+        elif (f_lo < 0.0) != (f_hi < 0.0) and f_hi != 0.0:
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                if (offset(mid) < 0.0) == (f_lo < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(lo)
+    solutions = []
+    for v in roots:
+        phase = cmath.phase(distilled_state(code, InputEnsemble(v, 0.0, 0.0)).m01)
+        for k in range(code.g):
+            theta = (phase - cmath.phase(target.m01) + 2.0 * math.pi * k) / code.g
+            solutions.append((v, wrap_angle(theta)))
+    return sorted(solutions)
+
+
+class TestOneComponentReference:
+    @pytest.mark.parametrize("kind", ["T", "XT", "H", "XH"])
+    @pytest.mark.parametrize("code", [U2, REPETITION], ids=["1-1-2", "2-1-1"])
+    def test_paper_targets(self, code, kind):
+        self._check(code, TargetSpec(kind).density())
+
+    @pytest.mark.parametrize("u", [12, 30, 60])
+    def test_generated_targets(self, u):
+        code = GnuParams(1, 1, u)
+        rng = random.Random(u)
+        for _ in range(2):
+            v0, theta0 = rng.uniform(0.25, 1.32), rng.uniform(-math.pi, math.pi)
+            self._check(code, distilled_state(code, InputEnsemble(v0, theta0, 0.0)))
+
+    @staticmethod
+    def _check(code, target):
+        solutions = solve_to_density.__wrapped__(code, target, 1e-9)
+        reference = _n1_reference(code, target)
+        assert len(solutions) == len(reference)
+        for sol, (v, theta) in zip(sorted(solutions, key=lambda s: (s.v, s.theta)), reference):
+            assert sol.v == pytest.approx(v, abs=1e-11)
+            assert wrap_angle(sol.theta - theta) == pytest.approx(0.0, abs=1e-11)
 
 
 class TestMagicCurve:
@@ -231,7 +370,7 @@ class TestMagicCurve:
         assert points[0][1] == m2_density(state)
         assert caplog.messages == [f"magic_curve: skipped singular grid point v={math.pi / 2!r}"]
 
-    @pytest.mark.parametrize("code", NEIGHBOUR_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
+    @pytest.mark.parametrize("code", SEEDED_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
     def test_seeded_grid_matches_scalar_magic_bitwise(self, code):
         # solve_for_magic samples this curve and bisects with m2_density on
         # distilled_state, so the two paths must agree to the bit.
