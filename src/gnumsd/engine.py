@@ -27,22 +27,23 @@ second step weights by an (omega, column) table of noise weights and sums
 over omega.
 `projection_weights` takes one eps, a float or a whole vector of v, and a
 whole vector of theta, which is how the noiseless solver grid, the solver's
-neighbour probes and the magic curve evaluate many points in one call;
+Gauss-Newton blocks and the magic curve evaluate many points in one call;
 `max_errors` takes one (v, theta) and a whole vector of eps, which is how
 error curves evaluate a threshold grid or a figure's eps column in one call,
 and `max_error` is its one-point twin.  Beside the plan, both keep a second
-cache: the logical sums of every omega = 0..N, one table per (code, v,
-theta) with v and theta as InputEnsemble clamps and wraps them, at most
-CURVE_TABLES of them, read-only.  Only the noise weights depend on eps, so
-every point of an error curve, scalar calls and bisection steps included,
-reads one table and runs only the weighted omega sum, the state checks and
-the refusal (`_refuse_zero_weight`, the one curve refusal of both).
-`max_errors` sums the table's arrays in numpy (`_curve_states`); the
-one-point `max_error` sums the same entry's Python copy of them in floats
-(`_point_weights`), in the array sum's order and with its noise row from
-numpy's pow, so its bits are max_errors' without an array step per point.
-The entry also holds the eps = 0 weights, which every curve point
-includes.  `dicke_overlap` is a
+cache, `_curve_table`: one entry per (code, v, theta) with v and theta as
+InputEnsemble clamps and wraps them, at most CURVE_TABLES of them,
+read-only.  An entry holds the logical sums of every omega = 0..N and the
+curve's eps = 0 leg, checked once as the entry is built: the noiseless
+output state, or its weight where that setting is too weak to normalise.
+Only the noise weights depend on eps, so every point of an error curve,
+scalar calls and bisection steps included, reads one entry and runs only
+its own eps: the weighted omega sum, that setting's checks and the refusal
+(`_refuse_zero_weight`, the one curve refusal of both).  Both add the omega
+rows in the one order `_CurveTable` states, `max_errors` in numpy and
+`max_error` in Python floats over the entry's Python copy of the sums
+(`_point_weights`), with its noise row from numpy's pow, so its bits are
+max_errors' without an array step per point.  `dicke_overlap` is a
 one-point read of the same amplitudes on the (1, N, 1) code; the tests keep
 the term-by-term sum as the reference the plan path is checked against.
 The dataclass pair `CodespaceProjection` + `final_state` (which builds a
@@ -285,7 +286,7 @@ def _logical_sums(plan: _Plan, v, thetas, rows: slice):
 
     v is a float or an array of them, and leads the shape of each sum, which
     is np.shape(v) + (omega, theta).  Nothing here depends on eps: the
-    noise weights enter only in _noise_sum.
+    callers weight the rows by noise and sum them over omega.
     """
     amplitude = _amplitudes(plan, v, rows)
     # (v, omega, j, theta) terms, summed by broadcasting: matmul would load
@@ -297,43 +298,34 @@ def _logical_sums(plan: _Plan, v, thetas, rows: slice):
     return squared_modulus(even), squared_modulus(odd), even * odd.conj()
 
 
-def _noise_sum(plan: _Plan, sums, noise):
-    """Codespace weights (w00, w11, w01): the logical sums weighted by noise, summed over omega.
-
-    noise holds one row per omega of sums, broadcast against its theta
-    columns: one noise column against a vector of theta, or one theta
-    against a column per eps.
-    """
-    s00, s11, s01 = sums
-    weight = plan.logical_norm * noise
-    # A literal tuple: tuple() of a generator builds a longer tuple and
-    # shrinks it, which leaves one more 3-tuple on CPython's free list per
-    # call, ~128 KB resident once a curve's calls fill it.
-    return (
-        np.add.reduce(weight * s00, -2),
-        np.add.reduce(weight * s11, -2),
-        np.add.reduce(weight * s01, -2),
-    )
-
-
 class _CurveTable(NamedTuple):
-    """The logical sums of one code at one (v, theta), read by every eps of an error curve."""
+    """The logical sums of one code at one (v, theta), read by every eps of an error curve.
+
+    A curve's weights at one eps are logical_norm * noise * sums summed over
+    the omega with nonzero noise weight, added in ascending omega from +0
+    (so an all -0 sum comes out +0, never -0): max_errors down each eps
+    column with a cumsum, max_error over rows in Python floats.  That one
+    order gives both paths the same bits at every eps.
+    """
 
     sums: tuple  # (|even|^2, |odd|^2, even * conj(odd)) arrays, one row per omega = 0..N
     rows: tuple  # the same sums per omega as Python (float, float, complex) triples
-    noiseless: tuple  # (w00, w11, w01) at eps = 0: logical_norm times row 0
+    noiseless: DensityMatrix1Q | float  # the checked eps = 0 state, or its weight if refused
 
 
 @lru_cache(maxsize=CURVE_TABLES)
 def _curve_table(code: GnuParams, v: float, theta: float) -> _CurveTable:
-    """The logical sums of code at one (v, theta) for every omega = 0..N.
+    """The logical sums of code at one (v, theta) for every omega = 0..N, and its eps = 0 leg.
 
     All that max_errors and max_error need besides the noise weights, so
-    every eps of an error curve shares it: the arrays for max_errors, the
-    same numbers as Python triples for max_error, and the weights at eps = 0
-    (where only omega = 0 has noise weight, exactly 1.0).  v and theta come
-    clamped and wrapped by InputEnsemble, so equal keys build equal tables.
-    The entry is shared by every call and so read-only.
+    every eps of an error curve shares it: the arrays for max_errors and the
+    same numbers as Python triples for max_error.  At eps = 0 only omega = 0
+    has noise weight, exactly 1.0, so the noiseless weights are logical_norm
+    times row 0; final_states checks them here, once per entry, which keeps
+    the state, or the weight where it is too small to normalise, so every
+    call can refuse it without raising here.  v and theta come clamped and
+    wrapped by InputEnsemble, so equal keys build equal tables.  The entry
+    is shared by every call and so read-only.
     """
     plan = _plan(code)
     sums = _logical_sums(plan, v, np.array([theta]), slice(0, code.num_qubits + 1))
@@ -342,8 +334,11 @@ def _curve_table(code: GnuParams, v: float, theta: float) -> _CurveTable:
     rows = tuple(zip(*[part[:, 0].tolist() for part in sums]))
     norm = plan.logical_norm
     s00, s11, s01 = rows[0]
-    # Summed from +0 like every _point_weights sum.
-    return _CurveTable(sums, rows, (0.0 + norm * s00, 0.0 + norm * s11, 0j + complex(norm) * s01))
+    # Summed from +0 like every curve weight.
+    w00, w11, w01 = 0.0 + norm * s00, 0.0 + norm * s11, 0j + complex(norm) * s01
+    accepted, m00, m11, m01 = final_states(np.array([w00]), np.array([w11]), np.array([w01]))
+    noiseless = DensityMatrix1Q(m00.item(), m11.item(), m01.item()) if accepted[0] else w00 + w11
+    return _CurveTable(sums, rows, noiseless)
 
 
 def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> complex:
@@ -389,7 +384,16 @@ def projection_weights(code: GnuParams, v, thetas, eps: float):
     # The omega with nonzero weight at one eps form one run.
     flips = noise.nonzero()[0]
     rows = slice(int(flips[0]), int(flips[-1]) + 1)
-    return _noise_sum(plan, _logical_sums(plan, v, thetas, rows), noise[rows, None])
+    s00, s11, s01 = _logical_sums(plan, v, thetas, rows)
+    weight = plan.logical_norm * noise[rows, None]
+    # A literal tuple: tuple() of a generator builds a longer tuple and
+    # shrinks it, which leaves one more 3-tuple on CPython's free list per
+    # call, ~128 KB resident once a curve's calls fill it.
+    return (
+        np.add.reduce(weight * s00, -2),
+        np.add.reduce(weight * s11, -2),
+        np.add.reduce(weight * s01, -2),
+    )
 
 
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:
@@ -483,31 +487,38 @@ def distilled_state(code: GnuParams, ens: InputEnsemble) -> DensityMatrix1Q:
     return final_state(codespace_projection(code, ens))
 
 
-def _refuse_zero_weight(code: GnuParams, v: float, theta: float, settings, accepted, weights):
-    """Refuse the first channel setting not accepted, with codespace_projection's error.
+def _refuse_zero_weight(code: GnuParams, v, theta, noiseless, eps, accepted, weights):
+    """Refuse the first channel setting too weak to normalise, eps = 0 first.
 
     The one curve refusal of max_errors and max_error, raised only after
-    every setting has been checked.
+    every setting has been checked, with codespace_projection's error.
+    noiseless is the table's eps = 0 leg, a float where it was refused;
+    accepted flags each setting of eps and weights holds their weights.
     """
-    if False in accepted:  # no Python loop over an array, unlike all()
+    if isinstance(noiseless, float):
+        setting, weight = 0.0, noiseless
+    elif False in accepted:  # no Python loop over an array, unlike all()
         first = list(accepted).index(False)
-        weight = float(weights[0][first] + weights[1][first])
-        raise _zero_weight_error(code, InputEnsemble(v, theta, settings[first]), weight)
+        setting, weight = eps[first], float(weights[0][first] + weights[1][first])
+    else:
+        return
+    raise _zero_weight_error(code, InputEnsemble(v, theta, setting), weight)
 
 
-def _curve_states(code: GnuParams, v: float, theta: float, eps):
-    """The checked output states of an error curve at the channel settings [0, *eps].
+def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatrix1Q):
+    """Worst-case output error over the channel settings {0, e} for each e in eps.
 
-    eps (a 1-D array) only enters through the noise weights of omega
-    flipped inputs, so every call at one (v, theta) on a code reads one
-    cached table of the per-omega logical sums for omega = 0..N, keyed on
-    the code and InputEnsemble's clamped v and wrapped theta, and weights
-    the rows with nonzero noise weight at 0 or at some eps.  final_states
-    then checks every setting, and only after it the first setting at or
-    below MIN_SUCCESS_PROBABILITY is refused.  Returns the states
-    final_states returns after its flags, or None for an empty eps.  Raises
-    OutOfRangeError with InputEnsemble's message for the first eps outside
-    [0, 1].
+    The noiseless output pins the protocol's intent, the noisy one its
+    degradation.  eps (a 1-D array) only enters through the noise weights
+    of omega flipped inputs, so every call at one (v, theta) on a code
+    reads one _curve_table entry, which holds the checked eps = 0 leg, and
+    weights only the rows with nonzero noise weight at some eps, in the
+    order _CurveTable states.  final_states checks every eps before the
+    first setting too weak to normalise is refused, so a warm call gives
+    the bits of a cold one, and trace_distances measures the states.
+    Raises OutOfRangeError with InputEnsemble's message for the first eps
+    outside [0, 1], and ZeroSuccessProbabilityError, with its message,
+    where codespace_projection would at 0 or at any eps.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 1:
@@ -517,69 +528,41 @@ def _curve_states(code: GnuParams, v: float, theta: float, eps):
     if not inside.all():
         InputEnsemble(v, theta, eps[~inside][0])  # raises the scalar path's message
     if eps.size == 0:
-        return None
-    settings = np.concatenate(([0.0], eps))
-    table = _curve_table(code, ens.v, ens.theta).sums
-    plan = _plan(code)
-    noise = _noise_weights(plan, settings[:, None])
-    flips = noise.any(axis=0).nonzero()[0]
-    # noise[:, flips] comes out F-ordered, so its transpose is C-contiguous;
-    # the omega sum's order, and so its bits, follow that layout (a take
-    # along axis 1 would change them): a sum row by row, omega ascending.
-    weights = _noise_sum(plan, [part.take(flips, 0) for part in table], noise[:, flips].T)
-    accepted, *states = final_states(*weights)
-    _refuse_zero_weight(code, v, theta, settings, accepted, weights)
-    return states
-
-
-def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatrix1Q):
-    """Worst-case output error over the channel settings {0, e} for each e in eps.
-
-    The noiseless output pins the protocol's intent, the noisy one its
-    degradation.  The states come from _curve_states, checked by
-    final_states, so a warm call gives the bits of a cold one, and
-    trace_distances measures them.
-    Raises OutOfRangeError with InputEnsemble's message for the first eps
-    outside [0, 1], and ZeroSuccessProbabilityError, with its message,
-    where codespace_projection would at 0 or at any eps.
-    """
-    states = _curve_states(code, v, theta, eps)
-    if states is None:
         return np.empty(0)
-    errors = trace_distances(*states, target)
-    return np.maximum(errors[1:], errors[0])
+    table = _curve_table(code, ens.v, ens.theta)
+    plan = _plan(code)
+    noise = _noise_weights(plan, eps[:, None])
+    flips = noise.any(axis=0).nonzero()[0]
+    weight = plan.logical_norm * noise[:, flips].T
+    # cumsum adds down each column in order, and + 0.0 turns an all -0 sum into +0.
+    weights = [np.cumsum(weight * part.take(flips, 0), axis=0)[-1] + 0.0 for part in table.sums]
+    accepted, *states = final_states(*weights)
+    _refuse_zero_weight(code, v, theta, table.noiseless, eps, accepted, weights)
+    return np.maximum(trace_distances(*states, target), trace_distance(table.noiseless, target))
 
 
-def _point_weights(code: GnuParams, v: float, theta: float, eps: float):
-    """Codespace weights (w00, w11, w01) at the settings 0 and eps, each a list of two.
+def _point_weights(code: GnuParams, table: _CurveTable, eps: float):
+    """Codespace weights ([w00], [w11], [w01]) at the one setting eps, from table.
 
-    max_errors' weights at one eps, in Python numbers and with its bits.
-    The noise row is numpy's _noise_weights at this eps, whose pow gives
-    the bits of the [0, eps] table's row where Python's ** does not on
-    every platform.  The sum runs over that table's rows in its order
-    (omega = 0, then every omega with nonzero noise weight) from +0, as
-    numpy's add.reduce does (so an all -0 sum comes out +0), and the
-    coherence term is complex times complex, as numpy promotes the weight,
-    since float times complex keeps a zero's sign or not by Python version.
-    At eps = 0 only omega = 0 carries weight, and every other row adds a
-    zero that leaves the sum's bits as they are, so those weights come with
-    the table.
+    max_errors' weights at eps, in Python numbers and with its bits: the
+    table's rows with nonzero noise weight, added in the order _CurveTable
+    states.  The noise row is numpy's _noise_weights at this eps, whose pow
+    gives the bits of max_errors' row where Python's ** does not on every
+    platform, and the coherence term is complex times complex, as numpy
+    promotes the weight, since float times complex keeps a zero's sign or
+    not by Python version.
     """
-    table = _curve_table(code, v, theta)
     plan = _plan(code)
     norm = plan.logical_norm
-    noise = _noise_weights(plan, eps).tolist()
     w00 = w11 = 0.0
     w01 = 0j
-    for k, noise_k in enumerate(noise):
-        if noise_k or not k:
-            weight = norm * noise_k
-            s00, s11, s01 = table.rows[k]
+    for (s00, s11, s01), noise in zip(table.rows, _noise_weights(plan, eps).tolist()):
+        if noise:
+            weight = norm * noise
             w00 += weight * s00
             w11 += weight * s11
             w01 += complex(weight) * s01
-    n00, n11, n01 = table.noiseless
-    return [n00, w00], [n11, w11], [n01, w01]
+    return [w00], [w11], [w01]
 
 
 def max_error(
@@ -587,17 +570,17 @@ def max_error(
 ) -> float:
     """max_errors at the single error weight eps, with no array step past its noise row.
 
-    _point_weights sums the cached table in Python numbers;
-    _checked_states checks both settings with the dataclass pair before the
-    first zero-weight one is refused, and trace_distance measures the
-    states.  The value, error class and message are max_errors'.
+    _point_weights sums the cached table in Python numbers and
+    _checked_states checks the setting with the dataclass pair before the
+    table's eps = 0 leg, then this setting, may be refused; trace_distance
+    measures both states.  The value, error class and message are max_errors'.
     """
     ens = InputEnsemble(v, theta, 0.0)
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         InputEnsemble(v, theta, eps)  # raises InputEnsemble's message
-    weights = _point_weights(code, ens.v, ens.theta, eps)
+    table = _curve_table(code, ens.v, ens.theta)
+    weights = _point_weights(code, table, eps)
     accepted, states = _checked_states(*weights)
-    _refuse_zero_weight(code, v, theta, (0.0, eps), accepted, weights)
-    clean, noisy = states
-    return max(trace_distance(clean, target), trace_distance(noisy, target))
+    _refuse_zero_weight(code, v, theta, table.noiseless, (eps,), accepted, weights)
+    return max(trace_distance(table.noiseless, target), trace_distance(states[0], target))

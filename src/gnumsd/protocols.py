@@ -86,6 +86,22 @@ def bk_t_ps(eps: float) -> float:
     ) / 6.0
 
 
+def _bk_h_numerator(eps: float) -> float:
+    """1 - 15x^7 + 15x^8 - x^15 at x = 1 - 2 eps, the H rounds' shared numerator.
+
+    Written as (2 eps)^3 sum_{m=1..7} x^(7-m) (1 + x + ... + x^(m-1))^2, whose
+    sum is about 140 near eps = 0, so the value keeps its relative accuracy
+    there; the expanded polynomial cancels to rounding noise of either sign.
+    Both sums run by Horner's rule.
+    """
+    x = 1.0 - 2.0 * eps
+    geometric = total = 0.0
+    for _ in range(7):
+        geometric = geometric * x + 1.0  # 1 + x + ... + x^(m-1)
+        total = total * x + geometric * geometric
+    return (2.0 * eps) ** 3 * total
+
+
 def bk_h_error(eps: float) -> float:
     """Output error of one 15-qubit H-type reference distillation round.
 
@@ -98,16 +114,14 @@ def bk_h_error(eps: float) -> float:
     """
     if not 0.0 <= eps <= 1.0:
         raise OutOfRangeError(f"eps must lie in [0, 1], got {eps!r}")
-    x = 1.0 - 2.0 * eps
-    return (1.0 - 15.0 * x**7 + 15.0 * x**8 - x**15) / (2.0 * (1.0 + 12.0 * x**8))
+    return _bk_h_numerator(eps) / (2.0 * (1.0 + 12.0 * (1.0 - 2.0 * eps) ** 8))
 
 
 def bk_h_error_ps_consistent(eps: float) -> float:
     """bk_h_error with the denominator matched to bk_h_ps (12 -> 15)."""
     if not 0.0 <= eps <= 1.0:
         raise OutOfRangeError(f"eps must lie in [0, 1], got {eps!r}")
-    x = 1.0 - 2.0 * eps
-    return (1.0 - 15.0 * x**7 + 15.0 * x**8 - x**15) / (2.0 * (1.0 + 15.0 * x**8))
+    return _bk_h_numerator(eps) / (2.0 * (1.0 + 15.0 * (1.0 - 2.0 * eps) ** 8))
 
 
 def bk_h_ps(eps: float) -> float:

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -542,12 +543,13 @@ def loop_noise_weights(n_qubits: int, eps):
     return _LOOP_BINOMIAL[n_qubits, omegas] * eps**omegas * (1.0 - eps) ** omegas[::-1]
 
 
-def loop_projection(code: GnuParams, v, thetas, flips, noise):
+def loop_projection(code: GnuParams, v, thetas, flips, noise, ascending=False):
     """engine._projection as a loop over t: the bitwise reference of its gathered t-sum.
 
     Each factor's (omega, r) coefficients take one power per entry, and each
     t adds flipped[t] * clean[g*j - t] into the amplitudes of the j with
-    g*j >= t.
+    g*j >= t.  The weighted omega rows are summed as projection_weights sums
+    them, or with ascending one by one from +0, as error curves add them.
     """
     n_qubits, n, g = code.num_qubits, code.n, code.g
     v = np.asarray(v, dtype=float)
@@ -574,10 +576,12 @@ def loop_projection(code: GnuParams, v, thetas, flips, noise):
     even = terms[..., 0::2, :].sum(axis=-2)
     odd = terms[..., 1::2, :].sum(axis=-2)
     weight = 2.0 ** (-(n - 1)) * noise
-    w00 = (weight * (even.real**2 + even.imag**2)).sum(axis=-2)
-    w11 = (weight * (odd.real**2 + odd.imag**2)).sum(axis=-2)
-    w01 = (weight * (even * odd.conj())).sum(axis=-2)
-    return w00, w11, w01
+    parts = (even.real**2 + even.imag**2, odd.real**2 + odd.imag**2, even * odd.conj())
+    if ascending:
+        return tuple(
+            functools.reduce(np.add, np.moveaxis(weight * part, -2, 0), 0.0) for part in parts
+        )
+    return tuple((weight * part).sum(axis=-2) for part in parts)
 
 
 def loop_projection_weights(code: GnuParams, v, thetas, eps: float):
@@ -591,6 +595,18 @@ def assert_same_bits(got, want):
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def spy_on_screen(monkeypatch):
+    """A list that records (weights, result) of each engine call of final_states."""
+    screened = []
+
+    def spy(*weights, screen=engine.final_states):
+        screened.append((weights, screen(*weights)))
+        return screened[-1][1]
+
+    monkeypatch.setattr(engine, "final_states", spy)
+    return screened
 
 
 CONTRACTION_CODES = [
@@ -658,20 +674,18 @@ class TestGatheredContraction:
 
     @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
     def test_max_errors_with_gapped_flips_matches_the_t_loop_bitwise(self, code, monkeypatch):
-        # With the noiseless setting beside eps at or near 1 the flipped
-        # counts are {0} and {k..N}, not one run: at eps = 1 only omega = N
-        # has weight, and at 1 - 1e-15 every omega < N - 20 underflows.
-        # max_errors reads those rows out of its (v, theta) table; the
-        # weights it sums from them are the loop's over exactly those rows.
-        noise_sum, summed, gapped = engine._noise_sum, [], []
-
-        def spy(*args):
-            summed.append(noise_sum(*args))
-            return summed[-1]
-
-        monkeypatch.setattr(engine, "_noise_sum", spy)
+        # With eps = 0 beside eps at or near 1 the flipped counts are {0}
+        # and {k..N}, not one run: at eps = 1 only omega = N has weight, and
+        # at 1 - 1e-15 every omega < N - 20 underflows.  max_errors reads
+        # those rows out of its (v, theta) table; the weights it checks are
+        # the loop's over exactly those rows, added in ascending omega from +0.
+        screened, gapped = spy_on_screen(monkeypatch), []
         rng = random.Random(code.num_qubits * 13 + code.n)
-        grids = ([1.0], [1.0 - 1e-15, 1.0 - 1e-12, 1.0], [0.999, rng.uniform(0.9, 1.0), 1.0])
+        grids = (
+            [0.0, 1.0],
+            [0.0, 1.0 - 1e-15, 1.0 - 1e-12, 1.0],
+            [0.0, 0.999, rng.uniform(0.9, 1.0), 1.0],
+        )
         target = t_state().density()
         for v in (0.3, 1.1, rng.uniform(0.2, 1.3)):
             for eps in grids:
@@ -680,16 +694,16 @@ class TestGatheredContraction:
                     max_errors(code, v, theta, np.array(eps), target)
                 except ZeroSuccessProbabilityError:
                     pass
-                settings = np.array([0.0, *eps])
-                noise = loop_noise_weights(code.num_qubits, settings[:, None])
+                noise = loop_noise_weights(code.num_qubits, np.array(eps)[:, None])
                 flips = np.flatnonzero(noise.any(axis=0))
                 gapped.append(bool(np.any(np.diff(flips) > 1)))
                 ens = InputEnsemble(v, theta, 0.0)
                 want = loop_projection(
-                    code, ens.v, np.array([ens.theta]), flips, noise[:, flips].T
+                    code, ens.v, np.array([ens.theta]), flips, noise[:, flips].T, ascending=True
                 )
-                assert_same_bits(summed[-1], want)
-        assert len(summed) == len(gapped) == 9
+                # The last screen of a call is max_errors' own, after its table's.
+                assert_same_bits(screened[-1][0], want)
+        assert len(gapped) == 9
         assert all(gapped[0::3])
         if code.num_qubits >= 30:
             assert all(gapped[1::3])
@@ -993,13 +1007,7 @@ class TestMaxErrors:
         # max_error sums its noise row in Python floats, but the row itself
         # must be numpy's pow: float ** int rounds otherwise at ~1.5% of
         # (eps, k) pairs on some platforms, enough to move a value by 1 ulp.
-        noise_sum, summed = engine._noise_sum, []
-
-        def spy(*args):
-            summed.append(noise_sum(*args))
-            return summed[-1]
-
-        monkeypatch.setattr(engine, "_noise_sum", spy)
+        screened = spy_on_screen(monkeypatch)
         code = GnuParams(*shape)
         plan = engine._plan(code)
         rng = random.Random(code.num_qubits * 41 + code.g)
@@ -1013,28 +1021,24 @@ class TestMaxErrors:
         )
         for eps in grid:
             row = engine._noise_weights(plan, eps)
-            table = engine._noise_weights(plan, np.array([0.0, eps])[:, None])
-            assert row.tobytes() == table[1].tobytes()
+            curve = engine._noise_weights(plan, np.array([eps])[:, None])
+            assert row.tobytes() == curve[0].tobytes()
             one_point = _one_point_outcome(max_error, code, v, theta, eps, target)
             assert one_point == _one_point_outcome(max_errors, code, v, theta, eps, target)
             assert one_point[0] is float
-            # The weights of both settings too, zero signs included.
-            point = engine._point_weights(code, ens.v, ens.theta, eps)
-            for got, want in zip(point, summed[-1], strict=True):
+            # The weights too, zero signs included.
+            table = engine._curve_table(code, ens.v, ens.theta)
+            point = engine._point_weights(code, table, eps)
+            for got, want in zip(point, screened[-1][0], strict=True):
                 assert np.array(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("code", ONE_POINT_CODES, ids=_code_id)
     def test_point_weights_are_the_array_sums_bitwise(self, code, monkeypatch):
-        # max_error's Python sums give the weights of max_errors' numpy sums
-        # at both settings, zero signs included: numpy's add.reduce starts
-        # from +0, so an all -0 coherence part comes out +0 on both paths.
-        noise_sum, summed = engine._noise_sum, []
-
-        def spy(*args):
-            summed.append(noise_sum(*args))
-            return summed[-1]
-
-        monkeypatch.setattr(engine, "_noise_sum", spy)
+        # max_error's Python sums give the weights of max_errors' numpy sums,
+        # zero signs included: both add from +0, so an all -0 coherence part
+        # comes out +0 on both paths.  The table's eps = 0 leg is what both
+        # paths check at eps = 0: the same state's bits, or the same weight.
+        screened = spy_on_screen(monkeypatch)
         rng = random.Random(code.num_qubits * 59 + code.n)
         target = t_state().density()
         for v in (0.0, 1.5707, math.pi / 2, rng.uniform(0.3, 1.27)):
@@ -1044,9 +1048,19 @@ class TestMaxErrors:
                     max_errors(code, ens.v, ens.theta, np.array([eps]), target)
                 except ZeroSuccessProbabilityError:
                     pass
-                point = engine._point_weights(code, ens.v, ens.theta, eps)
-                for got, want in zip(point, summed[-1], strict=True):
+                table = engine._curve_table(code, ens.v, ens.theta)
+                point = engine._point_weights(code, table, eps)
+                weights, (accepted, *state) = screened[-1]
+                for got, want in zip(point, weights, strict=True):
                     assert np.array(got).tobytes() == want.tobytes()
+                if eps == 0.0:
+                    (w00,), (w11,), (w01,) = point
+                    if accepted[0]:
+                        pair = final_state(CodespaceProjection(w00, w11, w01))
+                        assert _bits(*astuple(table.noiseless)) == _bits(*state)
+                        assert _bits(*astuple(pair)) == _bits(*state)
+                    else:
+                        assert _bits(table.noiseless) == _bits(w00 + w11)
 
     @pytest.mark.parametrize(
         "code, v, eps",
@@ -1099,19 +1113,23 @@ class TestMaxErrors:
     )
     def test_checks_come_before_the_zero_weight_refusal(self, points, error, monkeypatch):
         # Every accepted setting is checked, in order, by the dataclass pair
-        # before the first zero-weight one is refused, on both paths: the
-        # weights seam of each path returns the crafted settings.
-        def crafted_arrays(*args):
-            return tuple(np.array(part) for part in zip(*points))
+        # before the first zero-weight one is refused, on both paths.  The
+        # crafted logical sums of U2 (logical_norm 1.0) hold the eps = 0
+        # weights in row omega = 0 and the eps = 1 weights in row omega = N,
+        # the only row with noise weight at eps = 1, so both paths weight
+        # exactly the crafted settings (eps = 0, eps = 1).
+        def crafted_sums(*args):
+            rows = (points[0], (0.0, 0.0, 0j), points[1])
+            return tuple(np.array(part)[:, None] for part in zip(*rows))
 
-        def crafted_lists(*args):
-            return tuple(list(part) for part in zip(*points))
-
-        monkeypatch.setattr(engine, "_noise_sum", crafted_arrays)
-        monkeypatch.setattr(engine, "_point_weights", crafted_lists)
+        monkeypatch.setattr(engine, "_logical_sums", crafted_sums)
         target = t_state().density()
-        one_point = _one_point_outcome(max_error, U2, 0.8, 0.1, 0.2, target)
-        assert one_point == _one_point_outcome(max_errors, U2, 0.8, 0.1, 0.2, target)
+        engine._curve_table.cache_clear()
+        try:
+            one_point = _one_point_outcome(max_error, U2, 0.8, 0.1, 1.0, target)
+            assert one_point == _one_point_outcome(max_errors, U2, 0.8, 0.1, 1.0, target)
+        finally:
+            engine._curve_table.cache_clear()  # drop the crafted tables
         assert one_point[0] is error
         pair = None
         for point in points:
@@ -1132,7 +1150,7 @@ class TestMaxErrors:
         target = t_state().density()
         engine._curve_table.cache_clear()
         want = max_errors(U2, 0.8, 0.1, np.array([0.2]), target)[0]
-        for name in ("final_states", "trace_distances", "_noise_sum"):
+        for name in ("final_states", "trace_distances", "_logical_sums"):
             monkeypatch.setattr(engine, name, lambda *args, name=name: pytest.fail(f"called {name}"))
         misses = engine._curve_table.cache_info().misses
         assert max_error(U2, 0.8, 0.1, 0.2, target) == want
@@ -1252,6 +1270,28 @@ class TestCurveTable:
         # The Python copies of the sums are tuples, one triple per omega.
         assert isinstance(table.rows, tuple) and len(table.rows) == code.num_qubits + 1
         assert all(isinstance(row, tuple) and len(row) == 3 for row in table.rows)
+
+    def test_noiseless_leg_is_checked_once_per_table(self, monkeypatch):
+        # The table holds the checked eps = 0 state, so warm calls check only
+        # their own eps: N max_error calls build N states, not 2N, and a
+        # max_errors call screens its eps columns and no eps = 0 column.
+        code, target = GnuParams(1, 2, 6), t_state().density()
+        grid = [0.0, 1e-3, 0.1, 0.25, 0.5, 0.9, 1.0]
+        engine._curve_table.cache_clear()
+        max_error(code, 0.9, -1.0, 0.3, target)
+        built, screened = [], spy_on_screen(monkeypatch)
+
+        def build(*args, state=engine.DensityMatrix1Q):
+            built.append(args)
+            return state(*args)
+
+        monkeypatch.setattr(engine, "DensityMatrix1Q", build)
+        for eps in grid:
+            max_error(code, 0.9, -1.0, eps, target)
+        assert len(built) == len(grid)
+        max_errors(code, 0.9, -1.0, np.array(grid), target)
+        assert [weights[0].size for weights, _ in screened] == [len(grid)]
+        assert engine._curve_table.cache_info().misses == 1
 
     def test_zero_weight_point_raises_the_same_on_miss_and_hit(self):
         code, target = GnuParams(3, 5, 4), t_state().density()

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +75,39 @@ class TestReferenceFormulas:
                 value = fn(k * 1e-4)
                 assert math.isfinite(value)
                 assert 0.0 <= value <= 1.0
+
+
+def exact_reference_maps(eps: Fraction):
+    """The five reference maps in exact arithmetic, as their defining polynomials."""
+    t, x = eps / (1 - eps), 1 - 2 * eps
+    numerator = 1 - 15 * x**7 + 15 * x**8 - x**15
+    return {
+        bk_t_error: (t**5 + 5 * t**2) / (1 + 5 * t**2 + 5 * t**3 + t**5),
+        bk_t_ps: (
+            eps**5 + 5 * eps**2 * (1 - eps) ** 3 + 5 * eps**3 * (1 - eps) ** 2 + (1 - eps) ** 5
+        )
+        / 6,
+        bk_h_error: numerator / (2 * (1 + 12 * x**8)),
+        bk_h_error_ps_consistent: numerator / (2 * (1 + 15 * x**8)),
+        bk_h_ps: (1 + 15 * x**8) / 16,
+    }
+
+
+class TestReferenceMapsExactly:
+    def test_maps_match_exact_arithmetic(self):
+        # Near eps = 0 the H numerator is ~1120 eps^3, far below its O(1)
+        # terms: the maps must keep their relative accuracy there too.
+        rng = random.Random(2718)
+        grid = (
+            [0.0, 5.55e-17, 3.6e-13, 1e-10, 1e-6, 0.5]
+            + [10.0 ** rng.uniform(-90, 0) for _ in range(100)]
+            + [rng.uniform(0.0, 1.0) for _ in range(100)]
+            + [1.0 - 10.0 ** rng.uniform(-15, -1) for _ in range(50)]
+        )
+        for eps in grid:
+            for fn, exact in exact_reference_maps(Fraction(eps)).items():
+                got = Fraction(fn(eps))
+                assert abs(got - exact) <= Fraction(1, 10**14) * abs(exact), (fn.__name__, eps)
 
 
 class TestFindThreshold:
