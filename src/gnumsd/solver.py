@@ -2,9 +2,10 @@
 
 Two related jobs live here.  `solve_input_params` finds every (v, theta) whose
 noiseless distilled output hits a target state, by a coarse grid scan followed
-by Gauss-Newton refinement.  `magic_curve` / `solve_for_magic` map and invert
-the relationship between the input angle v and the magic of the distilled
-state at fixed theta.
+by Gauss-Newton refinement of each grid minimum not already on the target, at
+most NEWTON_CALLS engine calls per minimum.  `magic_curve` / `solve_for_magic`
+map and invert the relationship between the input angle v and the magic of the
+distilled state at fixed theta.
 
 Both scans run on the engine's array path.  At eps = 0 only the unflipped
 input string carries weight, and theta enters the output only through the
@@ -58,9 +59,10 @@ GRID_BLOCK_ROWS = 16
 MAGIC_GRID_STEP = math.pi / 1000
 # Grid residuals above this mean the target is unreachable for the code.
 UNREACHABLE_RESIDUAL = 0.1
-# Gauss-Newton: the Jacobian's difference step, and the most halvings of a rejected step.
+# Gauss-Newton: the Jacobian's difference step, and the most _newton_step calls
+# one start may make, its first call included.
 NEWTON_DIFFERENCE_STEP = 1e-6
-NEWTON_HALVINGS = 8
+NEWTON_CALLS = 64
 _HALF_PI = math.pi / 2.0
 
 
@@ -157,15 +159,19 @@ def _gauss_newton(code: GnuParams, target: DensityMatrix1Q, v: float, theta: flo
     """Gauss-Newton from (v, theta), whose residual is best: (v, theta, residual).
 
     A trial point, clamped and wrapped as InputEnsemble does, is taken if it
-    lowers the residual; else its step halves, at most NEWTON_HALVINGS times.
+    lowers the residual; else its step halves.  The start ends when its step
+    falls below rounding (a converged start, after 4-5 calls), when its first
+    block has no weight, or after NEWTON_CALLS _newton_step calls: there a
+    start that creeps toward a target reached only in the limit at a
+    zero-weight v edge returns its last point.
     """
-    step, scale = _newton_step(code, target, v, theta), 1.0
-    while step is not None and scale >= 0.5**NEWTON_HALVINGS:
+    step, scale, calls = _newton_step(code, target, v, theta), 1.0, 1
+    while step is not None and calls < NEWTON_CALLS:
         trial_v = min(max(v + scale * step[1], 0.0), _HALF_PI)
         trial = InputEnsemble(trial_v, theta + scale * step[2], 0.0)
         if (trial.v, trial.theta) == (v, theta):  # the step is below rounding
             break
-        found = _newton_step(code, target, trial.v, trial.theta)
+        found, calls = _newton_step(code, target, trial.v, trial.theta), calls + 1
         if found is not None and found[0] < best:
             v, theta, best, step, scale = trial.v, trial.theta, found[0], found, 1.0
         else:
@@ -189,11 +195,13 @@ def solve_to_density(
     """All distinct inputs (v, theta) whose noiseless output matches a target state.
 
     Scans a pi/200 grid over v in [0, pi/2] and theta in [-pi, pi), refines
-    every grid-local minimum by Gauss-Newton, keeps refined points with
-    trace-distance residual <= tol, one per input state (clean-state Bloch
-    vectors within 1e-6 are one state, as is every theta at a pole), and
-    sorts them by _canonical_order, so the head of the tuple is the
-    canonical minimum-magic solution.
+    every grid-local minimum whose residual is not already 0 by Gauss-Newton
+    (_gauss_newton, at most NEWTON_CALLS engine calls each), keeps refined
+    points with trace-distance residual <= tol, one per input state
+    (clean-state Bloch vectors within 1e-6 are one state, as is every theta
+    at a pole), and sorts them by _canonical_order, so the head of the tuple
+    is the canonical minimum-magic solution.  A point near a zero-weight v
+    edge is kept if it meets tol, however small its success probability.
 
     Raises NoSolutionError when the best grid residual exceeds 0.1, which
     signals a target outside the code's reachable set rather than a grid that
@@ -227,7 +235,7 @@ def solve_to_density(
     # grid[i, j] is the residual at (vs[i], thetas[j]), whose angles are wrapped.
     rows, cols = np.nonzero(is_min)
     for start in zip(vs[rows].tolist(), thetas[cols].tolist(), grid[rows, cols].tolist()):
-        v, theta, value = _gauss_newton(code, target, *start)
+        v, theta, value = start if start[2] == 0.0 else _gauss_newton(code, target, *start)
         if value <= tol:
             clean = InputEnsemble(v, theta, 0.0).clean_state()
             refined.append((value, pauli_expectations(clean.density()), v, theta, m2_pure(clean)))

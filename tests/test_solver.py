@@ -183,6 +183,36 @@ def _start(code, target, v, theta):
     return code, target, v, theta, _residual(code, target, v, theta)
 
 
+def _calls_per_start(monkeypatch):
+    """A list that gets each refinement start's count of _newton_step calls.
+
+    A start that overruns NEWTON_CALLS fails at once rather than running on.
+    """
+    counts = []
+    step, refine = solver._newton_step, solver._gauss_newton
+
+    def counted_step(*args):
+        counts[-1] += 1
+        assert counts[-1] <= solver.NEWTON_CALLS
+        return step(*args)
+
+    def counted_refine(*args):
+        counts.append(0)
+        return refine(*args)
+
+    monkeypatch.setattr(solver, "_newton_step", counted_step)
+    monkeypatch.setattr(solver, "_gauss_newton", counted_refine)
+    return counts
+
+
+def _solve_counted(monkeypatch, shape, target):
+    """solve_to_density with every refinement start held to the call budget."""
+    counts = _calls_per_start(monkeypatch)
+    solutions = solve_to_density.__wrapped__(GnuParams(*shape), target, 1e-9)
+    assert counts
+    return solutions
+
+
 class TestGaussNewton:
     XT = TargetSpec("XT").density()
 
@@ -246,6 +276,56 @@ class TestGaussNewton:
         (sol,) = solve_to_density(GnuParams(1, 1, 12), ONE, 1e-9)
         assert math.pi / 2 - 1e-6 < sol.v <= math.pi / 2
         assert sol.residual <= 1e-12 and sol.input_magic == 0.0
+
+    def test_pole_family_needs_no_refinement(self, monkeypatch):
+        # Every grid minimum on the v = 0 row is already the target |0>, at
+        # residual 0: none is refined.
+        counts = _calls_per_start(monkeypatch)
+        for code in (U2, REPETITION):
+            (sol,) = solve_to_density.__wrapped__(code, DensityMatrix1Q(1.0, 0.0, 0.0), 1e-9)
+            assert (sol.v, sol.residual) == (0.0, 0.0)
+        assert counts == []
+
+    def test_converged_starts_stop_at_rounding(self, monkeypatch):
+        # A converged start ends when its step falls below rounding, after
+        # 4-6 calls on these targets, far inside the call budget.
+        counts = _calls_per_start(monkeypatch)
+        for code in (U2, REPETITION):
+            for kind in ("T", "H", "XT", "XH"):
+                solve_to_density.__wrapped__(code, TargetSpec(kind).density(), 1e-9)
+        assert counts and max(counts) <= 8
+
+    # Targets reached only in a limit at a zero-weight v edge: each start
+    # creeps toward the edge until its call budget runs out.
+    def test_limit_at_the_edge_on_2_1_6(self, monkeypatch):
+        (sol,) = _solve_counted(monkeypatch, (2, 1, 6), ONE)
+        assert math.pi / 2 - 1e-6 < sol.v <= math.pi / 2
+        assert sol.residual <= 1e-12
+
+    def test_limit_at_the_edge_on_3_2_3(self, monkeypatch):
+        solutions = _solve_counted(monkeypatch, (3, 2, 3), PureQubit(1.0, 0.0).density())
+        assert (solutions[0].v, solutions[0].residual) == (0.0, 0.0)
+
+    def test_one_up_to_rounding_on_1_1_4(self, monkeypatch):
+        # This target is |1> up to 6e-17: the refinement walks in rounding noise.
+        target = PureQubit(math.cos(math.pi / 2), cmath.exp(-0.64j)).density()
+        assert len(_solve_counted(monkeypatch, (1, 1, 4), target)) == 1
+
+    @pytest.mark.parametrize("shape", [(3, 1, 3), (3, 2, 3)], ids=lambda s: "-".join(map(str, s)))
+    def test_round_trip_near_the_v_0_pole(self, shape, monkeypatch):
+        # A target from an input within 1e-3 of v = 0: every g-fold image of
+        # the generating input is among the solutions.
+        code = GnuParams(*shape)
+        rng = random.Random(sum(shape))
+        v0, theta0 = rng.uniform(1e-5, 1e-3), rng.uniform(-math.pi, math.pi)
+        target = distilled_state(code, InputEnsemble(v0, theta0, 0.0))
+        solutions = _solve_counted(monkeypatch, shape, target)
+        for k in range(code.g):
+            image = theta0 + 2.0 * math.pi * k / code.g
+            assert any(
+                abs(s.v - v0) <= 1e-6 and abs(wrap_angle(s.theta - image)) <= 1e-6
+                for s in solutions
+            )
 
     def test_mixed_target_stays_refused(self):
         # A mixed target has no zero residual: its grid minimum is in range,
@@ -351,10 +431,16 @@ class TestOneComponentReference:
     def _check(code, target):
         solutions = solve_to_density.__wrapped__(code, target, 1e-9)
         reference = _n1_reference(code, target)
-        assert len(solutions) == len(reference)
-        for sol, (v, theta) in zip(sorted(solutions, key=lambda s: (s.v, s.theta)), reference):
-            assert sol.v == pytest.approx(v, abs=1e-11)
-            assert wrap_angle(sol.theta - theta) == pytest.approx(0.0, abs=1e-11)
+        # Matched as sets, one to one: g-fold images whose v differ in the
+        # last bits would pair crosswise if both sides were sorted on (v, theta).
+        matches = [
+            [
+                i for i, s in enumerate(solutions)
+                if abs(s.v - v) <= 1e-11 and abs(wrap_angle(s.theta - theta)) <= 1e-11
+            ]
+            for v, theta in reference
+        ]
+        assert sorted(matches) == [[i] for i in range(len(solutions))]
 
 
 class TestMagicCurve:
