@@ -6,7 +6,7 @@ works with sums over Hamming weights (never 2^N objects): the overlap of a
 product input state with a Dicke state depends on the input string only
 through its weight omega, which is what keeps the whole pipeline O(N^3).
 
-`projection_weights` is the one evaluation path.  The overlap of a
+`_logical_sums` is the one evaluation path.  The overlap of a
 weight-omega input string with the j-th logical Dicke component is
 e^{i g j theta} times a real amplitude, the x^{gj} coefficient of
 (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
@@ -19,31 +19,33 @@ normalisation.  Each (omega, r) table ends in a sentinel column with a 0.0
 binomial, where the clean factor is exactly +0, and the gather sends every
 (t, j) with g*j < t there, so no mask multiply is needed.  A call raises
 cos v, sin v and -cos v to the powers 0..N in one pow, reads both factors
-for the omega whose noise weight is nonzero (omega = 0 alone at eps = 0) in
-one take and two multiplies, sums the product over t in one gathered
-contraction and builds the phases e^{i g j theta} once: that gives the
-per-omega logical sums |even|^2, |odd|^2 and even * conj(odd), which a
-second step weights by an (omega, column) table of noise weights and sums
-over omega.
-`projection_weights` takes one eps, a float or a whole vector of v, and a
-whole vector of theta, which is how the noiseless solver grid, the solver's
-Gauss-Newton blocks and the magic curve evaluate many points in one call;
-`max_errors` takes one (v, theta) and a whole vector of eps, which is how
-error curves evaluate a threshold grid or a figure's eps column in one call,
-and `max_error` is its one-point twin.  Beside the plan, both keep a second
-cache, `_curve_table`: one entry per (code, v, theta) with v and theta as
-InputEnsemble clamps and wraps them, at most CURVE_TABLES of them,
-read-only.  An entry holds the logical sums of every omega = 0..N and the
-curve's eps = 0 leg, checked once as the entry is built: the noiseless
-output state, or its weight where that setting is too weak to normalise.
-Only the noise weights depend on eps, so every point of an error curve,
-scalar calls and bisection steps included, reads one entry and runs only
-its own eps: the weighted omega sum, that setting's checks and the refusal
-(`_refuse_zero_weight`, the one curve refusal of both).  Both add the omega
+for a run of omega in one take and two multiplies, sums the product over t
+in one gathered contraction and builds the phases e^{i g j theta} once:
+that gives the per-omega logical sums |even|^2, |odd|^2 and
+even * conj(odd).  Three callers weight those rows, one per job.
+`noiseless_states` takes a float or a whole vector of v and a whole vector
+of theta at eps = 0, where omega = 0 alone has noise weight, which is how
+the noiseless solver grid, the solver's Gauss-Newton blocks and the magic
+curve evaluate many points in one call.  `codespace_projection` takes one
+noisy (v, theta, eps) and weights the run of omega with nonzero noise
+weight, summed by numpy's reduce.  `max_errors` takes one (v, theta) and a
+whole vector of eps, which is how error curves evaluate a threshold grid or
+a figure's eps column in one call, and `max_error` is its one-point twin.
+Beside the plan, both keep a second cache, `_curve_table`: one entry per
+(code, v, theta) with v and theta as InputEnsemble clamps and wraps them,
+at most CURVE_TABLES of them, read-only.  An entry holds the logical sums
+of every omega = 0..N and the curve's eps = 0 leg, checked once as the
+entry is built: the noiseless output state, or its weight where that
+setting is too weak to normalise.  Only the noise weights depend on eps, so
+every point of an error curve, scalar calls and bisection steps included,
+reads one entry and runs only its own eps: the weighted omega sum, that
+setting's checks and the refusal (`_refuse_zero_weight`, the one curve
+refusal of both).  Both add the omega
 rows in the one order `_CurveTable` states, `max_errors` in numpy and
 `max_error` in Python floats over the entry's Python copy of the sums
 (`_point_weights`), with its noise row from numpy's pow, so its bits are
-max_errors' without an array step per point.  `dicke_overlap` is a
+max_errors' without an array step per point; at one noisy point they may
+differ from codespace_projection's in the last bits.  `dicke_overlap` is a
 one-point read of the same amplitudes on the (1, N, 1) code; the tests keep
 the term-by-term sum as the reference the plan path is checked against.
 The dataclass pair `CodespaceProjection` + `final_state` (which builds a
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -332,12 +335,10 @@ def _curve_table(code: GnuParams, v: float, theta: float) -> _CurveTable:
     for part in sums:
         part.setflags(write=False)
     rows = tuple(zip(*[part[:, 0].tolist() for part in sums]))
-    norm = plan.logical_norm
-    s00, s11, s01 = rows[0]
-    # Summed from +0 like every curve weight.
-    w00, w11, w01 = 0.0 + norm * s00, 0.0 + norm * s11, 0j + complex(norm) * s01
-    accepted, m00, m11, m01 = final_states(np.array([w00]), np.array([w11]), np.array([w01]))
-    noiseless = DensityMatrix1Q(m00.item(), m11.item(), m01.item()) if accepted[0] else w00 + w11
+    # Row 0 alone, summed from +0 like every curve weight.
+    w00, w11, w01 = [plan.logical_norm * part[0] + 0.0 for part in sums]
+    accepted, *state = final_states(w00, w11, w01)
+    noiseless = DensityMatrix1Q(*[m.item() for m in state]) if accepted[0] else (w00 + w11).item()
     return _CurveTable(sums, rows, noiseless)
 
 
@@ -346,8 +347,17 @@ def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> 
 
     A one-point read of the plan path on the (1, N, 1) code, whose j-th
     logical component is the weight-j Dicke state with scale exactly 1.0:
-    the overlap is amplitude[s] / sqrt(C(N, s)) times e^{i s theta}.
+    the overlap is amplitude[s] / sqrt(C(N, s)) times e^{i s theta}.  Any
+    finite v is taken; the indices may be any integers, numpy's included.
     """
+    try:
+        s, omega, n_qubits = operator.index(s), operator.index(omega), operator.index(n_qubits)
+    except TypeError:
+        raise OutOfRangeError(
+            f"s, omega and n_qubits must be integers, got {s!r}, {omega!r}, {n_qubits!r}"
+        ) from None
+    if not (math.isfinite(v) and math.isfinite(theta)):
+        raise OutOfRangeError(f"v and theta must be finite, got v={v!r}, theta={theta!r}")
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise OutOfRangeError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
     if not (0 <= s <= n_qubits and 0 <= omega <= n_qubits):
@@ -356,54 +366,44 @@ def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> 
     return float(amplitude) / math.sqrt(math.comb(n_qubits, s)) * cmath.exp(1j * s * theta)
 
 
-def projection_weights(code: GnuParams, v, thetas, eps: float):
-    """Codespace weights (w00, w11, w01) at one eps for each v and each angle in thetas.
+def noiseless_states(code: GnuParams, v, thetas):
+    """Checked noiseless output states for each v and each angle in thetas.
 
-    v is a float or an array of them and thetas a 1-D array; the weights are
-    arrays of shape np.shape(v) + thetas.shape, so a float v gives one
-    entry per angle.  v and eps must already lie in [0, pi/2] and [0, 1],
-    as InputEnsemble ensures.  For each number omega of flipped inputs with
-    nonzero noise weight, the real amplitude of logical component j is the
-    x^{gj} coefficient of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega,
-    scaled by sqrt(C(n, j) / C(N, gj)); theta only multiplies it by
-    e^{i g j theta}.  The v-independent tables come from the code's cached
-    plan; a call tabulates the powers of cos v and sin v in one flat table,
-    reads both factors out of it through the plan's index table in one take,
-    and gathers the products of the two factors into one (v, omega, t, j)
-    array that it sums over t.  Where g*j < t the gather reads the clean
-    factor's sentinel column, exactly +0, so those products are zeros that
-    leave the sum unchanged.  That array is filled by take, so it is
-    C-contiguous and the sum adds its t-rows in order, giving the bits of a
-    loop over t; the products are taken in place, so it is the only array
-    of its size.  A call holds O(N * g * n^2) numbers per v plus O(N * n)
-    per (v, angle) pair.  No zero-weight check happens here: see
-    codespace_projection and final_states.
+    Returns final_states' (accepted, m00, m11, m01) over weights of shape
+    np.shape(v) + thetas.shape; v, a float or an array of them, must already
+    lie in [0, pi/2], as InputEnsemble ensures.  At eps = 0 only omega = 0
+    has noise weight, exactly 1.0, so the weights are logical_norm times the
+    logical sums of that one row, scaled in place, and + 0.0 turns a -0 into
+    +0 as a one-row sum over omega would.  This is how the noiseless solver
+    grid, the solver's Gauss-Newton blocks and the magic curve evaluate many
+    points in one call; no noise weight is computed.
     """
     plan = _plan(code)
-    noise = _noise_weights(plan, eps)
-    # The omega with nonzero weight at one eps form one run.
-    flips = noise.nonzero()[0]
-    rows = slice(int(flips[0]), int(flips[-1]) + 1)
-    s00, s11, s01 = _logical_sums(plan, v, thetas, rows)
-    weight = plan.logical_norm * noise[rows, None]
-    # A literal tuple: tuple() of a generator builds a longer tuple and
-    # shrinks it, which leaves one more 3-tuple on CPython's free list per
-    # call, ~128 KB resident once a curve's calls fill it.
-    return (
-        np.add.reduce(weight * s00, -2),
-        np.add.reduce(weight * s11, -2),
-        np.add.reduce(weight * s01, -2),
-    )
+    weights = [part[..., 0, :] for part in _logical_sums(plan, v, thetas, slice(0, 1))]
+    for part in weights:
+        part *= plan.logical_norm
+        part += 0.0
+    return final_states(*weights)
 
 
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:
     """Project N noisy copies onto the codespace and read the logical block.
 
-    One point of projection_weights.  Raises ZeroSuccessProbabilityError when
-    the total codespace weight is too small to normalise downstream.
+    The logical sums of the omega with nonzero noise weight, which at one
+    eps form one run, weighted by logical_norm times their noise weight and
+    summed over omega.  Raises ZeroSuccessProbabilityError when the total
+    codespace weight is too small to normalise downstream.
     """
-    w00, w11, w01 = projection_weights(code, ens.v, np.array([ens.theta]), ens.eps)
-    w00, w11, w01 = w00.item(), w11.item(), w01.item()
+    plan = _plan(code)
+    noise = _noise_weights(plan, ens.eps)
+    flips = noise.nonzero()[0]
+    rows = slice(int(flips[0]), int(flips[-1]) + 1)
+    s00, s11, s01 = _logical_sums(plan, ens.v, np.array([ens.theta]), rows)
+    weight = plan.logical_norm * noise[rows, None]
+    # Written out: as a comprehension these three cost scan's op_p50_s ~2.5%.
+    w00 = np.add.reduce(weight * s00, -2).item()
+    w11 = np.add.reduce(weight * s11, -2).item()
+    w01 = np.add.reduce(weight * s01, -2).item()
     if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
         raise _zero_weight_error(code, ens, w00 + w11)
     return CodespaceProjection(w00, w11, w01)

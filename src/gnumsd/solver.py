@@ -7,12 +7,12 @@ most NEWTON_CALLS engine calls per minimum.  `magic_curve` / `solve_for_magic`
 map and invert the relationship between the input angle v and the magic of the
 distilled state at fixed theta.
 
-Both scans run on the engine's array path.  At eps = 0 only the unflipped
-input string carries weight, and theta enters the output only through the
-phases e^{i g j theta}, so `projection_weights` evaluates a whole v x theta
-grid per call: the 101 x 400 solver grid in blocks of `GRID_BLOCK_ROWS`
-v-rows, each Gauss-Newton iteration as one 3 x 3 block, and the magic curve
-as one single-angle call; `final_states` checks every state.
+Both scans read the engine's noiseless states.  At eps = 0 only the
+unflipped input string carries weight, and theta enters the output only
+through the phases e^{i g j theta}, so `noiseless_states` evaluates and
+checks a whole v x theta grid per call, with no noise weight: the 101 x 400
+solver grid in blocks of `GRID_BLOCK_ROWS` v-rows, each Gauss-Newton
+iteration as one 3 x 3 block, and the magic curve as one single-angle call.
 `solve_for_magic` searches the sampled magic curve with `roots.first_root`,
 the root search of the threshold and crossover searches.
 """
@@ -30,8 +30,7 @@ from .codes import GnuParams
 from .engine import (
     InputEnsemble,
     distilled_state,
-    final_states,
-    projection_weights,
+    noiseless_states,
     wrap_angle,
 )
 from .errors import NoSolutionError, OutOfRangeError, ZeroSuccessProbabilityError
@@ -114,7 +113,7 @@ def _residual_row(code: GnuParams, target: DensityMatrix1Q, v, thetas):
 
     v is a float (one row) or a vector (one row per v).
     """
-    accepted, m00, m11, m01 = final_states(*projection_weights(code, v, thetas, 0.0))
+    accepted, m00, m11, m01 = noiseless_states(code, v, thetas)
     row = np.full(np.shape(v) + thetas.shape, math.inf)
     row[accepted] = trace_distances(m00, m11, m01, target)
     return row
@@ -137,8 +136,7 @@ def _newton_step(code: GnuParams, target: DensityMatrix1Q, v: float, theta: floa
     lo, hi = (v - h if v >= h else v), (v + h if v + h < _HALF_PI else v)
     # Each probe at its InputEnsemble's angles, as a scalar call takes them.
     thetas = np.array([wrap_angle(theta - h), theta, wrap_angle(theta + h)])
-    weights = projection_weights(code, np.array([lo, v, hi]), thetas, 0.0)
-    accepted, m00, m11, m01 = final_states(*weights)
+    accepted, m00, m11, m01 = noiseless_states(code, np.array([lo, v, hi]), thetas)
     if not accepted.all():
         return None
     # r[k] = Bloch(output) - Bloch(target) at the block's v k // 3 and theta k % 3.
@@ -268,8 +266,8 @@ def magic_curve(
     if not ensembles:
         return []
     vs = np.array([ens.v for ens in ensembles])
-    weights = projection_weights(code, vs, np.array([ensembles[0].theta]), 0.0)
-    accepted, m00, m11, m01 = final_states(*[w[:, 0] for w in weights])
+    accepted, m00, m11, m01 = noiseless_states(code, vs, np.array([ensembles[0].theta]))
+    accepted = accepted[:, 0]
     for v in compress(v_grid, ~accepted):
         logger.warning("magic_curve: skipped singular grid point v=%r", v)
     return list(zip(compress(v_grid, accepted), m2_densities(m00, m11, m01).tolist()))
@@ -287,7 +285,7 @@ def solve_for_magic(code: GnuParams, theta: float, magic: float) -> float:
     1e-12 of `magic`, or else bisects the first cell that brackets it (ties
     toward smaller v); a bisected point matches to within 1e-6 in magic.
     """
-    if magic < 0.0:
+    if not magic >= 0.0:
         raise OutOfRangeError(f"magic must be nonnegative, got {magic!r}")
     points = magic_curve(code, theta, default_magic_grid())
     if not points:

@@ -23,7 +23,7 @@ from gnumsd.engine import (
     final_states,
     max_error,
     max_errors,
-    projection_weights,
+    noiseless_states,
     success_probability,
     wrap_angle,
 )
@@ -202,6 +202,29 @@ class TestDickeOverlap:
     def test_index_validation(self, s, omega, n_qubits, message):
         with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
             dicke_overlap(s, omega, 0.3, 0.0, n_qubits)
+
+    @pytest.mark.parametrize(
+        "v, theta",
+        [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (0.3, math.nan), (0.3, math.inf)],
+        ids=["v-inf", "v-minus-inf", "v-nan", "theta-nan", "theta-inf"],
+    )
+    def test_rejects_non_finite_angles(self, v, theta):
+        with pytest.raises(OutOfRangeError, match="^v and theta must be finite"):
+            dicke_overlap(1, 0, v, theta, 3)
+
+    @pytest.mark.parametrize(
+        "s, omega, n_qubits",
+        [(1.5, 0, 3), (1.0, 0, 3), (1, 0.0, 3), (1, 0, 3.0), (1, np.float64(0.0), 3)],
+        ids=["s-fraction", "s-float", "omega-float", "n_qubits-float", "omega-numpy-float"],
+    )
+    def test_rejects_non_integer_indices(self, s, omega, n_qubits):
+        with pytest.raises(OutOfRangeError, match="^s, omega and n_qubits must be integers"):
+            dicke_overlap(s, omega, 0.3, 0.0, n_qubits)
+
+    def test_takes_numpy_integers_and_any_finite_v(self):
+        want = dicke_overlap(1, 2, 5.0, 0.2, 3)
+        assert abs(want - reference_overlap(1, 2, 5.0, 0.2, 3)) <= 1e-14
+        assert dicke_overlap(np.int64(1), np.int32(2), 5.0, 0.2, np.int64(3)) == want
 
 
 class TestLogicalComponentOverlap:
@@ -441,46 +464,59 @@ METAMORPHIC_CODES = [
 ]
 
 
+def dyadic_angle(theta: float) -> float:
+    """theta rounded to a multiple of 2^-48, as pi is one.
+
+    InputEnsemble wraps such an angle and its negation to themselves
+    exactly, since theta + pi needs no rounding, so a one-point call can
+    take both.
+    """
+    return math.ldexp(round(math.ldexp(theta, 48)), -48)
+
+
+def full_states(accepted, *states):
+    """noiseless_states' states at every point, +0 where a point is not accepted."""
+    full = []
+    for state in states:
+        full.append(np.zeros(accepted.shape, state.dtype))
+        full[-1][accepted] = state
+    return (accepted, *full)
+
+
 class TestProjectionWeights:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.37])
     @pytest.mark.parametrize("code", BATCH_CODES, ids=_code_id)
     def test_matches_reference_sum(self, code, eps):
-        thetas = np.array([-2.9, -0.4, 1.3, 3.0])
         for v in (0.2, 0.8, 1.45):
-            batch = projection_weights(code, v, thetas, eps)
-            for k, theta in enumerate(thetas):
-                for got, want in zip(batch, reference_weights(code, v, theta, eps)):
-                    assert abs(got[k] - want) <= 1e-13
+            for theta in (-2.9, -0.4, 1.3, 3.0):
+                ens = InputEnsemble(v, theta, eps)
+                proj = codespace_projection(code, ens)
+                want = reference_weights(code, ens.v, ens.theta, ens.eps)
+                for got, value in zip((proj.w00, proj.w11, proj.w01), want):
+                    assert abs(got - value) <= 1e-13
 
-    def test_one_point_wrapper_is_the_batch_path(self):
+    def test_noiseless_states_are_the_one_point_states(self):
         code = GnuParams(1, 4, 3)
         thetas = np.array([-1.0, 0.25, 2.0])
-        w00, w11, w01 = projection_weights(code, 0.6, thetas, 0.2)
-        for k, theta in enumerate(thetas):
-            proj = codespace_projection(code, InputEnsemble(0.6, theta, 0.2))
-            assert abs(proj.w00 - w00[k]) <= 1e-15
-            assert abs(proj.w11 - w11[k]) <= 1e-15
-            assert abs(proj.w01 - w01[k]) <= 1e-15
+        accepted, m00, m11, m01 = noiseless_states(code, 0.6, thetas)
+        assert accepted.all()
+        for k, theta in enumerate(thetas.tolist()):
+            state = distilled_state(code, InputEnsemble(0.6, theta, 0.0))
+            assert _bits(state.m00, state.m11, state.m01) == _bits(m00[k], m11[k], m01[k])
 
-    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.37])
     @pytest.mark.parametrize("code", V_AXIS_CODES, ids=_code_id)
-    def test_vector_of_v_matches_one_v_calls(self, code, eps):
+    def test_vector_of_v_matches_one_v_calls(self, code):
         rng = random.Random(code.num_qubits * 10 + code.n)
         vs = np.array([0.0, *(rng.uniform(0.0, math.pi / 2) for _ in range(6)), math.pi / 2])
         for n_theta in (1, 5):
             thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(n_theta)])
-            batch = projection_weights(code, vs, thetas, eps)
-            square = projection_weights(code, vs.reshape(2, 4), thetas, eps)
-            for got, grid in zip(batch, square):
-                assert got.shape == (vs.size, n_theta)
-                assert np.array_equal(grid.reshape(got.shape), got)
+            batch = full_states(*noiseless_states(code, vs, thetas))
+            square = full_states(*noiseless_states(code, vs.reshape(2, 4), thetas))
+            assert batch[0].shape == (vs.size, n_theta)
+            assert_same_bits([a.reshape(batch[0].shape) for a in square], batch)
             for i, v in enumerate(vs.tolist()):
-                for got, want in zip(batch, projection_weights(code, v, thetas, eps)):
-                    if eps == 0.0:
-                        assert np.array_equal(got[i], want)
-                    else:
-                        # The omega sum may run in another order: not bitwise.
-                        assert np.max(np.abs(got[i] - want)) <= 1e-15
+                one_v = full_states(*noiseless_states(code, v, thetas))
+                assert_same_bits(one_v, [a[i] for a in batch])
 
     def test_complementary_input_relation(self):
         # The error state is the clean state at (pi/2 - v, theta + pi), so
@@ -490,12 +526,15 @@ class TestProjectionWeights:
         for code in METAMORPHIC_CODES:
             for _ in range(4):
                 v, eps = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 1.0)
-                thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(5)])
-                lhs = projection_weights(code, v, thetas, 1.0 - eps)
-                rhs = projection_weights(code, math.pi / 2 - v, thetas + math.pi, eps)
-                for a, b in zip(lhs, rhs):
-                    assert np.max(np.abs(a - b)) <= 1e-14
-                points += thetas.size
+                for _ in range(5):
+                    theta = rng.uniform(-math.pi, math.pi)
+                    lhs = codespace_projection(code, InputEnsemble(v, theta, 1.0 - eps))
+                    rhs = codespace_projection(
+                        code, InputEnsemble(math.pi / 2 - v, theta + math.pi, eps)
+                    )
+                    for a, b in zip(astuple(lhs), astuple(rhs)):
+                        assert abs(a - b) <= 1e-14
+                    points += 1
         assert points == 200
 
     def test_theta_reflection_conjugates_the_coherence(self):
@@ -505,10 +544,14 @@ class TestProjectionWeights:
         for code in METAMORPHIC_CODES + random_codes(10, 1018):
             for _ in range(2):
                 v, eps = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 1.0)
-                thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(5)])
-                w00, w11, w01 = projection_weights(code, v, thetas, eps)
-                r00, r11, r01 = projection_weights(code, v, -thetas, eps)
-                assert_same_bits((r00, r11, r01), (w00, w11, w01.conj()))
+                for _ in range(5):
+                    theta = dyadic_angle(rng.uniform(-math.pi, math.pi))
+                    ens, mirror = InputEnsemble(v, theta, eps), InputEnsemble(v, -theta, eps)
+                    assert (ens.theta, mirror.theta) == (theta, -theta)
+                    proj, reflected = (codespace_projection(code, e) for e in (ens, mirror))
+                    assert _bits(reflected.w00, reflected.w11, reflected.w01) == _bits(
+                        proj.w00, proj.w11, proj.w01.conjugate()
+                    )
 
     def test_theta_period_is_two_pi_over_g(self):
         # e^{i g j theta} has period 2 pi / g in theta.
@@ -516,11 +559,13 @@ class TestProjectionWeights:
         points = 0
         for code in METAMORPHIC_CODES + random_codes(20, 1019):
             v, eps = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 1.0)
-            thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(10)])
-            shifted = projection_weights(code, v, thetas + 2.0 * math.pi / code.g, eps)
-            for a, b in zip(projection_weights(code, v, thetas, eps), shifted):
-                assert np.max(np.abs(a - b)) <= 4e-15
-            points += thetas.size
+            for _ in range(10):
+                theta = rng.uniform(-math.pi, math.pi)
+                proj = codespace_projection(code, InputEnsemble(v, theta, eps))
+                shifted = InputEnsemble(v, theta + 2.0 * math.pi / code.g, eps)
+                for a, b in zip(astuple(proj), astuple(codespace_projection(code, shifted))):
+                    assert abs(a - b) <= 4e-15
+                points += 1
         assert points == 300
 
     @pytest.mark.parametrize("code", N_GT_1_ORACLE_CODES, ids=_code_id)
@@ -544,12 +589,12 @@ def loop_noise_weights(n_qubits: int, eps):
 
 
 def loop_projection(code: GnuParams, v, thetas, flips, noise, ascending=False):
-    """engine._projection as a loop over t: the bitwise reference of its gathered t-sum.
+    """The engine's projection as a loop over t: the bitwise reference of its gathered t-sum.
 
     Each factor's (omega, r) coefficients take one power per entry, and each
     t adds flipped[t] * clean[g*j - t] into the amplitudes of the j with
-    g*j >= t.  The weighted omega rows are summed as projection_weights sums
-    them, or with ascending one by one from +0, as error curves add them.
+    g*j >= t.  The weighted omega rows are summed as codespace_projection
+    sums them, or with ascending one by one from +0, as error curves add them.
     """
     n_qubits, n, g = code.num_qubits, code.n, code.g
     v = np.asarray(v, dtype=float)
@@ -630,13 +675,17 @@ BITWISE_CODES = list(dict.fromkeys(CONTRACTION_CODES + SCAN_CODES + random_codes
 
 class TestGatheredContraction:
     @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
-    def test_points_match_the_t_loop_bitwise(self, code):
+    def test_points_match_the_t_loop_bitwise(self, code, monkeypatch):
+        screened = spy_on_screen(monkeypatch)
         rng = random.Random(code.num_qubits * 31 + code.n)
         for v in (0.0, math.pi / 2, rng.uniform(0.0, math.pi / 2)):
             for eps in (0.0, 1.0, 1e-3, 1e-300, 1.0 - 1e-15, rng.uniform(0.0, 1.0)):
                 thetas = np.array([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)])
-                got = projection_weights(code, v, thetas, eps)
-                assert_same_bits(got, loop_projection_weights(code, v, thetas, eps))
+                if eps == 0.0:
+                    # The noiseless array call screens the loop's weights.
+                    noiseless_states(code, v, thetas)
+                    want = loop_projection_weights(code, v, thetas, eps)
+                    assert_same_bits(screened[-1][0], want)
                 # The one-point call, against the loop at each (wrapped) angle.
                 for theta in thetas.tolist():
                     ens = InputEnsemble(v, theta, eps)
@@ -651,26 +700,29 @@ class TestGatheredContraction:
                     )
 
     @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
-    def test_solver_block_matches_the_t_loop_bitwise(self, code):
+    def test_solver_block_matches_the_t_loop_bitwise(self, code, monkeypatch):
         # The noiseless grid solver's call: GRID_BLOCK_ROWS v by 400 theta.
+        screened = spy_on_screen(monkeypatch)
         rng = np.random.default_rng(code.num_qubits * 7 + code.n)
         vs = np.concatenate(
             ([0.0, math.pi / 2], rng.uniform(0.0, math.pi / 2, GRID_BLOCK_ROWS - 2))
         )
         thetas = -math.pi + GRID_STEP * np.arange(400)
-        got = projection_weights(code, vs, thetas, 0.0)
+        noiseless_states(code, vs, thetas)
+        (got, _), = screened
         assert got[0].shape == (GRID_BLOCK_ROWS, 400)
         assert_same_bits(got, loop_projection_weights(code, vs, thetas, 0.0))
 
     @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
-    def test_v_block_matches_the_t_loop_bitwise(self, code):
+    def test_v_block_matches_the_t_loop_bitwise(self, code, monkeypatch):
+        screened = spy_on_screen(monkeypatch)
         rng = np.random.default_rng(code.num_qubits * 17 + code.g)
         vs = rng.uniform(0.0, math.pi / 2, (3, 7))
         thetas = rng.uniform(-math.pi, math.pi, 11)
-        for eps in (0.0, float(rng.uniform(0.0, 1.0))):
-            got = projection_weights(code, vs, thetas, eps)
-            assert got[0].shape == (3, 7, 11)
-            assert_same_bits(got, loop_projection_weights(code, vs, thetas, eps))
+        noiseless_states(code, vs, thetas)
+        (got, _), = screened
+        assert got[0].shape == (3, 7, 11)
+        assert_same_bits(got, loop_projection_weights(code, vs, thetas, 0.0))
 
     @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
     def test_max_errors_with_gapped_flips_matches_the_t_loop_bitwise(self, code, monkeypatch):
@@ -731,7 +783,7 @@ class TestGatheredContraction:
         flip_sets = set()
         for code in codes:
             for eps in sweep.tolist():
-                projection_weights(code, 0.7, np.array([0.2]), eps)
+                codespace_projection(code, InputEnsemble(0.7, 0.2, eps))
                 noise = loop_noise_weights(code.num_qubits, eps)
                 flip_sets.add((code, tuple(np.flatnonzero(noise))))
         assert len(flip_sets) > 10
@@ -742,7 +794,8 @@ class TestFinalStates:
     def test_matches_final_state(self):
         code = GnuParams(1, 2, 3)
         thetas = np.linspace(-math.pi, math.pi, 9)
-        w00, w11, w01 = projection_weights(code, 0.5, thetas, 0.1)
+        points = [codespace_projection(code, InputEnsemble(0.5, t, 0.1)) for t in thetas]
+        w00, w11, w01 = (np.array(part) for part in zip(*map(astuple, points)))
         accepted, m00, m11, m01 = final_states(w00, w11, w01)
         assert accepted.all()
         for k in range(thetas.size):
@@ -775,7 +828,7 @@ class TestFinalStates:
         code, target = GnuParams(1, 2, 3), t_state().density()
         vs = np.arange(GRID_BLOCK_ROWS) * GRID_STEP
         thetas = -math.pi + np.arange(400) * GRID_STEP
-        accepted, m00, _, _ = final_states(*projection_weights(code, vs, thetas, 0.0))
+        accepted, m00, _, _ = noiseless_states(code, vs, thetas)
         assert accepted.all() and m00.size == vs.size * thetas.size
         assert max_errors(code, 0.7, 0.3, FIGURE_EPS, target).shape == FIGURE_EPS.shape
 

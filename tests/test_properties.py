@@ -1,6 +1,7 @@
 """Property tests of the projection weights, state checks and error curves over random inputs."""
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from gnumsd.codes import GnuParams  # noqa: E402
 from gnumsd.engine import (  # noqa: E402
     MIN_SUCCESS_PROBABILITY,
     CodespaceProjection,
+    InputEnsemble,
+    codespace_projection,
     final_state,
     final_states,
     max_error,
     max_errors,
-    projection_weights,
 )
 from gnumsd.errors import OutOfRangeError, ZeroSuccessProbabilityError  # noqa: E402
 from gnumsd.qmath import MAX_QUBITS, STATE_TOLERANCE, squared_modulus, t_state  # noqa: E402
@@ -42,8 +44,18 @@ def codes(draw):
 )
 def test_weights_form_a_subnormalised_state(code, v, thetas, eps):
     # Born weights of a projection: nonnegative, at most 1 in total, and a
-    # positive semidefinite logical block.
-    w00, w11, w01 = projection_weights(code, v, np.array(thetas), eps)
+    # positive semidefinite logical block.  The one-point weights are read
+    # as codespace_projection hands them to the dataclass, refused or not.
+    weights = []
+    with mock.patch.multiple(
+        engine,
+        MIN_SUCCESS_PROBABILITY=-math.inf,
+        CodespaceProjection=lambda *point: weights.append(point),
+    ):
+        for theta in thetas:
+            codespace_projection(code, InputEnsemble(v, theta, eps))
+    w00, w11, w01 = (np.array(part) for part in zip(*weights))
+    assert w00.size == len(thetas)
     assert (w00 >= -STATE_TOLERANCE).all()
     assert (w11 >= -STATE_TOLERANCE).all()
     assert (w00 + w11 <= 1.0 + STATE_TOLERANCE).all()

@@ -6,7 +6,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from gnumsd import solver
+from gnumsd import engine, solver
 from gnumsd.codes import GnuParams
 from gnumsd.engine import InputEnsemble, distilled_state, final_state, wrap_angle
 from gnumsd.errors import NoSolutionError, OutOfRangeError, ZeroSuccessProbabilityError
@@ -514,6 +514,23 @@ class TestSolveForMagic:
     def test_negative_magic_rejected(self):
         with pytest.raises(OutOfRangeError):
             solve_for_magic(U2, math.pi / 4, -0.1)
+
+    def test_nan_magic_rejected_before_the_curve(self, monkeypatch):
+        monkeypatch.setattr(solver, "magic_curve", lambda *args: pytest.fail("sampled the curve"))
+        with pytest.raises(OutOfRangeError, match="^magic must be nonnegative, got nan$"):
+            solve_for_magic(U2, math.pi / 4, math.nan)
+
+
+def test_noiseless_paths_compute_no_noise_weights(monkeypatch):
+    # The solver grid, its Gauss-Newton steps and the magic curve read the
+    # noiseless states alone: no noise weight of any omega is computed.
+    monkeypatch.setattr(engine, "_noise_weights", lambda *args: pytest.fail("noise weights"))
+    solve_to_density.cache_clear()
+    target = TargetSpec("XT").density()
+    assert solve_to_density(U2, target)[0].residual <= 1e-9
+    # v = pi/2 alone is singular on (1, 2, 6).
+    assert len(magic_curve(GnuParams(1, 2, 6), 0.3, default_magic_grid(math.pi / 100))) == 50
+    assert solver._newton_step(U2, target, 0.7, 0.3) is not None
 
 
 class TestBisectSignChange:
