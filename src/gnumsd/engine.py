@@ -28,26 +28,28 @@ of theta at eps = 0, where omega = 0 alone has noise weight, which is how
 the noiseless solver grid, the solver's Gauss-Newton blocks and the magic
 curve evaluate many points in one call.  `codespace_projection` takes one
 noisy (v, theta, eps) and weights the run of omega with nonzero noise
-weight, summed by numpy's reduce.  `max_errors` takes one (v, theta) and a
-whole vector of eps, which is how error curves evaluate a threshold grid or
-a figure's eps column in one call, and `max_error` is its one-point twin.
-Beside the plan, both keep a second cache, `_curve_table`: one entry per
+weight.  `max_errors` takes one (v, theta) and a whole vector of eps, which
+is how error curves evaluate a threshold grid or a figure's eps column in
+one call, and `max_error` is its one-point twin.  Every noisy omega sum is
+`_weigh`'s: real rows [|even|^2, |odd|^2, Re, Im of even * conj(odd)],
+weighted by logical_norm times their noise weight and added in ascending
+omega from +0, so a one-point projection, both curve paths and a curve's
+eps = 0 leg give the same bits at the same (v, theta, eps).  Beside the
+plan, the curve paths keep a second cache, `_curve_table`: one entry per
 (code, v, theta) with v and theta as InputEnsemble clamps and wraps them,
-at most CURVE_TABLES of them, read-only.  An entry holds the logical sums
-of every omega = 0..N and the curve's eps = 0 leg, checked once as the
-entry is built: the noiseless output state, or its weight where that
-setting is too weak to normalise.  Only the noise weights depend on eps, so
-every point of an error curve, scalar calls and bisection steps included,
-reads one entry and runs only its own eps: the weighted omega sum, that
-setting's checks and the refusal (`_refuse_zero_weight`, the one curve
-refusal of both).  Both add the omega
-rows in the one order `_CurveTable` states, `max_errors` in numpy and
-`max_error` in Python floats over the entry's Python copy of the sums
-(`_point_weights`), with its noise row from numpy's pow, so its bits are
-max_errors' without an array step per point; at one noisy point they may
-differ from codespace_projection's in the last bits.  `dicke_overlap` is a
-one-point read of the same amplitudes on the (1, N, 1) code; the tests keep
-the term-by-term sum as the reference the plan path is checked against.
+at most CURVE_TABLES of them, read-only.  An entry holds the rows of every
+omega = 0..N and the curve's eps = 0 leg, checked once as the entry is
+built: the noiseless output state, or its weight where that setting is too
+weak to normalise.  Only the noise weights depend on eps, so every point of
+an error curve, scalar calls and bisection steps included, reads one entry
+and runs only its own eps: the weighted omega sum, that setting's checks
+and the refusal (`_refuse_zero_weight`, the one curve refusal of both).
+`max_errors` weights the rows with nonzero noise weight at some eps and
+screens its settings as arrays; `max_error` weights the whole table, its
+noise row from the same numpy pow, and checks its one setting in Python
+numbers.  `dicke_overlap` is a one-point read of the same amplitudes on the
+(1, N, 1) code; the tests keep the term-by-term sum as the reference the
+plan path is checked against.
 The dataclass pair `CodespaceProjection` + `final_state` (which builds a
 `DensityMatrix1Q`) is the one definition of the state checks, their order
 and their messages.  `distilled_state` and `max_error` run it point by
@@ -301,18 +303,44 @@ def _logical_sums(plan: _Plan, v, thetas, rows: slice):
     return squared_modulus(even), squared_modulus(odd), even * odd.conj()
 
 
-class _CurveTable(NamedTuple):
-    """The logical sums of one code at one (v, theta), read by every eps of an error curve.
+def _weigh(plan: _Plan, rows, noise):
+    """The one noisy omega sum: the rows weighted by logical_norm * noise, summed over omega.
 
-    A curve's weights at one eps are logical_norm * noise * sums summed over
-    the omega with nonzero noise weight, added in ascending omega from +0
-    (so an all -0 sum comes out +0, never -0): max_errors down each eps
-    column with a cumsum, max_error over rows in Python floats.  That one
-    order gives both paths the same bits at every eps.
+    rows holds per-omega logical sums as real (omega, ..., 4) arrays
+    [|even|^2, |odd|^2, Re, Im of even * conj(odd)], and noise their noise
+    weights, shape (omega, ...).  numpy adds an outer axis row by row when
+    the rows end in those 4 columns (a lone column would be coalesced into
+    its blocked 1-D reduce), so omega is added in ascending order, and
+    + 0.0 turns an all -0 sum into +0.  A finite row with zero noise weight
+    then changes no bit: a run of omega, a union of flips and a whole table
+    give the same weights.
     """
+    return np.add.reduce((plan.logical_norm * noise)[..., None] * rows, 0) + 0.0
 
-    sums: tuple  # (|even|^2, |odd|^2, even * conj(odd)) arrays, one row per omega = 0..N
-    rows: tuple  # the same sums per omega as Python (float, float, complex) triples
+
+def _sum_rows(plan: _Plan, v: float, theta: float, rows: slice):
+    """The logical sums at one (v, theta) for the omega in rows, as _weigh's (omega, 4) rows."""
+    s00, s11, s01 = _logical_sums(plan, v, np.array([theta]), rows)
+    return np.concatenate((s00, s11, s01.view(float)), -1)  # s01's (Re, Im) pairs
+
+
+def _curve_weights(plan: _Plan, sums, eps):
+    """Codespace weights (w00, w11, w01) at each eps of a 1-D array, from a table's sums.
+
+    Only the rows with nonzero noise weight at some eps are weighted.
+    """
+    noise = _noise_weights(plan, eps[:, None])
+    flips = noise.any(axis=0).nonzero()[0]
+    weights = _weigh(plan, sums[flips, None], noise[:, flips].T)
+    w01 = np.empty(eps.shape, complex)
+    w01.real, w01.imag = weights[:, 2], weights[:, 3]
+    return weights[:, 0], weights[:, 1], w01
+
+
+class _CurveTable(NamedTuple):
+    """The logical sums of one code at one (v, theta), read by every eps of an error curve."""
+
+    sums: np.ndarray  # read-only (N + 1, 4) rows of _weigh, one per omega = 0..N
     noiseless: DensityMatrix1Q | float  # the checked eps = 0 state, or its weight if refused
 
 
@@ -321,25 +349,22 @@ def _curve_table(code: GnuParams, v: float, theta: float) -> _CurveTable:
     """The logical sums of code at one (v, theta) for every omega = 0..N, and its eps = 0 leg.
 
     All that max_errors and max_error need besides the noise weights, so
-    every eps of an error curve shares it: the arrays for max_errors and the
-    same numbers as Python triples for max_error.  At eps = 0 only omega = 0
-    has noise weight, exactly 1.0, so the noiseless weights are logical_norm
-    times row 0; final_states checks them here, once per entry, which keeps
-    the state, or the weight where it is too small to normalise, so every
-    call can refuse it without raising here.  v and theta come clamped and
-    wrapped by InputEnsemble, so equal keys build equal tables.  The entry
-    is shared by every call and so read-only.
+    every eps of an error curve shares it.  The eps = 0 weights are the
+    table's own at eps = 0, where only omega = 0 has noise weight;
+    final_states checks them here, once per entry, which keeps the state,
+    or the weight where it is too small to normalise, so every call can
+    refuse it without raising here.  v and theta come clamped and wrapped
+    by InputEnsemble, so equal keys build equal tables.  The entry is
+    shared by every call and so read-only.
     """
     plan = _plan(code)
-    sums = _logical_sums(plan, v, np.array([theta]), slice(0, code.num_qubits + 1))
-    for part in sums:
-        part.setflags(write=False)
-    rows = tuple(zip(*[part[:, 0].tolist() for part in sums]))
-    # Row 0 alone, summed from +0 like every curve weight.
-    w00, w11, w01 = [plan.logical_norm * part[0] + 0.0 for part in sums]
-    accepted, *state = final_states(w00, w11, w01)
+    sums = _sum_rows(plan, v, theta, slice(0, code.num_qubits + 1))
+    sums.setflags(write=False)
+    weights = _curve_weights(plan, sums, np.zeros(1))
+    accepted, *state = final_states(*weights)
+    w00, w11, _ = weights
     noiseless = DensityMatrix1Q(*[m.item() for m in state]) if accepted[0] else (w00 + w11).item()
-    return _CurveTable(sums, rows, noiseless)
+    return _CurveTable(sums, noiseless)
 
 
 def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> complex:
@@ -390,23 +415,18 @@ def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjec
     """Project N noisy copies onto the codespace and read the logical block.
 
     The logical sums of the omega with nonzero noise weight, which at one
-    eps form one run, weighted by logical_norm times their noise weight and
-    summed over omega.  Raises ZeroSuccessProbabilityError when the total
-    codespace weight is too small to normalise downstream.
+    eps form one run, weighted and summed over omega by _weigh.  Raises
+    ZeroSuccessProbabilityError when the total codespace weight is too
+    small to normalise downstream.
     """
     plan = _plan(code)
     noise = _noise_weights(plan, ens.eps)
     flips = noise.nonzero()[0]
-    rows = slice(int(flips[0]), int(flips[-1]) + 1)
-    s00, s11, s01 = _logical_sums(plan, ens.v, np.array([ens.theta]), rows)
-    weight = plan.logical_norm * noise[rows, None]
-    # Written out: as a comprehension these three cost scan's op_p50_s ~2.5%.
-    w00 = np.add.reduce(weight * s00, -2).item()
-    w11 = np.add.reduce(weight * s11, -2).item()
-    w01 = np.add.reduce(weight * s01, -2).item()
+    run = slice(int(flips[0]), int(flips[-1]) + 1)
+    w00, w11, re, im = _weigh(plan, _sum_rows(plan, ens.v, ens.theta, run), noise[run]).tolist()
     if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
         raise _zero_weight_error(code, ens, w00 + w11)
-    return CodespaceProjection(w00, w11, w01)
+    return CodespaceProjection(w00, w11, complex(re, im))
 
 
 def _zero_weight_error(code: GnuParams, ens: InputEnsemble, weight: float):
@@ -512,10 +532,10 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
     degradation.  eps (a 1-D array) only enters through the noise weights
     of omega flipped inputs, so every call at one (v, theta) on a code
     reads one _curve_table entry, which holds the checked eps = 0 leg, and
-    weights only the rows with nonzero noise weight at some eps, in the
-    order _CurveTable states.  final_states checks every eps before the
-    first setting too weak to normalise is refused, so a warm call gives
-    the bits of a cold one, and trace_distances measures the states.
+    _weigh sums only the rows with nonzero noise weight at some eps.
+    final_states checks every eps before the first setting too weak to
+    normalise is refused, so a warm call gives the bits of a cold one, and
+    trace_distances measures the states.
     Raises OutOfRangeError with InputEnsemble's message for the first eps
     outside [0, 1], and ZeroSuccessProbabilityError, with its message,
     where codespace_projection would at 0 or at any eps.
@@ -530,57 +550,31 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
     if eps.size == 0:
         return np.empty(0)
     table = _curve_table(code, ens.v, ens.theta)
-    plan = _plan(code)
-    noise = _noise_weights(plan, eps[:, None])
-    flips = noise.any(axis=0).nonzero()[0]
-    weight = plan.logical_norm * noise[:, flips].T
-    # cumsum adds down each column in order, and + 0.0 turns an all -0 sum into +0.
-    weights = [np.cumsum(weight * part.take(flips, 0), axis=0)[-1] + 0.0 for part in table.sums]
+    weights = _curve_weights(_plan(code), table.sums, eps)
     accepted, *states = final_states(*weights)
     _refuse_zero_weight(code, v, theta, table.noiseless, eps, accepted, weights)
     return np.maximum(trace_distances(*states, target), trace_distance(table.noiseless, target))
 
 
-def _point_weights(code: GnuParams, table: _CurveTable, eps: float):
-    """Codespace weights ([w00], [w11], [w01]) at the one setting eps, from table.
-
-    max_errors' weights at eps, in Python numbers and with its bits: the
-    table's rows with nonzero noise weight, added in the order _CurveTable
-    states.  The noise row is numpy's _noise_weights at this eps, whose pow
-    gives the bits of max_errors' row where Python's ** does not on every
-    platform, and the coherence term is complex times complex, as numpy
-    promotes the weight, since float times complex keeps a zero's sign or
-    not by Python version.
-    """
-    plan = _plan(code)
-    norm = plan.logical_norm
-    w00 = w11 = 0.0
-    w01 = 0j
-    for (s00, s11, s01), noise in zip(table.rows, _noise_weights(plan, eps).tolist()):
-        if noise:
-            weight = norm * noise
-            w00 += weight * s00
-            w11 += weight * s11
-            w01 += complex(weight) * s01
-    return [w00], [w11], [w01]
-
-
 def max_error(
     code: GnuParams, v: float, theta: float, eps: float, target: DensityMatrix1Q
 ) -> float:
-    """max_errors at the single error weight eps, with no array step past its noise row.
+    """max_errors at the single error weight eps, with no array step past its weights.
 
-    _point_weights sums the cached table in Python numbers and
-    _checked_states checks the setting with the dataclass pair before the
-    table's eps = 0 leg, then this setting, may be refused; trace_distance
-    measures both states.  The value, error class and message are max_errors'.
+    _weigh sums the whole cached table at this eps, which gives max_errors'
+    bits since rows with zero noise weight change none, and _checked_states
+    checks the setting with the dataclass pair before the table's eps = 0
+    leg, then this setting, may be refused; trace_distance measures both
+    states.  The value, error class and message are max_errors'.
     """
     ens = InputEnsemble(v, theta, 0.0)
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         InputEnsemble(v, theta, eps)  # raises InputEnsemble's message
     table = _curve_table(code, ens.v, ens.theta)
-    weights = _point_weights(code, table, eps)
+    plan = _plan(code)
+    w00, w11, re, im = _weigh(plan, table.sums, _noise_weights(plan, eps)).tolist()
+    weights = [w00], [w11], [complex(re, im)]
     accepted, states = _checked_states(*weights)
     _refuse_zero_weight(code, v, theta, table.noiseless, (eps,), accepted, weights)
     return max(trace_distance(table.noiseless, target), trace_distance(states[0], target))

@@ -18,10 +18,12 @@ from gnumsd.protocols import (
     bk_h_curve,
     bk_h_error_ps_consistent,
     bk_t_curve,
+    canonical_params,
     combined_curve,
     find_crossover,
     find_threshold,
     gnu_error_curve,
+    pairing,
     repetition_reference_params,
 )
 from gnumsd.qmath import PureQubit, h_state, m2_pure, t_state, trace_distance
@@ -178,6 +180,52 @@ def test_criterion_08_combined_thresholds():
         f"ACCEPTANCE 8: PASS - combined thresholds {t_combined:.4f} (T), "
         f"{h_combined:.4f} (H), both above standalone"
     )
+
+
+def _twirled_stage_a(kind: str) -> ErrorCurve:
+    """Stage A read as a twirled reference round reads its input.
+
+    Twirling maps a state rho to the form (1 - e)|psi><psi| + e|psi_perp><psi_perp|
+    with e = 1 - <psi|rho|psi>, so this curve is that infidelity to stage
+    A's pure target, worst case over the settings {0, eps}, at the
+    canonical (1,1,2) inputs.
+    """
+    aimed = pairing(kind)[0]
+    v, theta = canonical_params(U2, aimed)
+    target = TargetSpec(aimed).density()
+
+    def infidelity(eps):
+        rho = distilled_state(U2, InputEnsemble(v, theta, eps))
+        overlap = (
+            rho.m00 * target.m00
+            + rho.m11 * target.m11
+            + 2.0 * (rho.m01 * target.m01.conjugate()).real
+        )
+        return 1.0 - overlap
+
+    return ErrorCurve(f"twirled-{aimed}", lambda eps: max(infidelity(0.0), infidelity(eps)))
+
+
+def test_criterion_08b_twirled_composition_analysis():
+    # Criteria 6 and 8 feed stage A's trace distance to the reference round
+    # (the canonical scalar composition).  Read through the free twirl, the
+    # round's input error is the infidelity instead, which is smaller at
+    # every eps, so the combined thresholds rise and the crossovers fall.
+    readings = {"T": (0.00381, 0.0513, 0.2945, 0.0862), "H": (0.00347, 0.0510, 0.2246, 0.0952)}
+    for kind, (at_001, at_01, combined, crossover) in readings.items():
+        stage_a, stage_b = _twirled_stage_a(kind), pairing(kind)[1]
+        assert stage_a(0.01) == pytest.approx(at_001, abs=3e-3)
+        assert stage_a(0.1) == pytest.approx(at_01, abs=3e-3)
+        twirled = ErrorCurve(f"twirled-combined-{kind}", lambda eps: stage_b(stage_a(eps)))
+        result = find_threshold(twirled)
+        assert result.kind == "fixed_point"
+        assert result.threshold == pytest.approx(combined, abs=3e-3)
+        crossing = find_crossover(stage_a, stage_b)
+        assert crossing == pytest.approx(crossover, abs=3e-3)
+        print(
+            f"ACCEPTANCE 8b ({kind}): PASS - twirled combined threshold "
+            f"{result.threshold:.4f}, stage A vs reference crossover {crossing:.4f}"
+        )
 
 
 def test_criterion_09_repetition_code_negative_result():

@@ -588,13 +588,13 @@ def loop_noise_weights(n_qubits: int, eps):
     return _LOOP_BINOMIAL[n_qubits, omegas] * eps**omegas * (1.0 - eps) ** omegas[::-1]
 
 
-def loop_projection(code: GnuParams, v, thetas, flips, noise, ascending=False):
+def loop_projection(code: GnuParams, v, thetas, flips, noise):
     """The engine's projection as a loop over t: the bitwise reference of its gathered t-sum.
 
     Each factor's (omega, r) coefficients take one power per entry, and each
     t adds flipped[t] * clean[g*j - t] into the amplitudes of the j with
-    g*j >= t.  The weighted omega rows are summed as codespace_projection
-    sums them, or with ascending one by one from +0, as error curves add them.
+    g*j >= t.  The weighted omega rows are added one by one in ascending
+    omega from +0, the engine's one omega-sum order.
     """
     n_qubits, n, g = code.num_qubits, code.n, code.g
     v = np.asarray(v, dtype=float)
@@ -622,11 +622,9 @@ def loop_projection(code: GnuParams, v, thetas, flips, noise, ascending=False):
     odd = terms[..., 1::2, :].sum(axis=-2)
     weight = 2.0 ** (-(n - 1)) * noise
     parts = (even.real**2 + even.imag**2, odd.real**2 + odd.imag**2, even * odd.conj())
-    if ascending:
-        return tuple(
-            functools.reduce(np.add, np.moveaxis(weight * part, -2, 0), 0.0) for part in parts
-        )
-    return tuple((weight * part).sum(axis=-2) for part in parts)
+    return tuple(
+        functools.reduce(np.add, np.moveaxis(weight * part, -2, 0), 0.0) for part in parts
+    )
 
 
 def loop_projection_weights(code: GnuParams, v, thetas, eps: float):
@@ -652,6 +650,18 @@ def spy_on_screen(monkeypatch):
 
     monkeypatch.setattr(engine, "final_states", spy)
     return screened
+
+
+def spy_on_checks(monkeypatch):
+    """A list that records (weights, result) of each engine call of _checked_states."""
+    checked = []
+
+    def spy(*weights, check=engine._checked_states):
+        checked.append((weights, check(*weights)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(engine, "_checked_states", spy)
+    return checked
 
 
 CONTRACTION_CODES = [
@@ -750,9 +760,7 @@ class TestGatheredContraction:
                 flips = np.flatnonzero(noise.any(axis=0))
                 gapped.append(bool(np.any(np.diff(flips) > 1)))
                 ens = InputEnsemble(v, theta, 0.0)
-                want = loop_projection(
-                    code, ens.v, np.array([ens.theta]), flips, noise[:, flips].T, ascending=True
-                )
+                want = loop_projection(code, ens.v, np.array([ens.theta]), flips, noise[:, flips].T)
                 # The last screen of a call is max_errors' own, after its table's.
                 assert_same_bits(screened[-1][0], want)
         assert len(gapped) == 9
@@ -1015,7 +1023,41 @@ def _one_point_outcome(call, code, v, theta, eps, target):
     return type(value), struct.pack("<d", value)
 
 
+def _state_outcome(code, ens):
+    """distilled_state at ens, or the error's class and message."""
+    try:
+        return distilled_state(code, ens)
+    except (OutOfRangeError, ZeroSuccessProbabilityError) as error:
+        return type(error), str(error)
+
+
 class TestMaxErrors:
+    @pytest.mark.parametrize("code", SCAN_CODES + [GnuParams(1, 60, 1)], ids=_code_id)
+    def test_max_error_is_distilled_state_bitwise(self, code, monkeypatch):
+        # One omega sum: the noisy state max_error checks is distilled_state's
+        # at the same (v, theta, eps), zero signs included, and max_error is
+        # the larger trace distance of distilled_state at 0 and at eps, or
+        # the first of their refusals, by class and message.
+        checked = spy_on_checks(monkeypatch)
+        rng = random.Random(code.num_qubits * 67 + code.g)
+        target = t_state().density()
+        for v in (0.0, 1.5707, math.pi / 2, rng.uniform(0.3, 1.27)):
+            theta = rng.uniform(-math.pi, math.pi)
+            for eps in (1e-300, 1e-3, 1.0 - 1e-15, rng.uniform(0.0, 1.0)):
+                states = [_state_outcome(code, InputEnsemble(v, theta, e)) for e in (0.0, eps)]
+                got = _one_point_outcome(max_error, code, v, theta, eps, target)
+                (accepted,), noisy = checked[-1][1]
+                if accepted:
+                    assert _bits(*astuple(noisy[0])) == _bits(*astuple(states[1]))
+                else:
+                    assert states[1][0] is ZeroSuccessProbabilityError
+                refusals = [state for state in states if isinstance(state, tuple)]
+                if refusals:
+                    assert got == refusals[0]
+                else:
+                    want = max(trace_distance(state, target) for state in states)
+                    assert got == (float, struct.pack("<d", want))
+
     @pytest.mark.parametrize("code", MAX_ERRORS_CODES, ids=_code_id)
     def test_matches_distilled_states_per_point(self, code):
         rng = random.Random(code.num_qubits * 100 + code.n)
@@ -1057,10 +1099,10 @@ class TestMaxErrors:
 
     @pytest.mark.parametrize("shape", [(1, 2, 6), (2, 2, 3), (1, 1, 12), (1, 1, 60)])
     def test_max_error_keeps_numpy_pow_bits_at_seeded_eps(self, shape, monkeypatch):
-        # max_error sums its noise row in Python floats, but the row itself
-        # must be numpy's pow: float ** int rounds otherwise at ~1.5% of
-        # (eps, k) pairs on some platforms, enough to move a value by 1 ulp.
-        screened = spy_on_screen(monkeypatch)
+        # max_error's noise row must be numpy's pow at its one eps, as
+        # max_errors' is: float ** int rounds otherwise at ~1.5% of (eps, k)
+        # pairs on some platforms, enough to move a value by 1 ulp.
+        screened, checked = spy_on_screen(monkeypatch), spy_on_checks(monkeypatch)
         code = GnuParams(*shape)
         plan = engine._plan(code)
         rng = random.Random(code.num_qubits * 41 + code.g)
@@ -1080,29 +1122,29 @@ class TestMaxErrors:
             assert one_point == _one_point_outcome(max_errors, code, v, theta, eps, target)
             assert one_point[0] is float
             # The weights too, zero signs included.
-            table = engine._curve_table(code, ens.v, ens.theta)
-            point = engine._point_weights(code, table, eps)
-            for got, want in zip(point, screened[-1][0], strict=True):
+            for got, want in zip(checked[-1][0], screened[-1][0], strict=True):
                 assert np.array(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("code", ONE_POINT_CODES, ids=_code_id)
     def test_point_weights_are_the_array_sums_bitwise(self, code, monkeypatch):
-        # max_error's Python sums give the weights of max_errors' numpy sums,
-        # zero signs included: both add from +0, so an all -0 coherence part
-        # comes out +0 on both paths.  The table's eps = 0 leg is what both
-        # paths check at eps = 0: the same state's bits, or the same weight.
-        screened = spy_on_screen(monkeypatch)
+        # max_error weighs the whole table and max_errors only its flipped
+        # rows, yet both give the same weights, zero signs included: both
+        # add in ascending omega from +0, so an all -0 coherence part comes
+        # out +0 on both paths.  The table's eps = 0 leg is what both paths
+        # check at eps = 0: the same state's bits, or the same weight.
+        screened, checked = spy_on_screen(monkeypatch), spy_on_checks(monkeypatch)
         rng = random.Random(code.num_qubits * 59 + code.n)
         target = t_state().density()
         for v in (0.0, 1.5707, math.pi / 2, rng.uniform(0.3, 1.27)):
             ens = InputEnsemble(v, rng.uniform(-math.pi, math.pi), 0.0)
             for eps in ONE_POINT_EPS + (rng.uniform(0.0, 1.0),):
-                try:
-                    max_errors(code, ens.v, ens.theta, np.array([eps]), target)
-                except ZeroSuccessProbabilityError:
-                    pass
+                for call, setting in ((max_error, eps), (max_errors, np.array([eps]))):
+                    try:
+                        call(code, ens.v, ens.theta, setting, target)
+                    except ZeroSuccessProbabilityError:
+                        pass
                 table = engine._curve_table(code, ens.v, ens.theta)
-                point = engine._point_weights(code, table, eps)
+                point = checked[-1][0]
                 weights, (accepted, *state) = screened[-1]
                 for got, want in zip(point, weights, strict=True):
                     assert np.array(got).tobytes() == want.tobytes()
@@ -1316,13 +1358,10 @@ class TestCurveTable:
         assert info.maxsize == engine.CURVE_TABLES
         assert info.currsize <= info.maxsize
         table = engine._curve_table(code, 0.3, -1.0)
-        assert len(table.sums) == 3
-        for part in table.sums:
-            assert part.shape == (code.num_qubits + 1, 1)
-            assert not part.flags.writeable
-        # The Python copies of the sums are tuples, one triple per omega.
-        assert isinstance(table.rows, tuple) and len(table.rows) == code.num_qubits + 1
-        assert all(isinstance(row, tuple) and len(row) == 3 for row in table.rows)
+        # One read-only array of sums, one row per omega, and the eps = 0 leg.
+        assert table._fields == ("sums", "noiseless")
+        assert table.sums.shape == (code.num_qubits + 1, 4)
+        assert not table.sums.flags.writeable
 
     def test_noiseless_leg_is_checked_once_per_table(self, monkeypatch):
         # The table holds the checked eps = 0 state, so warm calls check only

@@ -9,6 +9,7 @@ from gnumsd.codes import GnuParams
 from gnumsd.engine import InputEnsemble, distilled_state
 from gnumsd.errors import NoCrossoverError, OutOfRangeError
 from gnumsd.protocols import (
+    BRACKET_WIDTH,
     ErrorCurve,
     bk_h_curve,
     bk_h_error,
@@ -108,6 +109,95 @@ class TestReferenceMapsExactly:
             for fn, exact in exact_reference_maps(Fraction(eps)).items():
                 got = Fraction(fn(eps))
                 assert abs(got - exact) <= Fraction(1, 10**14) * abs(exact), (fn.__name__, eps)
+
+
+def _exact_bracket(fn, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """A bracket of a root of fn, which changes sign on [lo, hi], bisected exactly below 2^-80."""
+    f_lo = fn(lo)
+    assert f_lo * fn(hi) < 0
+    while hi - lo > Fraction(1, 2**80):
+        mid = (lo + hi) / 2
+        f_mid = fn(mid)
+        if f_mid == 0:
+            return mid, mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _holds(root: float, width: float, exact: tuple[Fraction, Fraction]) -> bool:
+    """Whether the reported bracket, root +- width / 2, holds the exact bracket.
+
+    The reported root is the midpoint 0.5 * (lo + hi) of the final float
+    bracket, which the sum may round by half an ulp of the root.
+    """
+    half = Fraction(width) / 2 + Fraction(math.ulp(root)) / 2
+    return Fraction(root) - half <= exact[0] and exact[1] <= Fraction(root) + half
+
+
+def _rational_roots(rng: random.Random, count: int) -> list[Fraction]:
+    """count roots p/q in (0.002, 0.498), at least 0.01 apart, in ascending order.
+
+    Each q is coprime to 10, so no root lies on the 1e-3 search grid, where
+    a grid point within FIXED_POINT_ATOL is reported as the root itself.
+    """
+    while True:
+        roots = []
+        for _ in range(count):
+            q = rng.choice([q for q in range(3, 200) if math.gcd(q, 10) == 1])
+            roots.append(Fraction(rng.randrange(1, q), q))
+        roots.sort()
+        inside = all(Fraction(2, 1000) < r < Fraction(498, 1000) for r in roots)
+        if inside and all(b - a >= Fraction(1, 100) for a, b in zip(roots, roots[1:])):
+            return roots
+
+
+def _polynomial(roots: list[Fraction], sign: int):
+    """e -> sign * e * prod(q * e - p), with integer coefficients and the rational roots p/q."""
+
+    def fn(e):
+        value = sign * e
+        for root in roots:
+            value *= root.denominator * e - root.numerator
+        return value
+
+    return fn
+
+
+class TestSearchRoundTrips:
+    """Searches whose exact roots are known: the reported bracket must hold them."""
+
+    def test_bk_t_threshold_brackets_the_exact_fixed_point(self):
+        result = find_threshold(bk_t_curve())
+        assert result.kind == "fixed_point"
+        exact = _exact_bracket(
+            lambda e: exact_reference_maps(e)[bk_t_error] - e, Fraction(17, 100), Fraction(18, 100)
+        )
+        assert _holds(result.threshold, result.bracket_width, exact)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_polynomial_threshold_brackets_its_first_root(self, seed):
+        rng = random.Random(7100 + seed)
+        roots = _rational_roots(rng, 1 + seed % 3)
+        diff = _polynomial(roots, rng.choice([-1, 1]))
+        result = find_threshold(ErrorCurve(f"poly-{seed}", lambda e: e + diff(e)))
+        assert result.kind == "fixed_point"
+        assert 0.0 < result.bracket_width <= 1e-8
+        assert _holds(result.threshold, result.bracket_width, (roots[0], roots[0]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_polynomial_crossover_brackets_its_first_root(self, seed):
+        # find_crossover reports the midpoint of a final bracket at most
+        # BRACKET_WIDTH wide.
+        rng = random.Random(7200 + seed)
+        roots = _rational_roots(rng, 1 + seed % 3)
+        diff = _polynomial(roots, rng.choice([-1, 1]))
+        base = ErrorCurve("base", lambda e: e * e * (3.0 - 2.0 * e))
+        shifted = ErrorCurve(f"poly-{seed}", lambda e: base(e) - diff(e))
+        crossing = find_crossover(base, shifted)
+        assert _holds(crossing, BRACKET_WIDTH, (roots[0], roots[0]))
 
 
 class TestFindThreshold:

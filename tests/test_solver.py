@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 import random
+import time
 from functools import cmp_to_key
 
 import pytest
@@ -514,6 +515,24 @@ class TestSolveForMagic:
     def test_negative_magic_rejected(self):
         with pytest.raises(OutOfRangeError):
             solve_for_magic(U2, math.pi / 4, -0.1)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (1, 2, 6), (3, 2, 3), (2, 1, 4)])
+    def test_round_trips_from_seeded_inputs(self, shape):
+        # The noiseless output magic at a seeded v0, one v0 from each of
+        # (0.02, 0.25), (0.25, 1.32) and (1.32, 1.55), comes back within the
+        # documented 1e-6 in bounded time.  The v returned may be another v
+        # of the same magic, since ties go toward smaller v.
+        code = GnuParams(*shape)
+        rng = random.Random(code.num_qubits * 97 + code.g)
+        theta = rng.uniform(-math.pi, math.pi)
+        for lo, hi in ((0.02, 0.25), (0.25, 1.32), (1.32, 1.55)):
+            v0 = rng.uniform(lo, hi)
+            magic = m2_density(distilled_state(code, InputEnsemble(v0, theta, 0.0)))
+            start = time.perf_counter()
+            v = solve_for_magic(code, theta, magic)
+            assert time.perf_counter() - start <= 10.0
+            state = distilled_state(code, InputEnsemble(v, theta, 0.0))
+            assert abs(m2_density(state) - magic) <= 1e-6
 
     def test_nan_magic_rejected_before_the_curve(self, monkeypatch):
         monkeypatch.setattr(solver, "magic_curve", lambda *args: pytest.fail("sampled the curve"))
