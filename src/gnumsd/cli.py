@@ -295,6 +295,12 @@ def cmd_compose(args) -> tuple[dict, int]:
     # InputEnsemble's range check and zero sign, so the record echoes the eps evaluated.
     eps = InputEnsemble(0.0, 0.0, args.eps).eps
     stage_a, total = compose_errors(eps, args.target)
+    if not 0.0 <= total <= 1.0:
+        # bk_h_error exceeds 1 for inputs above ~0.86859, which stage A passes at eps ~0.86654.
+        raise OutOfRangeError(
+            f"the {pairing(args.target)[1].label} round maps the stage-A error "
+            f"{stage_a!r} to {total!r}, outside [0, 1]"
+        )
     return {
         "target": args.target,
         "eps": eps,

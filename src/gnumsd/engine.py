@@ -6,38 +6,49 @@ works with sums over Hamming weights (never 2^N objects): the overlap of a
 product input state with a Dicke state depends on the input string only
 through its weight omega, which is what keeps the whole pipeline O(N^3).
 
-`_logical_sums` is the one evaluation path.  The overlap of a
-weight-omega input string with the j-th logical Dicke component is
-e^{i g j theta} times a real amplitude, the x^{gj} coefficient of
-(cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
-through the binomial weight of omega flipped inputs.  Everything in that
-coefficient that does not depend on v sits in a per-code plan, built once
-per code at full size: an index table mapping each (factor, omega, r) to a
-position in one flat power table [cos^k | sin^k | (-cos)^k], the matching
+The overlap of a weight-omega input string with the j-th logical Dicke
+component is e^{i g j theta} times a real amplitude, the x^{gj} coefficient
+of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
+through the binomial weight of omega flipped inputs.  Two kernels evaluate
+it, each shaped for its job, and share no logic.
+The one-point kernel, `_sum_rows`, works at one (v, theta) on fixed-rank
+arrays.  Everything in the coefficient that does not depend on v sits in a
+per-code plan, built once per code at full size: an index table mapping
+each (factor, omega, r) to a position in one flat power table
+[cos^k, sin^k for k = 0..N | (-cos)^k for k = 0..g*n], the matching
 binomials, the (t, j) gather of the coefficient product and its
-normalisation.  Each (omega, r) table ends in a sentinel column with a 0.0
-binomial, where the clean factor is exactly +0, and the gather sends every
-(t, j) with g*j < t there, so no mask multiply is needed.  A call raises
-cos v, sin v and -cos v to the powers 0..N in one pow, reads both factors
-for a run of omega in one take and two multiplies, sums the product over t
-in one gathered contraction and builds the phases e^{i g j theta} once:
-that gives the per-omega logical sums |even|^2, |odd|^2 and
-even * conj(odd).  Three callers weight those rows, one per job.
-`noiseless_states` takes a float or a whole vector of v and a whole vector
-of theta at eps = 0, where omega = 0 alone has noise weight, which is how
-the noiseless solver grid, the solver's Gauss-Newton blocks and the magic
-curve evaluate many points in one call.  `codespace_projection` takes one
-noisy (v, theta, eps) and weights the run of omega with nonzero noise
-weight.  `max_errors` takes one (v, theta) and a whole vector of eps, which
-is how error curves evaluate a threshold grid or a figure's eps column in
-one call, and `max_error` is its one-point twin.  Every noisy omega sum is
-`_weigh`'s: real rows [|even|^2, |odd|^2, Re, Im of even * conj(odd)],
-weighted by logical_norm times their noise weight and added in ascending
-omega from +0, so a one-point projection, both curve paths and a curve's
-eps = 0 leg give the same bits at the same (v, theta, eps).  Beside the
-plan, the curve paths keep a second cache, `_curve_table`: one entry per
-(code, v, theta) with v and theta as InputEnsemble clamps and wraps them,
-at most CURVE_TABLES of them, read-only.  An entry holds the rows of every
+normalisation.  The (-cos v) block ends at g*n because only the flipped
+factor's b^r reads it, and it stays a pow: numpy's pow on a negative base
+is slow, but +-cos^k v differs from (-cos v)^k in the last bits.  Each
+(omega, r) table ends in a sentinel column with a 0.0 binomial, where the
+clean factor is exactly +0, and the gather sends every (t, j) with g*j < t
+there, so no mask multiply is needed.  A call fills the power table in one
+pow, reads both factors for a run of omega in one take and two multiplies,
+sums the product over t in one gathered contraction and writes `_weigh`'s
+per-omega rows |even|^2, |odd|^2 and even * conj(odd) directly.  It serves
+`codespace_projection`, `_curve_table` and `dicke_overlap`.
+The omega = 0 kernel, `_noiseless_weights` behind `noiseless_states`, takes
+a float or a whole vector of v and a whole vector of theta at eps = 0,
+where omega = 0 alone has noise weight, the flipped factor is exactly 1.0
+and the t-sum has one term: each amplitude is
+C(N, g*j) cos^(N - g*j) v sin^(g*j) v times its scale, with no gather, no
+contraction and no negative-base pow.  That is how the noiseless solver
+grid, the solver's Gauss-Newton blocks and the magic curve evaluate many
+points in one call.  Both kernels give the same amplitude bits at
+omega = 0, and `noiseless_states` checks the weights only after the
+kernel has returned and freed its temporaries.
+`codespace_projection` takes one noisy (v, theta, eps) and weights the run
+of omega with nonzero noise weight.  `max_errors` takes one (v, theta) and
+a whole vector of eps, which is how error curves evaluate a threshold grid
+or a figure's eps column in one call, and `max_error` is its one-point
+twin.  Every noisy omega sum is `_weigh`'s: real rows
+[|even|^2, |odd|^2, Re, Im of even * conj(odd)], weighted by logical_norm
+times their noise weight and added in ascending omega from +0, so a
+one-point projection, both curve paths and a curve's eps = 0 leg give the
+same bits at the same (v, theta, eps).  Beside the plan, the curve paths
+keep a second cache, `_curve_table`: one entry per (code, v, theta) with v
+and theta as InputEnsemble clamps and wraps them, at most CURVE_TABLES of
+them, read-only.  An entry holds the rows of every
 omega = 0..N and the curve's eps = 0 leg, checked once as the entry is
 built: the noiseless output state, or its weight where that setting is too
 weak to normalise.  Only the noise weights depend on eps, so every point of
@@ -47,9 +58,9 @@ and the refusal (`_refuse_zero_weight`, the one curve refusal of both).
 `max_errors` weights the rows with nonzero noise weight at some eps and
 screens its settings as arrays; `max_error` weights the whole table, its
 noise row from the same numpy pow, and checks its one setting in Python
-numbers.  `dicke_overlap` is a one-point read of the same amplitudes on the
-(1, N, 1) code; the tests keep the term-by-term sum as the reference the
-plan path is checked against.
+numbers.  `dicke_overlap` is a one-point read of the one-point kernel's
+amplitudes (`_point_amplitudes`) on the (1, N, 1) code; the tests keep the
+term-by-term sum as the reference the plan path is checked against.
 The dataclass pair `CodespaceProjection` + `final_state` (which builds a
 `DensityMatrix1Q`) is the one definition of the state checks, their order
 and their messages.  `distilled_state` and `max_error` run it point by
@@ -174,22 +185,29 @@ class CodespaceProjection:
 class _Plan(NamedTuple):
     """Everything in a projection of one code that does not depend on v or eps.
 
-    The (omega, r) tables run over the flip counts omega = 0..N and the
-    powers r = 0..g*n that reach a logical component, plus one sentinel
-    column r = g*n + 1; a call reads the rows of the omega it sums over.
-    Each (factor, omega, r) entry of index is a position in the call's flat
-    power table [cos^k | sin^k | (-cos)^k], k = 0..N: factors 0 and 1 are
-    the a^(m - r) of the flipped (degree omega, a = sin v) and clean
-    (degree N - omega, a = cos v) factors, 2 and 3 their b^r (b = -cos v and
-    sin v).  The sentinel column reads a^0 and b^0 against a 0.0 binomial,
-    so the clean factor holds exactly +0 there.
+    The one-point kernel's (omega, r) tables run over the flip counts
+    omega = 0..N and the powers r = 0..g*n that reach a logical component,
+    plus one sentinel column r = g*n + 1; a call reads the rows of the omega
+    it sums over.  Each (factor, omega, r) entry of index is a position in
+    the call's flat power table [cos^k, sin^k for k = 0..N | (-cos)^k for
+    k = 0..g*n]: factors 0 and 1 are the a^(m - r) of the flipped (degree
+    omega, a = sin v) and clean (degree N - omega, a = cos v) factors, 2 and
+    3 their b^r (b = -cos v and sin v).  Only the flipped factor's b^r reads
+    the (-cos v) block, so it ends at g*n.  The sentinel column reads a^0
+    and b^0 against a 0.0 binomial, so the clean factor holds exactly +0
+    there.  The omega = 0 kernel reads noiseless_binomial,
+    noiseless_exponents, scale, phase_rates and logical_norm.
     """
 
-    omegas: np.ndarray  # 0..N: noise exponents and power-table exponents
+    omegas: np.ndarray  # 0..N: noise exponents
     noise_binomial: np.ndarray  # C(N, omega)
+    power_bases: np.ndarray  # power-table entry -> 0, 1, 2 for cos v, sin v, -cos v
+    power_exponents: np.ndarray  # power-table entry -> k, as a float
     index: np.ndarray  # (factor, omega, r) -> position in the flat power table
     binomial: np.ndarray  # C(omega, r) and C(N - omega, r), 0.0 in the sentinel column
     gather: np.ndarray  # (t, j) -> column g*j - t of the clean factor, the sentinel where g*j < t
+    noiseless_binomial: np.ndarray  # C(N, g*j), the omega = 0 clean factor at r = g*j
+    noiseless_exponents: np.ndarray  # (2, j): N - g*j of cos v and g*j of sin v, as floats
     phase_rates: np.ndarray  # i*g*j, the exponent of e^{i g j theta} per unit theta
     scale: np.ndarray  # sqrt(C(n, j) / C(N, g*j))
     logical_norm: float  # 2^-(n-1), the square of the logical states' normalisation
@@ -218,14 +236,19 @@ def _plan(code: GnuParams) -> _Plan:
     binomial = _binomials(range(n_qubits + 1), r)[degrees]
     binomial[..., sentinel] = 0.0
     column = -np.subtract.outer(r[:sentinel], excitations)  # (t, j) -> g*j - t
+    counts = [n_qubits + 1, n_qubits + 1, sentinel]
     plan = _Plan(
         omegas=omegas,
         noise_binomial=_binomials([n_qubits], omegas)[0],
+        power_bases=np.repeat(np.arange(3), counts),
+        power_exponents=np.concatenate([omegas[:count] for count in counts]).astype(float),
         index=exponents + blocks[:, None, None],
         binomial=binomial,
         # Every g*j < t to -1, which the modulus takes to the sentinel: no
         # integer comparison, whose first use in a process costs ~0.2 MB resident.
         gather=np.maximum(column, -1) % (sentinel + 1),
+        noiseless_binomial=_binomials([n_qubits], excitations)[0],
+        noiseless_exponents=np.stack((n_qubits - excitations, excitations)).astype(float),
         phase_rates=1j * excitations,
         scale=np.sqrt(_binomials([n], range(n + 1))[0] / _binomials([n_qubits], excitations)[0]),
         logical_norm=2.0 ** (-(n - 1)),
@@ -245,62 +268,56 @@ def _noise_weights(plan: _Plan, eps):
     return plan.noise_binomial * eps**omegas * (1.0 - eps) ** omegas[::-1]
 
 
-def _coefficients(plan: _Plan, v, rows):
-    """x^r coefficients of the flipped and clean factors, shape (v, factor, omega, r).
+def _power_table(plan: _Plan, v: float):
+    """The flat power table at v: [cos^k, sin^k for k = 0..N | (-cos)^k for k = 0..g*n].
 
-    C(m, r) a^(m - r) b^r for each omega in rows, with every power read from
-    one flat power table [cos^k | sin^k | (-cos)^k], k = 0..N, per v: the
-    same pow on the same operands as one power per entry.  The gathered
-    powers are freed on return, before the caller allocates its larger
-    (v, omega, t, j) array.
+    One pow per entry, so each entry has the bits of its own pow: (-cos v)^k
+    stays a pow, since +-cos^k v differs from it in the last bits.
     """
-    # math.cos/math.sin per v, so a vector of v gives the same bits as one v.
-    v = np.asarray(v, dtype=float)
-    flat = v.ravel().tolist()
-    trig = np.array([(c, s, -c) for c, s in zip(map(math.cos, flat), map(math.sin, flat))])
-    powers = (trig.reshape(v.shape + (3, 1)) ** plan.omegas).reshape(v.shape + (-1,))
-    factors = powers.take(plan.index[:, rows], axis=-1)
-    coefficients = plan.binomial[:, rows] * factors[..., :2, :, :]
-    coefficients *= factors[..., 2:, :, :]
-    return coefficients
+    cos_v = math.cos(v)
+    return np.array((cos_v, math.sin(v), -cos_v))[plan.power_bases] ** plan.power_exponents
 
 
-def _amplitudes(plan: _Plan, v, rows: slice):
-    """Real amplitudes of the logical components, shape np.shape(v) + (omega, j).
+def _point_amplitudes(plan: _Plan, v: float, rows: slice):
+    """Real amplitudes of the logical components at one v, shape (omega, j).
 
     The x^{gj} coefficient of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega
-    for each omega in rows, scaled by sqrt(C(n, j) / C(N, gj)).
+    for each omega in rows, scaled by sqrt(C(n, j) / C(N, gj)).  Each factor's
+    x^r coefficient is C(m, r) a^(m - r) b^r, its powers read from the flat
+    power table.
     """
-    coefficients = _coefficients(plan, v, rows)
+    factors = _power_table(plan, v).take(plan.index[:, rows])
+    coefficients = plan.binomial[:, rows] * factors[:2]
+    coefficients *= factors[2:]
     depth = min(rows.stop, plan.gather.shape[0])  # t runs to min(omega, g*n)
-    # (v, omega, t, j) products flipped[t] * clean[g*j - t], summed over t;
+    # (omega, t, j) products flipped[t] * clean[g*j - t], summed over t;
     # where g*j < t the gather reads the clean factor's +0 sentinel.
     # take fills a fresh C-contiguous array, which the sum then runs over
     # row by row in t, as a loop over t adding into the amplitudes would;
     # the product is taken in place to hold one such array, not two.
     # np.add.reduce is what ndarray.sum calls, minus its Python wrapper.
-    amplitude = coefficients[..., 1, :, :].take(plan.gather[:depth], axis=-1)
-    amplitude *= coefficients[..., 0, :, :depth, None]
-    amplitude = np.add.reduce(amplitude, -2)
+    amplitude = coefficients[1].take(plan.gather[:depth], axis=-1)
+    amplitude *= coefficients[0, :, :depth, None]
+    amplitude = np.add.reduce(amplitude, 1)
     amplitude *= plan.scale
     return amplitude
 
 
-def _logical_sums(plan: _Plan, v, thetas, rows: slice):
-    """Per-omega logical sums (|even|^2, |odd|^2, even * conj(odd)) for the omega in rows.
+def _sum_rows(plan: _Plan, v: float, theta: float, rows: slice):
+    """The one-point kernel: logical sums at one (v, theta) for the omega in rows.
 
-    v is a float or an array of them, and leads the shape of each sum, which
-    is np.shape(v) + (omega, theta).  Nothing here depends on eps: the
-    callers weight the rows by noise and sum them over omega.
+    Returns _weigh's real (omega, 4) rows [|even|^2, |odd|^2, Re, Im of
+    even * conj(odd)]; nothing here depends on eps.  Each j-sum is added
+    pairwise, numpy's reduce along a row.
     """
-    amplitude = _amplitudes(plan, v, rows)
-    # (v, omega, j, theta) terms, summed by broadcasting: matmul would load
-    # BLAS, about 0.4 MB of resident memory, for arrays this small.
-    phases = np.exp(np.multiply.outer(plan.phase_rates, thetas))
-    terms = amplitude[..., None] * phases
-    even = np.add.reduce(terms[..., 0::2, :], -2)
-    odd = np.add.reduce(terms[..., 1::2, :], -2)
-    return squared_modulus(even), squared_modulus(odd), even * odd.conj()
+    terms = _point_amplitudes(plan, v, rows) * np.exp(plan.phase_rates * theta)
+    even = np.add.reduce(terms[:, 0::2], 1)
+    odd = np.add.reduce(terms[:, 1::2], 1)
+    sums = np.empty((even.size, 4))
+    sums[:, 0] = squared_modulus(even)
+    sums[:, 1] = squared_modulus(odd)
+    sums.view(complex)[:, 1] = even * odd.conj()
+    return sums
 
 
 def _weigh(plan: _Plan, rows, noise):
@@ -316,12 +333,6 @@ def _weigh(plan: _Plan, rows, noise):
     give the same weights.
     """
     return np.add.reduce((plan.logical_norm * noise)[..., None] * rows, 0) + 0.0
-
-
-def _sum_rows(plan: _Plan, v: float, theta: float, rows: slice):
-    """The logical sums at one (v, theta) for the omega in rows, as _weigh's (omega, 4) rows."""
-    s00, s11, s01 = _logical_sums(plan, v, np.array([theta]), rows)
-    return np.concatenate((s00, s11, s01.view(float)), -1)  # s01's (Re, Im) pairs
 
 
 def _curve_weights(plan: _Plan, sums, eps):
@@ -370,7 +381,7 @@ def _curve_table(code: GnuParams, v: float, theta: float) -> _CurveTable:
 def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> complex:
     """Overlap <D^N_s | phi_x> for any input string x of Hamming weight omega.
 
-    A one-point read of the plan path on the (1, N, 1) code, whose j-th
+    A one-point read of _point_amplitudes on the (1, N, 1) code, whose j-th
     logical component is the weight-j Dicke state with scale exactly 1.0:
     the overlap is amplitude[s] / sqrt(C(N, s)) times e^{i s theta}.  Any
     finite v is taken; the indices may be any integers, numpy's included.
@@ -387,28 +398,58 @@ def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> 
         raise OutOfRangeError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
     if not (0 <= s <= n_qubits and 0 <= omega <= n_qubits):
         raise OutOfRangeError(f"need 0 <= s, omega <= {n_qubits}, got s={s}, omega={omega}")
-    amplitude = _amplitudes(_plan(GnuParams(1, n_qubits, 1)), v, slice(omega, omega + 1))[0, s]
+    plan = _plan(GnuParams(1, n_qubits, 1))
+    amplitude = _point_amplitudes(plan, v, slice(omega, omega + 1))[0, s]
     return float(amplitude) / math.sqrt(math.comb(n_qubits, s)) * cmath.exp(1j * s * theta)
+
+
+def _noiseless_weights(plan: _Plan, v, thetas):
+    """The omega = 0 kernel: codespace weights (w00, w11, w01) at eps = 0.
+
+    Each of shape np.shape(v) + thetas.shape.  At eps = 0 only omega = 0
+    has noise weight, exactly 1.0, the flipped factor is exactly 1.0 and
+    the t-sum has one term, so each amplitude is
+    C(N, g*j) cos^(N - g*j) v sin^(g*j) v times its scale: the one-point
+    kernel's omega = 0 bits with no gather, no contraction and no negative
+    base.  The weights are logical_norm times the logical sums, scaled in
+    place, and + 0.0 turns a -0 into +0 as a one-row sum over omega would.
+    Each j-sum is added pairwise when thetas holds one angle and row by row
+    when it holds several, so the two can differ in their last bits.
+    """
+    v = np.asarray(v, dtype=float)
+    # math.cos/math.sin per v, so a vector of v gives the same bits as one v.
+    flat = v.ravel().tolist()
+    trig = np.array((list(map(math.cos, flat)), list(map(math.sin, flat))))
+    powers = trig[..., None] ** plan.noiseless_exponents[:, None, :]
+    amplitude = plan.noiseless_binomial * powers[0]
+    amplitude *= powers[1]
+    amplitude *= plan.scale
+    # (v, j, theta) terms, summed by broadcasting: matmul would load BLAS,
+    # about 0.4 MB of resident memory, for arrays this small.
+    phases = np.exp(np.multiply.outer(plan.phase_rates, thetas))
+    terms = amplitude.reshape(v.shape + (-1, 1)) * phases
+    even = np.add.reduce(terms[..., 0::2, :], -2)
+    odd = np.add.reduce(terms[..., 1::2, :], -2)
+    weights = squared_modulus(even), squared_modulus(odd), even * odd.conj()
+    for part in weights:
+        part *= plan.logical_norm
+        part += 0.0
+    return weights
 
 
 def noiseless_states(code: GnuParams, v, thetas):
     """Checked noiseless output states for each v and each angle in thetas.
 
-    Returns final_states' (accepted, m00, m11, m01) over weights of shape
-    np.shape(v) + thetas.shape; v, a float or an array of them, must already
-    lie in [0, pi/2], as InputEnsemble ensures.  At eps = 0 only omega = 0
-    has noise weight, exactly 1.0, so the weights are logical_norm times the
-    logical sums of that one row, scaled in place, and + 0.0 turns a -0 into
-    +0 as a one-row sum over omega would.  This is how the noiseless solver
+    Returns final_states' (accepted, m00, m11, m01) over the weights of
+    _noiseless_weights; v, a float or an array of them, must already lie in
+    [0, pi/2], as InputEnsemble ensures.  This is how the noiseless solver
     grid, the solver's Gauss-Newton blocks and the magic curve evaluate many
-    points in one call; no noise weight is computed.
+    points in one call.  The kernel's temporaries, its (v, j, theta) terms
+    above all, are freed as it returns, before final_states allocates its
+    own: held across the checks, they raised the minor page faults of a
+    pass of cold solves from 960 to 7,272 (glibc malloc, numpy 2.4).
     """
-    plan = _plan(code)
-    weights = [part[..., 0, :] for part in _logical_sums(plan, v, thetas, slice(0, 1))]
-    for part in weights:
-        part *= plan.logical_norm
-        part += 0.0
-    return final_states(*weights)
+    return final_states(*_noiseless_weights(_plan(code), v, thetas))
 
 
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:

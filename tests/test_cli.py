@@ -405,6 +405,27 @@ class TestComposeCommand:
         assert captured.out == ""
         assert captured.err == f"gnumsd: invalid input: {message}\n"
 
+    @pytest.mark.parametrize("eps", ["0.9", "1.0"])
+    def test_refuses_a_bk_h_total_above_one(self, eps, capsys):
+        # bk_h_error exceeds 1 for inputs above ~0.86859, which stage A
+        # passes at eps ~0.86654: the record would hold an error above 1.
+        stage_a, total = protocols.compose_errors(float(eps), "H")
+        assert total > 1.0
+        assert main(["compose", "--eps", eps, "--target", "H"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gnumsd: invalid input: the bk-H round maps the stage-A error {stage_a!r} "
+            f"to {total!r}, outside [0, 1]\n"
+        )
+
+    def test_h_below_the_refusal_keeps_its_record(self, capsys):
+        assert main("compose --eps 0.3 --target H".split()) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "target": "H",\n  "eps": 0.3,\n  "error_stage_a": 0.259151088362,\n'
+            '  "error_total": 0.460578558353\n}\n'
+        )
+
     def test_stage_a_evaluated_once(self, capsys, monkeypatch):
         calls = []
         real = protocols.max_error

@@ -798,6 +798,25 @@ class TestGatheredContraction:
         assert engine._plan.cache_info().currsize == 3
 
 
+class TestPowerTable:
+    @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
+    def test_entries_are_their_own_pows_bitwise(self, code):
+        # The one-point kernel's bits rest on a pow's per-element bits not
+        # depending on the other elements of the call: its (-cos v) block
+        # stops at g*n and shares one pow with the cos and sin blocks.
+        n_qubits, width = code.num_qubits, code.g * code.n + 1
+        powers = np.arange(n_qubits + 1)
+        rng = random.Random(code.num_qubits * 23 + code.g)
+        for v in (0.0, math.pi / 2, *(rng.uniform(0.0, math.pi / 2) for _ in range(8))):
+            table = engine._power_table(engine._plan(code), v)
+            cos_v, sin_v = math.cos(v), math.sin(v)
+            cos_block, sin_block, negative = np.split(table, [n_qubits + 1, 2 * n_qubits + 2])
+            assert negative.size == width
+            assert negative.tobytes() == ((-cos_v) ** powers)[:width].tobytes()
+            assert cos_block.tobytes() == (cos_v**powers).tobytes()
+            assert sin_block.tobytes() == (sin_v**powers).tobytes()
+
+
 class TestFinalStates:
     def test_matches_final_state(self):
         code = GnuParams(1, 2, 3)
@@ -1209,15 +1228,15 @@ class TestMaxErrors:
     def test_checks_come_before_the_zero_weight_refusal(self, points, error, monkeypatch):
         # Every accepted setting is checked, in order, by the dataclass pair
         # before the first zero-weight one is refused, on both paths.  The
-        # crafted logical sums of U2 (logical_norm 1.0) hold the eps = 0
+        # crafted (omega, 4) sum rows of U2 (logical_norm 1.0) hold the eps = 0
         # weights in row omega = 0 and the eps = 1 weights in row omega = N,
         # the only row with noise weight at eps = 1, so both paths weight
         # exactly the crafted settings (eps = 0, eps = 1).
         def crafted_sums(*args):
             rows = (points[0], (0.0, 0.0, 0j), points[1])
-            return tuple(np.array(part)[:, None] for part in zip(*rows))
+            return np.array([(w00, w11, w01.real, w01.imag) for w00, w11, w01 in rows])
 
-        monkeypatch.setattr(engine, "_logical_sums", crafted_sums)
+        monkeypatch.setattr(engine, "_sum_rows", crafted_sums)
         target = t_state().density()
         engine._curve_table.cache_clear()
         try:
@@ -1245,7 +1264,7 @@ class TestMaxErrors:
         target = t_state().density()
         engine._curve_table.cache_clear()
         want = max_errors(U2, 0.8, 0.1, np.array([0.2]), target)[0]
-        for name in ("final_states", "trace_distances", "_logical_sums"):
+        for name in ("final_states", "trace_distances", "_sum_rows"):
             monkeypatch.setattr(engine, name, lambda *args, name=name: pytest.fail(f"called {name}"))
         misses = engine._curve_table.cache_info().misses
         assert max_error(U2, 0.8, 0.1, 0.2, target) == want

@@ -1,4 +1,4 @@
-"""Property tests of the projection weights, state checks and error curves over random inputs."""
+"""Property tests of the projection weights, state checks, error curves and solver."""
 import cmath
 import math
 from unittest import mock
@@ -17,13 +17,16 @@ from gnumsd.engine import (  # noqa: E402
     CodespaceProjection,
     InputEnsemble,
     codespace_projection,
+    distilled_state,
     final_state,
     final_states,
     max_error,
     max_errors,
+    wrap_angle,
 )
 from gnumsd.errors import OutOfRangeError, ZeroSuccessProbabilityError  # noqa: E402
 from gnumsd.qmath import MAX_QUBITS, STATE_TOLERANCE, squared_modulus, t_state  # noqa: E402
+from gnumsd.solver import solve_to_density  # noqa: E402
 
 
 @st.composite
@@ -87,6 +90,31 @@ def test_error_curve_table_is_invisible(code, v, theta, eps):
         errors = np.frombuffer(cold)
         for k, e in enumerate(eps):
             assert max_error(code, v, theta, e, target) == errors[k]
+
+
+@hypothesis.settings(max_examples=100, deadline=10_000, derandomize=True, database=None)
+@hypothesis.given(
+    g=st.integers(1, 2),
+    u=st.integers(2, 30),
+    v0=st.floats(0.25, 1.32),
+    theta0=st.floats(-math.pi, math.pi, exclude_max=True),
+)
+def test_solver_round_trips_a_noiseless_output(g, u, v0, theta0):
+    # The noiseless output of (v0, theta0) as target: solve_to_density, in
+    # at most 10 s, returns (v0, theta0) and each of its g-fold images
+    # theta0 + 2 pi k / g, matched to solutions one to one as sets.
+    code = GnuParams(g, 1, u)
+    target = distilled_state(code, InputEnsemble(v0, theta0, 0.0))
+    solutions = solve_to_density.__wrapped__(code, target)
+    matches = [
+        [
+            i for i, s in enumerate(solutions)
+            if abs(s.v - v0) <= 1e-9 and abs(wrap_angle(s.theta - theta)) <= 1e-9
+        ]
+        for theta in (theta0 + 2.0 * math.pi * k / g for k in range(g))
+    ]
+    assert all(len(match) == 1 for match in matches)
+    assert len({match[0] for match in matches}) == g
 
 
 @st.composite
