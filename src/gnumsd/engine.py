@@ -28,15 +28,14 @@ sums the product over t in one gathered contraction and writes `_weigh`'s
 per-omega rows |even|^2, |odd|^2 and even * conj(odd) directly.  It serves
 `codespace_projection`, `_curve_table` and `dicke_overlap`.
 The omega = 0 kernel, `_noiseless_weights` behind `noiseless_states`, takes
-a float or a whole vector of v and a whole vector of theta at eps = 0,
-where omega = 0 alone has noise weight, the flipped factor is exactly 1.0
-and the t-sum has one term: each amplitude is
-C(N, g*j) cos^(N - g*j) v sin^(g*j) v times its scale, with no gather, no
-contraction and no negative-base pow.  That is how the noiseless solver
-grid, the solver's Gauss-Newton blocks and the magic curve evaluate many
-points in one call.  Both kernels give the same amplitude bits at
-omega = 0, and `noiseless_states` checks the weights only after the
-kernel has returned and freed its temporaries.
+a float or a whole vector of v at one theta and eps = 0, where omega = 0
+alone has noise weight, the flipped factor is exactly 1.0 and the t-sum has
+one term: each amplitude is C(N, g*j) cos^(N - g*j) v sin^(g*j) v times its
+scale, with no gather, no contraction and no negative-base pow.  That is
+how the solver confirms each root's input and the magic curve evaluates all
+of its v in one call.  Both kernels give the same amplitude bits at
+omega = 0 and add each j-sum pairwise along a row, so a noiseless state has
+the same bits in either.
 `codespace_projection` takes one noisy (v, theta, eps) and weights the run
 of omega with nonzero noise weight.  `max_errors` takes one (v, theta) and
 a whole vector of eps, which is how error curves evaluate a threshold grid
@@ -403,18 +402,17 @@ def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> 
     return float(amplitude) / math.sqrt(math.comb(n_qubits, s)) * cmath.exp(1j * s * theta)
 
 
-def _noiseless_weights(plan: _Plan, v, thetas):
-    """The omega = 0 kernel: codespace weights (w00, w11, w01) at eps = 0.
+def _noiseless_weights(plan: _Plan, v, theta: float):
+    """The omega = 0 kernel: codespace weights (w00, w11, w01) at eps = 0 and one theta.
 
-    Each of shape np.shape(v) + thetas.shape.  At eps = 0 only omega = 0
-    has noise weight, exactly 1.0, the flipped factor is exactly 1.0 and
-    the t-sum has one term, so each amplitude is
-    C(N, g*j) cos^(N - g*j) v sin^(g*j) v times its scale: the one-point
-    kernel's omega = 0 bits with no gather, no contraction and no negative
-    base.  The weights are logical_norm times the logical sums, scaled in
-    place, and + 0.0 turns a -0 into +0 as a one-row sum over omega would.
-    Each j-sum is added pairwise when thetas holds one angle and row by row
-    when it holds several, so the two can differ in their last bits.
+    Each of shape np.shape(v).  At eps = 0 only omega = 0 has noise weight,
+    exactly 1.0, the flipped factor is exactly 1.0 and the t-sum has one
+    term, so each amplitude is C(N, g*j) cos^(N - g*j) v sin^(g*j) v times
+    its scale: the one-point kernel's omega = 0 bits with no gather, no
+    contraction and no negative base.  Each j-sum is added pairwise along a
+    row, as the one-point kernel adds it.  The weights are logical_norm
+    times the logical sums, and + 0.0 turns a -0 into +0 as a one-row sum
+    over omega would.
     """
     v = np.asarray(v, dtype=float)
     # math.cos/math.sin per v, so a vector of v gives the same bits as one v.
@@ -424,32 +422,28 @@ def _noiseless_weights(plan: _Plan, v, thetas):
     amplitude = plan.noiseless_binomial * powers[0]
     amplitude *= powers[1]
     amplitude *= plan.scale
-    # (v, j, theta) terms, summed by broadcasting: matmul would load BLAS,
-    # about 0.4 MB of resident memory, for arrays this small.
-    phases = np.exp(np.multiply.outer(plan.phase_rates, thetas))
-    terms = amplitude.reshape(v.shape + (-1, 1)) * phases
-    even = np.add.reduce(terms[..., 0::2, :], -2)
-    odd = np.add.reduce(terms[..., 1::2, :], -2)
+    # (v, j) rows, as the one-point kernel's (omega, j): numpy's scalar
+    # arithmetic rounds a complex product otherwise, so no step runs on scalars.
+    terms = amplitude * np.exp(plan.phase_rates * theta)
+    even = np.add.reduce(terms[:, 0::2], 1)
+    odd = np.add.reduce(terms[:, 1::2], 1)
     weights = squared_modulus(even), squared_modulus(odd), even * odd.conj()
     for part in weights:
         part *= plan.logical_norm
         part += 0.0
-    return weights
+    return tuple(part.reshape(v.shape) for part in weights)
 
 
-def noiseless_states(code: GnuParams, v, thetas):
-    """Checked noiseless output states for each v and each angle in thetas.
+def noiseless_states(code: GnuParams, v, theta: float):
+    """Checked noiseless output states for each v at one angle theta.
 
     Returns final_states' (accepted, m00, m11, m01) over the weights of
-    _noiseless_weights; v, a float or an array of them, must already lie in
-    [0, pi/2], as InputEnsemble ensures.  This is how the noiseless solver
-    grid, the solver's Gauss-Newton blocks and the magic curve evaluate many
-    points in one call.  The kernel's temporaries, its (v, j, theta) terms
-    above all, are freed as it returns, before final_states allocates its
-    own: held across the checks, they raised the minor page faults of a
-    pass of cold solves from 960 to 7,272 (glibc malloc, numpy 2.4).
+    _noiseless_weights; v, a float or an array of them, and theta must
+    already be clamped and wrapped, as InputEnsemble does.  This is how the
+    solver confirms each candidate input (one point) and the magic curve
+    evaluates all of its v (one call).
     """
-    return final_states(*_noiseless_weights(_plan(code), v, thetas))
+    return final_states(*_noiseless_weights(_plan(code), v, theta))
 
 
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:

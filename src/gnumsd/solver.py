@@ -1,23 +1,30 @@
 """Parameter inversion: which inputs distil a wanted state.
 
 Two related jobs live here.  `solve_input_params` finds every (v, theta) whose
-noiseless distilled output hits a target state, by a coarse grid scan followed
-by Gauss-Newton refinement of each grid minimum not already on the target, at
-most NEWTON_CALLS engine calls per minimum.  `magic_curve` / `solve_for_magic`
-map and invert the relationship between the input angle v and the magic of the
-distilled state at fixed theta.
+noiseless distilled output hits a target state, as the roots of one
+polynomial of degree n.  `magic_curve` / `solve_for_magic` map and invert the
+relationship between the input angle v and the magic of the distilled state
+at fixed theta.
 
-Both scans read the engine's noiseless states.  At eps = 0 only the
-unflipped input string carries weight, and theta enters the output only
-through the phases e^{i g j theta}, so `noiseless_states` evaluates and
-checks a whole v x theta grid per call, with no noise weight: the 101 x 400
-solver grid in blocks of `GRID_BLOCK_ROWS` v-rows, each Gauss-Newton
-iteration as one 3 x 3 block, and the magic curve as one single-angle call.
+Both read the engine's noiseless states, where only the unflipped input
+string carries weight.  There the decoded state is proportional to
+E(z)|0> + O(z)|1> with z = (e^{i theta} tan v)^g, so a pure target is hit
+exactly at the roots of p(z) = beta E(z) - alpha O(z), and each root z gives
+the g inputs v = atan |z|^(1/g), theta = (arg z + 2 pi k) / g.  A drop in
+p's degree is a root at z = inf, the limit v -> pi/2, and a zero p(0) a root
+at z = 0, the input v = 0.  n = 1 roots are closed form; higher degrees go
+to np.roots.  Each candidate input is confirmed by one one-point
+`noiseless_states` call, so a root at z = inf is a solution only where the
+code accepts the float v = pi/2 (u > 1 codes accept nothing in the limit,
+and most of them nothing at that float), and an ill-conditioned root whose
+float input misses tol (as on (1, 60, 1)) is dropped.  The magic curve is
+one `noiseless_states` call for all of its v at one theta.
 `solve_for_magic` searches the sampled magic curve with `roots.first_root`,
 the root search of the threshold and crossover searches.
 """
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -27,12 +34,7 @@ from itertools import compress
 import numpy as np
 
 from .codes import GnuParams
-from .engine import (
-    InputEnsemble,
-    distilled_state,
-    noiseless_states,
-    wrap_angle,
-)
+from .engine import InputEnsemble, distilled_state, noiseless_states
 from .errors import NoSolutionError, OutOfRangeError, ZeroSuccessProbabilityError
 from .qmath import (
     DensityMatrix1Q,
@@ -51,17 +53,7 @@ logger = logging.getLogger(__name__)
 
 TARGET_KINDS = ("T", "H", "XT", "XH", "custom")
 
-GRID_STEP = math.pi / 200
-# v-rows of the solver grid per engine call.  The whole 101-row grid in one
-# call costs about 5 MB more peak memory than blocks of this size.
-GRID_BLOCK_ROWS = 16
 MAGIC_GRID_STEP = math.pi / 1000
-# Grid residuals above this mean the target is unreachable for the code.
-UNREACHABLE_RESIDUAL = 0.1
-# Gauss-Newton: the Jacobian's difference step, and the most _newton_step calls
-# one start may make, its first call included.
-NEWTON_DIFFERENCE_STEP = 1e-6
-NEWTON_CALLS = 64
 _HALF_PI = math.pi / 2.0
 
 
@@ -108,73 +100,52 @@ class SolvedInput:
     input_magic: float
 
 
-def _residual_row(code: GnuParams, target: DensityMatrix1Q, v, thetas):
-    """Noiseless residuals at each v for every angle in thetas; inf where no weight.
+def _nearest_pure(target: DensityMatrix1Q) -> tuple[complex, complex]:
+    """Amplitudes (alpha, beta) of the pure state alpha|0> + beta|1> nearest target.
 
-    v is a float (one row) or a vector (one row per v).
+    Read off the target's Bloch vector scaled to length 1, with the larger
+    amplitude real, so a pole target has an exact zero amplitude.  A Bloch
+    vector of length 0, the maximally mixed state's, reads as |0>.
     """
-    accepted, m00, m11, m01 = noiseless_states(code, v, thetas)
-    row = np.full(np.shape(v) + thetas.shape, math.inf)
-    row[accepted] = trace_distances(m00, m11, m01, target)
-    return row
+    _, x, y, z = pauli_expectations(target)
+    length = math.hypot(x, y, z) or 1.0
+    coherence = complex(x, -y) / (2.0 * length)  # alpha * conj(beta)
+    if z >= 0.0:
+        alpha = math.sqrt(0.5 + 0.5 * z / length)
+        return alpha, coherence.conjugate() / alpha
+    beta = math.sqrt(0.5 - 0.5 * z / length)
+    return coherence / beta, beta
 
 
-def _dot(p, q) -> float:
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+def _target_polynomial(code: GnuParams, target: DensityMatrix1Q) -> list[complex]:
+    """Coefficients p_0..p_n, lowest power first, of p(z) = beta E(z) - alpha O(z).
 
-
-def _newton_step(code: GnuParams, target: DensityMatrix1Q, v: float, theta: float):
-    """(residual, dv, dtheta) at (v, theta) from one engine call; None if its block has no weight.
-
-    The Gauss-Newton step on r = Bloch(output) - Bloch(target), whose length
-    is twice the residual, from a difference Jacobian whose four probes share
-    the point's 3 x 3 block (one-sided at the v edges); it is in v alone
-    where the theta column vanishes, at the poles.  The residual has
-    _residual_row's bits.
+    At eps = 0 the decoded state is proportional to E(z)|0> + O(z)|1>, the
+    even-j and odd-j parts of the sum of c_j z^j, with
+    c_j = sqrt(C(n, j) C(N, g*j)) and z = (e^{i theta} tan v)^g.  So it is
+    the target's nearest pure state alpha|0> + beta|1> exactly where p(z) = 0.
     """
-    h = NEWTON_DIFFERENCE_STEP
-    lo, hi = (v - h if v >= h else v), (v + h if v + h < _HALF_PI else v)
-    # Each probe at its InputEnsemble's angles, as a scalar call takes them.
-    thetas = np.array([wrap_angle(theta - h), theta, wrap_angle(theta + h)])
-    accepted, m00, m11, m01 = noiseless_states(code, np.array([lo, v, hi]), thetas)
-    if not accepted.all():
-        return None
-    # r[k] = Bloch(output) - Bloch(target) at the block's v k // 3 and theta k % 3.
-    dz = (m00 - m11 - (target.m00 - target.m11)).tolist()
-    r = [(2.0 * w.real, -2.0 * w.imag, z) for w, z in zip((m01 - target.m01).tolist(), dz)]
-    jv = [(p - q) / (hi - lo) for p, q in zip(r[7], r[1])]
-    jt = [(p - q) / (2.0 * h) for p, q in zip(r[5], r[3])]
-    a, b, c = _dot(jv, jv), _dot(jv, jt), _dot(jt, jt)
-    gv, gt = _dot(jv, r[4]), _dot(jt, r[4])
-    det = a * c - b * b
-    residual = trace_distances(m00, m11, m01, target).item(4)
-    if det > 1e-12 * a * c:
-        return residual, (b * gt - c * gv) / det, (b * gv - a * gt) / det
-    return residual, (-gv / a if a > 0.0 else 0.0), 0.0
+    alpha, beta = _nearest_pure(target)
+    n, g, n_qubits = code.n, code.g, code.num_qubits
+    return [
+        (-alpha if j % 2 else beta) * math.sqrt(math.comb(n, j) * math.comb(n_qubits, g * j))
+        for j in range(n + 1)
+    ]
 
 
-def _gauss_newton(code: GnuParams, target: DensityMatrix1Q, v: float, theta: float, best: float):
-    """Gauss-Newton from (v, theta), whose residual is best: (v, theta, residual).
+def _interior_roots(p: list[complex]) -> list[complex]:
+    """The roots of the sum of p[k] z^k, whose first and last coefficients are nonzero.
 
-    A trial point, clamped and wrapped as InputEnsemble does, is taken if it
-    lowers the residual; else its step halves.  The start ends when its step
-    falls below rounding (a converged start, after 4-5 calls), when its first
-    block has no weight, or after NEWTON_CALLS _newton_step calls: there a
-    start that creeps toward a target reached only in the limit at a
-    zero-weight v edge returns its last point.
+    Degree 1 in closed form, which keeps every n = 1 code off np.roots: its
+    first call loads LAPACK, about 1.2 MB resident.  A higher degree by
+    np.roots in w = z / s, with s = |p[0] / p[-1]|^(1/degree), where the
+    end coefficients have equal modulus.
     """
-    step, scale, calls = _newton_step(code, target, v, theta), 1.0, 1
-    while step is not None and calls < NEWTON_CALLS:
-        trial_v = min(max(v + scale * step[1], 0.0), _HALF_PI)
-        trial = InputEnsemble(trial_v, theta + scale * step[2], 0.0)
-        if (trial.v, trial.theta) == (v, theta):  # the step is below rounding
-            break
-        found, calls = _newton_step(code, target, trial.v, trial.theta), calls + 1
-        if found is not None and found[0] < best:
-            v, theta, best, step, scale = trial.v, trial.theta, found[0], found, 1.0
-        else:
-            scale *= 0.5
-    return v, theta, best
+    degree = len(p) - 1
+    if degree < 2:
+        return [-p[0] / p[1]] if degree else []
+    s = abs(p[0] / p[-1]) ** (1.0 / degree)
+    return (s * np.roots([c * s**k for k, c in enumerate(p)][::-1])).tolist()
 
 
 def _canonical_order(a: SolvedInput, b: SolvedInput) -> int:
@@ -192,58 +163,60 @@ def solve_to_density(
 ) -> tuple[SolvedInput, ...]:
     """All distinct inputs (v, theta) whose noiseless output matches a target state.
 
-    Scans a pi/200 grid over v in [0, pi/2] and theta in [-pi, pi), refines
-    every grid-local minimum whose residual is not already 0 by Gauss-Newton
-    (_gauss_newton, at most NEWTON_CALLS engine calls each), keeps refined
-    points with trace-distance residual <= tol, one per input state
-    (clean-state Bloch vectors within 1e-6 are one state, as is every theta
-    at a pole), and sorts them by _canonical_order, so the head of the tuple
-    is the canonical minimum-magic solution.  A point near a zero-weight v
-    edge is kept if it meets tol, however small its success probability.
+    Every such input is a root z of the degree-n _target_polynomial, and
+    each interior root maps to g inputs v = atan |z|^(1/g),
+    theta = (arg z + 2 pi k) / g.  A zero p_0 is the root z = 0, the one
+    input (0, -pi); a zero p_n is the root z = inf, the limit v -> pi/2,
+    tried as the one input (pi/2, -pi).  Each input, clamped and wrapped by
+    InputEnsemble, is confirmed by one noiseless engine call and kept if the
+    code accepts it with a trace-distance residual <= tol, that call's
+    residual.  So a mixed target, which its nearest pure state misses, is
+    refused, and an ill-conditioned root (as on (1, 60, 1)) is dropped when
+    its float input misses tol.  One solution is kept per input state
+    (clean-state Bloch vectors within 1e-6 are one state, so a repeated
+    root whose float roots split counts once), sorted by _canonical_order,
+    so the head of the tuple is the canonical minimum-magic solution.
 
-    Raises NoSolutionError when the best grid residual exceeds 0.1, which
-    signals a target outside the code's reachable set rather than a grid that
-    is merely too coarse, or when no refined point reaches tol.
+    Raises NoSolutionError when no input is confirmed; the message names the
+    limit v -> pi/2 when the code accepts nothing at a root z = inf.
     """
     if not (math.isfinite(tol) and tol >= 1e-10):
         raise OutOfRangeError(f"tol must be a finite number of at least 1e-10, got {tol!r}")
 
-    # The last v overshoots pi/2 by rounding; InputEnsemble clamps it too.
-    vs = np.minimum(step_grid(_HALF_PI, GRID_STEP), _HALF_PI)
-    thetas = -math.pi + step_grid(2.0 * math.pi, GRID_STEP)[:-1]
-    grid = np.empty((vs.size, thetas.size))
-    for i in range(0, vs.size, GRID_BLOCK_ROWS):
-        block = slice(i, i + GRID_BLOCK_ROWS)
-        grid[block] = _residual_row(code, target, vs[block], thetas)
+    p = _target_polynomial(code, target)
+    nonzero = [j for j, c in enumerate(p) if c != 0.0]
+    lo, hi = nonzero[0], nonzero[-1]
+    # Every theta at a pole is one input state.
+    inputs, limit = [], (_HALF_PI, -math.pi)
+    if lo > 0:
+        inputs.append((0.0, -math.pi))  # z = 0
+    if hi < code.n:
+        inputs.append(limit)  # z = inf
+    for z in _interior_roots(p[lo : hi + 1]):
+        v = math.atan(abs(z) ** (1.0 / code.g))
+        inputs += [(v, (cmath.phase(z) + 2.0 * math.pi * k) / code.g) for k in range(code.g)]
 
-    grid_min = grid.min()
-    if grid_min > UNREACHABLE_RESIDUAL:
-        raise NoSolutionError(f"best grid residual {grid_min:.4f} exceeds {UNREACHABLE_RESIDUAL}")
-
-    # Grid-local minima: no larger than any theta (cyclic) or v neighbour.
-    is_min = (
-        (grid <= UNREACHABLE_RESIDUAL)
-        & (grid <= np.roll(grid, 1, axis=1))
-        & (grid <= np.roll(grid, -1, axis=1))
-    )
-    is_min[1:] &= grid[1:] <= grid[:-1]
-    is_min[:-1] &= grid[:-1] <= grid[1:]
-
-    refined = []
-    # grid[i, j] is the residual at (vs[i], thetas[j]), whose angles are wrapped.
-    rows, cols = np.nonzero(is_min)
-    for start in zip(vs[rows].tolist(), thetas[cols].tolist(), grid[rows, cols].tolist()):
-        v, theta, value = start if start[2] == 0.0 else _gauss_newton(code, target, *start)
+    confirmed, refused = [], []
+    for v, theta in inputs:
+        ens = InputEnsemble(v, theta, 0.0)
+        accepted, *state = noiseless_states(code, ens.v, ens.theta)
+        if not accepted:
+            refused.append((v, theta))
+            continue
+        value = trace_distances(*state, target).item()
         if value <= tol:
-            clean = InputEnsemble(v, theta, 0.0).clean_state()
-            refined.append((value, pauli_expectations(clean.density()), v, theta, m2_pure(clean)))
-    if not refined:
-        raise NoSolutionError(f"no refined point reached the tolerance {tol!r}")
+            clean = ens.clean_state()
+            confirmed.append((value, pauli_expectations(clean.density()), ens, m2_pure(clean)))
+    if not confirmed:
+        reason = f"no input reaches the target within the tolerance {tol!r}"
+        if limit in refused:
+            reason += "; it is reached only in the limit v -> pi/2, where the code accepts nothing"
+        raise NoSolutionError(reason)
 
     kept = {}  # input Bloch vector -> solution, one per input state
-    for value, bloch, v, theta, magic in sorted(refined, key=lambda item: item[0]):
+    for value, bloch, ens, magic in sorted(confirmed, key=lambda item: item[0]):
         if all(math.dist(bloch, other) > 1e-6 for other in kept):
-            kept[bloch] = SolvedInput(v, theta, value, magic)
+            kept[bloch] = SolvedInput(ens.v, ens.theta, value, magic)
     return tuple(sorted(kept.values(), key=cmp_to_key(_canonical_order)))
 
 
@@ -266,8 +239,7 @@ def magic_curve(
     if not ensembles:
         return []
     vs = np.array([ens.v for ens in ensembles])
-    accepted, m00, m11, m01 = noiseless_states(code, vs, np.array([ensembles[0].theta]))
-    accepted = accepted[:, 0]
+    accepted, m00, m11, m01 = noiseless_states(code, vs, ensembles[0].theta)
     for v in compress(v_grid, ~accepted):
         logger.warning("magic_curve: skipped singular grid point v=%r", v)
     return list(zip(compress(v_grid, accepted), m2_densities(m00, m11, m01).tolist()))

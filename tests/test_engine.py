@@ -35,8 +35,9 @@ from gnumsd.qmath import (
     DensityMatrix1Q,
     t_state,
     trace_distance,
+    trace_distances,
 )
-from gnumsd.solver import GRID_BLOCK_ROWS, GRID_STEP, TargetSpec, _residual_row
+from gnumsd.solver import TargetSpec
 
 HAND_POINT = InputEnsemble(math.pi / 4, 0.0, 0.0)
 U2 = GnuParams(1, 1, 2)
@@ -497,26 +498,25 @@ class TestProjectionWeights:
 
     def test_noiseless_states_are_the_one_point_states(self):
         code = GnuParams(1, 4, 3)
-        thetas = np.array([-1.0, 0.25, 2.0])
-        accepted, m00, m11, m01 = noiseless_states(code, 0.6, thetas)
-        assert accepted.all()
-        for k, theta in enumerate(thetas.tolist()):
+        for theta in (-1.0, 0.25, 2.0):
+            accepted, m00, m11, m01 = noiseless_states(code, 0.6, theta)
+            assert accepted
             state = distilled_state(code, InputEnsemble(0.6, theta, 0.0))
-            assert _bits(state.m00, state.m11, state.m01) == _bits(m00[k], m11[k], m01[k])
+            assert _bits(state.m00, state.m11, state.m01) == _bits(m00[0], m11[0], m01[0])
 
     @pytest.mark.parametrize("code", V_AXIS_CODES, ids=_code_id)
     def test_vector_of_v_matches_one_v_calls(self, code):
         rng = random.Random(code.num_qubits * 10 + code.n)
         vs = np.array([0.0, *(rng.uniform(0.0, math.pi / 2) for _ in range(6)), math.pi / 2])
-        for n_theta in (1, 5):
-            thetas = np.array([rng.uniform(-math.pi, math.pi) for _ in range(n_theta)])
-            batch = full_states(*noiseless_states(code, vs, thetas))
-            square = full_states(*noiseless_states(code, vs.reshape(2, 4), thetas))
-            assert batch[0].shape == (vs.size, n_theta)
-            assert_same_bits([a.reshape(batch[0].shape) for a in square], batch)
+        for _ in range(2):
+            theta = rng.uniform(-math.pi, math.pi)
+            batch = full_states(*noiseless_states(code, vs, theta))
+            square = full_states(*noiseless_states(code, vs.reshape(2, 4), theta))
+            assert batch[0].shape == vs.shape
+            assert_same_bits([a.reshape(vs.shape) for a in square], batch)
             for i, v in enumerate(vs.tolist()):
-                one_v = full_states(*noiseless_states(code, v, thetas))
-                assert_same_bits(one_v, [a[i] for a in batch])
+                one_v = full_states(*noiseless_states(code, v, theta))
+                assert_same_bits([a.reshape(()) for a in one_v], [a[i] for a in batch])
 
     def test_complementary_input_relation(self):
         # The error state is the clean state at (pi/2 - v, theta + pi), so
@@ -692,10 +692,11 @@ class TestGatheredContraction:
             for eps in (0.0, 1.0, 1e-3, 1e-300, 1.0 - 1e-15, rng.uniform(0.0, 1.0)):
                 thetas = np.array([0.0, -0.0, math.pi, rng.uniform(-math.pi, math.pi)])
                 if eps == 0.0:
-                    # The noiseless array call screens the loop's weights.
-                    noiseless_states(code, v, thetas)
-                    want = loop_projection_weights(code, v, thetas, eps)
-                    assert_same_bits(screened[-1][0], want)
+                    # The noiseless call at each angle screens the loop's weights.
+                    for theta in thetas:
+                        noiseless_states(code, v, theta)
+                        want = loop_projection_weights(code, v, np.array([theta]), eps)
+                        assert_same_bits(screened[-1][0], [w[0] for w in want])
                 # The one-point call, against the loop at each (wrapped) angle.
                 for theta in thetas.tolist():
                     ens = InputEnsemble(v, theta, eps)
@@ -710,29 +711,30 @@ class TestGatheredContraction:
                     )
 
     @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
-    def test_solver_block_matches_the_t_loop_bitwise(self, code, monkeypatch):
-        # The noiseless grid solver's call: GRID_BLOCK_ROWS v by 400 theta.
+    def test_solver_points_match_the_t_loop_bitwise(self, code, monkeypatch):
+        # The solver's confirmation of a root: one noiseless call at one (v, theta).
         screened = spy_on_screen(monkeypatch)
         rng = np.random.default_rng(code.num_qubits * 7 + code.n)
-        vs = np.concatenate(
-            ([0.0, math.pi / 2], rng.uniform(0.0, math.pi / 2, GRID_BLOCK_ROWS - 2))
-        )
-        thetas = -math.pi + GRID_STEP * np.arange(400)
-        noiseless_states(code, vs, thetas)
-        (got, _), = screened
-        assert got[0].shape == (GRID_BLOCK_ROWS, 400)
-        assert_same_bits(got, loop_projection_weights(code, vs, thetas, 0.0))
+        vs = np.concatenate(([0.0, math.pi / 2], rng.uniform(0.0, math.pi / 2, 14)))
+        thetas = rng.uniform(-math.pi, math.pi, vs.size)
+        for v, theta in zip(vs.tolist(), thetas.tolist()):
+            noiseless_states(code, v, theta)
+            got = screened[-1][0]
+            assert got[0].shape == ()
+            want = loop_projection_weights(code, v, np.array([theta]), 0.0)
+            assert_same_bits(got, [w[0] for w in want])
 
     @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
     def test_v_block_matches_the_t_loop_bitwise(self, code, monkeypatch):
         screened = spy_on_screen(monkeypatch)
         rng = np.random.default_rng(code.num_qubits * 17 + code.g)
         vs = rng.uniform(0.0, math.pi / 2, (3, 7))
-        thetas = rng.uniform(-math.pi, math.pi, 11)
-        noiseless_states(code, vs, thetas)
+        theta = rng.uniform(-math.pi, math.pi)
+        noiseless_states(code, vs, theta)
         (got, _), = screened
-        assert got[0].shape == (3, 7, 11)
-        assert_same_bits(got, loop_projection_weights(code, vs, thetas, 0.0))
+        assert got[0].shape == (3, 7)
+        want = loop_projection_weights(code, vs, np.array([theta]), 0.0)
+        assert_same_bits(got, [w[..., 0] for w in want])
 
     @pytest.mark.parametrize("code", CONTRACTION_CODES, ids=_code_id)
     def test_max_errors_with_gapped_flips_matches_the_t_loop_bitwise(self, code, monkeypatch):
@@ -848,15 +850,15 @@ class TestFinalStates:
 
     def test_valid_weights_build_no_dataclass(self, monkeypatch):
         # On valid weights the screen passes every point, so neither a
-        # solver block nor a max_errors grid reaches the per-point checks.
+        # noiseless call nor a max_errors grid reaches the per-point checks.
         monkeypatch.setattr(
             engine, "CodespaceProjection", lambda *args: pytest.fail("built a CodespaceProjection")
         )
         code, target = GnuParams(1, 2, 3), t_state().density()
-        vs = np.arange(GRID_BLOCK_ROWS) * GRID_STEP
-        thetas = -math.pi + np.arange(400) * GRID_STEP
-        accepted, m00, _, _ = noiseless_states(code, vs, thetas)
-        assert accepted.all() and m00.size == vs.size * thetas.size
+        vs = np.minimum(np.arange(101) * (math.pi / 200), math.pi / 2)
+        accepted, m00, _, _ = noiseless_states(code, vs, -math.pi / 4)
+        assert accepted.all() and m00.size == vs.size
+        assert noiseless_states(code, 0.7, 0.3)[0]
         assert max_errors(code, 0.7, 0.3, FIGURE_EPS, target).shape == FIGURE_EPS.shape
 
 
@@ -988,33 +990,40 @@ class TestCheckPairsAtTolerance:
         }
 
 
-class TestSolverGridRow:
-    THETAS = np.array([-math.pi + j * GRID_STEP for j in range(0, 400, 37)])
+def _confirmation_residual(code, target, v, theta):
+    """The solver's check of one input: one noiseless call; None where the code accepts nothing."""
+    accepted, *state = noiseless_states(code, v, theta)
+    return trace_distances(*state, target).item() if accepted else None
+
+
+class TestSolverConfirmation:
+    THETAS = [-math.pi + j * (math.pi / 200) for j in range(0, 400, 37)]
 
     @pytest.mark.parametrize(
         "code, kind",
         [(U2, "XT"), (GnuParams(2, 1, 1), "T"), (GnuParams(1, 2, 3), "XH")],
         ids=["1-1-2-XT", "2-1-1-T", "1-2-3-XH"],
     )
-    def test_row_matches_point_residuals(self, code, kind):
+    def test_residual_is_the_point_residual(self, code, kind):
+        # The residual a solution reports is the scalar path's, bit for bit.
         target = TargetSpec(kind).density()
         for v in (0.0, 0.1, 0.7, 1.3, math.pi / 2):
-            row = _residual_row(code, target, v, self.THETAS)
-            for value, theta in zip(row, self.THETAS):
+            for theta in self.THETAS:
                 state = distilled_state(code, InputEnsemble(v, theta, 0.0))
-                assert abs(value - trace_distance(state, target)) <= 1e-13
+                value = _confirmation_residual(code, target, v, theta)
+                assert value == trace_distance(state, target)
 
-    def test_row_without_weight_is_inf(self):
+    def test_point_without_weight_is_not_accepted(self):
         target = TargetSpec("XT").density()
         # At v = pi/2 only cos(pi/2) ~ 6e-17 overlaps the codespace.  For
         # (1, 1, 12) the weight ~ cos^22 underflows below
         # MIN_SUCCESS_PROBABILITY; for (1, 1, 2) it is ~7.5e-33 and the
         # state is still defined.
-        row = _residual_row(GnuParams(1, 1, 12), target, math.pi / 2, self.THETAS)
-        assert np.all(row == math.inf)
+        for theta in self.THETAS:
+            assert _confirmation_residual(GnuParams(1, 1, 12), target, math.pi / 2, theta) is None
+            assert math.isfinite(_confirmation_residual(U2, target, math.pi / 2, theta))
         with pytest.raises(ZeroSuccessProbabilityError):
             distilled_state(GnuParams(1, 1, 12), InputEnsemble(math.pi / 2, 0.3, 0.0))
-        assert np.all(np.isfinite(_residual_row(U2, target, math.pi / 2, self.THETAS)))
 
 
 # The figure sweeps' eps grid plus the far end of the channel.

@@ -5,6 +5,7 @@ import random
 import time
 from functools import cmp_to_key
 
+import numpy as np
 import pytest
 
 from gnumsd import engine, solver
@@ -94,9 +95,12 @@ class TestSolveInputParams:
                     assert trace_distance(state, target) <= 1e-9
 
     def test_sorted_by_input_magic(self):
-        solutions = solve_input_params(REPETITION, TargetSpec("T"))
-        magics = [s.input_magic for s in solutions]
-        assert magics == sorted(magics)
+        # g-fold images differ in magic by rounding only, so magic is
+        # ordered up to _canonical_order's 1e-12 tie.
+        for code in (REPETITION, GnuParams(4, 15, 1), GnuParams(1, 30, 2)):
+            solutions = solve_input_params(code, TargetSpec("T"))
+            for first, second in zip(solutions, solutions[1:]):
+                assert first.input_magic <= second.input_magic + 1e-12
 
     def test_input_magic_below_target_magic(self):
         for u in (2, 3, 4):
@@ -141,186 +145,120 @@ def _residual(code, target, v, theta):
         return math.inf
 
 
-def _bloch_residual(code, target, v, theta):
-    """Bloch(output) - Bloch(target) at one point, one scalar call."""
-    state = distilled_state(code, InputEnsemble(v, theta, 0.0))
-    d01 = state.m01 - target.m01
-    return (2.0 * d01.real, -2.0 * d01.imag, state.m00 - state.m11 - (target.m00 - target.m11))
-
-
-def _reference_newton_step(code, target, v, theta):
-    """_newton_step's residual and step, reading each probe with its own scalar call."""
-    h = solver.NEWTON_DIFFERENCE_STEP
-    lo = v - h if v >= h else v
-    hi = v + h if v + h < math.pi / 2 else v
-    up, down = _bloch_residual(code, target, hi, theta), _bloch_residual(code, target, lo, theta)
-    right, left = (_bloch_residual(code, target, v, theta + d) for d in (h, -h))
-    r = _bloch_residual(code, target, v, theta)
-    jv = [(p - q) / (hi - lo) for p, q in zip(up, down)]
-    jt = [(p - q) / (2.0 * h) for p, q in zip(right, left)]
-
-    def dot(p, q):
-        return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-
-    a, b, c = dot(jv, jv), dot(jv, jt), dot(jt, jt)
-    gv, gt = dot(jv, r), dot(jt, r)
-    det = a * c - b * b
-    if det > 1e-12 * a * c:
-        step = ((b * gt - c * gv) / det, (b * gv - a * gt) / det)
-    else:
-        step = (-gv / a if a > 0.0 else 0.0, 0.0)
-    return (_residual(code, target, v, theta), *step)
-
-
 SEEDED_CODES = [
     GnuParams(*shape)
     for shape in ((1, 1, 2), (2, 1, 1), (1, 1, 12), (1, 2, 3), (3, 2, 2), (1, 4, 2.5))
 ]
+ZERO = DensityMatrix1Q(1.0, 0.0, 0.0)
 ONE = DensityMatrix1Q(0.0, 1.0, 0.0)
+# p's degree in z, and so its root count, is n.
+VIETA_CODES = [
+    GnuParams(*shape)
+    for shape in (
+        (1, 2, 3), (1, 2, 6), (2, 2, 3), (1, 3, 2), (2, 3, 2), (1, 4, 2.5),
+        (3, 4, 5), (1, 5, 1), (3, 5, 4), (5, 2, 6), (1, 6, 2), (2, 6, 1),
+    )
+]
 
 
-def _start(code, target, v, theta):
-    """A refinement start at (v, theta), seeded with its residual."""
-    return code, target, v, theta, _residual(code, target, v, theta)
+def _z(code, solution):
+    """The root z = (e^{i theta} tan v)^g that a solution's input comes from."""
+    return (cmath.exp(1j * solution.theta) * math.tan(solution.v)) ** code.g
 
 
-def _calls_per_start(monkeypatch):
-    """A list that gets each refinement start's count of _newton_step calls.
+class TestRoots:
+    @pytest.mark.parametrize("code", VIETA_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
+    def test_vieta_rebuilds_the_polynomial(self, code):
+        # The polynomial rebuilt from the roots of the returned inputs is p:
+        # no root is missing and none is spurious.
+        for kind in ("T", "H", "XT", "XH"):
+            target = TargetSpec(kind).density()
+            roots = []
+            for sol in solve_to_density(code, target, 1e-9):
+                z = _z(code, sol)
+                if all(abs(z - other) > 1e-6 * abs(other) for other in roots):
+                    roots.append(z)
+            assert len(roots) == code.n
+            p = solver._target_polynomial(code, target)
+            # p_n times the product of (z - root), lowest power first.
+            rebuilt = p[-1] * np.poly(roots)[::-1]
+            for got, want in zip(rebuilt.tolist(), p, strict=True):
+                assert abs(got - want) <= 1e-12 * abs(want)
 
-    A start that overruns NEWTON_CALLS fails at once rather than running on.
-    """
-    counts = []
-    step, refine = solver._newton_step, solver._gauss_newton
+    @pytest.mark.parametrize("shape", [(2, 1, 6), (1, 1, 12)], ids=lambda s: "-".join(map(str, s)))
+    def test_limit_at_the_v_edge_is_refused(self, shape):
+        # |1> is p's root at z = inf alone: the limit v -> pi/2, where these
+        # u > 1 codes accept nothing.
+        with pytest.raises(NoSolutionError, match=r"only in the limit v -> pi/2, where the code"):
+            solve_to_density(GnuParams(*shape), ONE, 1e-9)
 
-    def counted_step(*args):
-        counts[-1] += 1
-        assert counts[-1] <= solver.NEWTON_CALLS
-        return step(*args)
+    def test_zero_and_infinity_on_3_2_3(self):
+        # |0> is p's root at z = 0, the input (0, -pi), and its root at
+        # z = inf, a limit the code refuses: one row.
+        assert solve_to_density(GnuParams(3, 2, 3), ZERO, 1e-9) == (
+            SolvedInput(0.0, -math.pi, 0.0, 0.0),
+        )
 
-    def counted_refine(*args):
-        counts.append(0)
-        return refine(*args)
+    @pytest.mark.parametrize("u", [2, 4])
+    def test_infinity_is_a_point_on_a_short_code(self, u):
+        # (1, 1, u) accepts v = pi/2 for small u, and every theta there is |1>.
+        (sol,) = solve_to_density(GnuParams(1, 1, u), ONE, 1e-9)
+        assert (sol.v, sol.theta, sol.input_magic) == (math.pi / 2, -math.pi, 0.0)
+        assert sol.residual <= 1e-16
 
-    monkeypatch.setattr(solver, "_newton_step", counted_step)
-    monkeypatch.setattr(solver, "_gauss_newton", counted_refine)
-    return counts
+    def test_pole_family_is_one_input(self):
+        # Every theta at v = 0 is the target |0>: one solution, at residual 0.
+        for code in (U2, REPETITION):
+            (sol,) = solve_to_density(code, ZERO, 1e-9)
+            assert (sol.v, sol.residual) == (0.0, 0.0)
 
+    def test_one_up_to_rounding_on_1_1_4(self):
+        # This target is |1> up to 6e-17: a finite root just inside v = pi/2.
+        target = PureQubit(math.cos(math.pi / 2), cmath.exp(-0.64j)).density()
+        assert len(solve_to_density(GnuParams(1, 1, 4), target, 1e-9)) == 1
 
-def _solve_counted(monkeypatch, shape, target):
-    """solve_to_density with every refinement start held to the call budget."""
-    counts = _calls_per_start(monkeypatch)
-    solutions = solve_to_density.__wrapped__(GnuParams(*shape), target, 1e-9)
-    assert counts
-    return solutions
+    def test_double_root_is_one_row(self):
+        # On (1, 2, 1), p of |+> is (z - 1)^2 up to a factor: its float roots
+        # may split, but they are one input state.
+        target = PureQubit(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)).density()
+        (sol,) = solve_to_density(GnuParams(1, 2, 1), target, 1e-9)
+        assert sol.v == pytest.approx(math.pi / 4, abs=1e-6)
+        assert sol.theta == pytest.approx(0.0, abs=1e-6)
 
+    def test_every_root_on_4_15_1(self):
+        # 15 roots of p, each with g = 4 inputs, among them this family of
+        # ps 9.5e-3.
+        solutions = solve_input_params(GnuParams(4, 15, 1), TargetSpec("T"))
+        assert len(solutions) == 60
+        v, theta = 0.6844508977804356, 0.35792491653990144
+        assert any(abs(s.v - v) <= 1e-9 and abs(s.theta - theta) <= 1e-9 for s in solutions)
 
-class TestGaussNewton:
-    XT = TargetSpec("XT").density()
-
-    @pytest.mark.parametrize("code", SEEDED_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
-    def test_step_matches_one_point_at_a_time(self, code):
-        # The centre and its four probes come out of one 3 x 3 block; each
-        # must be the scalar state there, and the residual its bits.
-        rng = random.Random(code.num_qubits * 10 + code.g)
-        points = [(0.0, 0.4), (math.pi / 2, -0.4)] if code.num_qubits < 12 else []
-        for _ in range(20):
-            points.append((rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi)))
-        for v, theta in points:
-            found = solver._newton_step(code, self.XT, v, theta)
-            reference = _reference_newton_step(code, self.XT, v, theta)
-            assert found == reference
-
-    def test_v_clamps_and_theta_wraps(self, monkeypatch):
-        # Steps 100 times too long leave [0, pi/2] x [-pi, pi); every trial
-        # point is clamped and wrapped as InputEnsemble does.
-        trials = []
-        step = solver._newton_step
-
-        def long_step(code, target, v, theta):
-            trials.append((v, theta))
-            found = step(code, target, v, theta)
-            return found and (found[0], 100.0 * found[1], 100.0 * found[2])
-
-        monkeypatch.setattr(solver, "_newton_step", long_step)
-        target = distilled_state(U2, InputEnsemble(0.05, -math.pi + 1e-3, 0.0))
-        solver._gauss_newton(*_start(U2, target, 0.06, math.pi - 0.004))
-        assert trials[1][0] == 0.0 and -math.pi <= trials[1][1] < 0.0
-        assert all(0.0 <= v <= math.pi / 2 and -math.pi <= theta < math.pi for v, theta in trials)
+    def test_head_on_1_30_2_is_the_minimum_magic_root(self):
+        # The minimum-magic root lies near v = 0, where ps is 2.3e-9; a
+        # root at v = 0.727 has magic 0.0203.
+        head = solve_input_params(GnuParams(1, 30, 2), TargetSpec("T"))[0]
+        assert head.v == pytest.approx(0.01207822634008219, abs=1e-9)
+        assert head.theta == pytest.approx(0.8730236089788388, abs=1e-9)
+        assert head.input_magic < 1e-3
 
     def test_roots_across_the_edges(self):
-        # A root just past theta = -pi, from a start just below +pi.
-        target = distilled_state(U2, InputEnsemble(0.7, -math.pi + 1e-3, 0.0))
-        v, theta, value = solver._gauss_newton(*_start(U2, target, 0.72, math.pi - 0.004))
-        assert -math.pi <= theta < -math.pi + 2e-3
-        assert v == pytest.approx(0.7, abs=1e-12)
-        assert theta == pytest.approx(-math.pi + 1e-3, abs=1e-12)
-        assert value <= 1e-15
-        # A root just below v = pi/2, from the v = pi/2 grid row.
-        target = distilled_state(U2, InputEnsemble(math.pi / 2 - 1e-7, 0.4, 0.0))
-        v, theta, value = solver._gauss_newton(*_start(U2, target, math.pi / 2, 0.42))
-        assert v == pytest.approx(math.pi / 2 - 1e-7, abs=1e-12)
-        assert theta == pytest.approx(0.4, abs=1e-9)
-        assert value <= 1e-15
-
-    def test_probes_stay_inside_the_v_edge(self):
-        # The (1, 1, 12) weight underflows at v = pi/2 only: a block centred
-        # there has no weight, and one just inside probes no further out.
-        code = GnuParams(1, 1, 12)
-        assert solver._newton_step(code, ONE, math.pi / 2, 0.3) is None
-        inside = math.pi / 2 - solver.NEWTON_DIFFERENCE_STEP / 2
-        found = solver._newton_step(code, ONE, inside, 0.3)
-        assert found is not None and all(math.isfinite(x) for x in found)
-
-    def test_target_one_near_the_v_edge(self):
-        # |1> is reached only as v -> pi/2 on (1, 1, 12), where every theta
-        # is the same input state: one solution.
-        (sol,) = solve_to_density(GnuParams(1, 1, 12), ONE, 1e-9)
-        assert math.pi / 2 - 1e-6 < sol.v <= math.pi / 2
-        assert sol.residual <= 1e-12 and sol.input_magic == 0.0
-
-    def test_pole_family_needs_no_refinement(self, monkeypatch):
-        # Every grid minimum on the v = 0 row is already the target |0>, at
-        # residual 0: none is refined.
-        counts = _calls_per_start(monkeypatch)
-        for code in (U2, REPETITION):
-            (sol,) = solve_to_density.__wrapped__(code, DensityMatrix1Q(1.0, 0.0, 0.0), 1e-9)
-            assert (sol.v, sol.residual) == (0.0, 0.0)
-        assert counts == []
-
-    def test_converged_starts_stop_at_rounding(self, monkeypatch):
-        # A converged start ends when its step falls below rounding, after
-        # 4-6 calls on these targets, far inside the call budget.
-        counts = _calls_per_start(monkeypatch)
-        for code in (U2, REPETITION):
-            for kind in ("T", "H", "XT", "XH"):
-                solve_to_density.__wrapped__(code, TargetSpec(kind).density(), 1e-9)
-        assert counts and max(counts) <= 8
-
-    # Targets reached only in a limit at a zero-weight v edge: each start
-    # creeps toward the edge until its call budget runs out.
-    def test_limit_at_the_edge_on_2_1_6(self, monkeypatch):
-        (sol,) = _solve_counted(monkeypatch, (2, 1, 6), ONE)
-        assert math.pi / 2 - 1e-6 < sol.v <= math.pi / 2
-        assert sol.residual <= 1e-12
-
-    def test_limit_at_the_edge_on_3_2_3(self, monkeypatch):
-        solutions = _solve_counted(monkeypatch, (3, 2, 3), PureQubit(1.0, 0.0).density())
-        assert (solutions[0].v, solutions[0].residual) == (0.0, 0.0)
-
-    def test_one_up_to_rounding_on_1_1_4(self, monkeypatch):
-        # This target is |1> up to 6e-17: the refinement walks in rounding noise.
-        target = PureQubit(math.cos(math.pi / 2), cmath.exp(-0.64j)).density()
-        assert len(_solve_counted(monkeypatch, (1, 1, 4), target)) == 1
+        # A root just past theta = -pi, and a root just below v = pi/2.
+        for v0, theta0 in ((0.7, -math.pi + 1e-3), (math.pi / 2 - 1e-7, 0.4)):
+            target = distilled_state(U2, InputEnsemble(v0, theta0, 0.0))
+            (sol,) = solve_to_density(U2, target, 1e-9)
+            assert sol.v == pytest.approx(v0, abs=1e-12)
+            assert sol.theta == pytest.approx(theta0, abs=1e-12)
+            assert sol.residual <= 1e-15
 
     @pytest.mark.parametrize("shape", [(3, 1, 3), (3, 2, 3)], ids=lambda s: "-".join(map(str, s)))
-    def test_round_trip_near_the_v_0_pole(self, shape, monkeypatch):
+    def test_round_trip_near_the_v_0_pole(self, shape):
         # A target from an input within 1e-3 of v = 0: every g-fold image of
         # the generating input is among the solutions.
         code = GnuParams(*shape)
         rng = random.Random(sum(shape))
         v0, theta0 = rng.uniform(1e-5, 1e-3), rng.uniform(-math.pi, math.pi)
         target = distilled_state(code, InputEnsemble(v0, theta0, 0.0))
-        solutions = _solve_counted(monkeypatch, shape, target)
+        solutions = solve_to_density.__wrapped__(code, target, 1e-9)
         for k in range(code.g):
             image = theta0 + 2.0 * math.pi * k / code.g
             assert any(
@@ -329,35 +267,22 @@ class TestGaussNewton:
             )
 
     def test_mixed_target_stays_refused(self):
-        # A mixed target has no zero residual: its grid minimum is in range,
-        # but no refined point reaches the tolerance.
+        # A mixed target is not its nearest pure state, which every root hits.
         t = t_state().density()
         mixed = DensityMatrix1Q(0.98 * t.m00 + 0.01, 0.98 * t.m11 + 0.01, 0.98 * t.m01)
         for code in (U2, REPETITION):
-            with pytest.raises(NoSolutionError, match="no refined point reached the tolerance"):
+            with pytest.raises(NoSolutionError, match="no input reaches the target within the tolerance"):
                 solve_to_density(code, mixed, 1e-9)
 
     @pytest.mark.parametrize("code", SEEDED_CODES[:4], ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
-    def test_refinement_starts_from_the_grid_residual(self, code, monkeypatch):
-        # solve_to_density seeds each refinement with its grid point's
-        # residual, which must be the scalar residual there, bit for bit, and
-        # reports the scalar residual of each solution.
-        starts = []
-        refine = solver._gauss_newton
-
-        def recorded(*args):
-            starts.append(args)
-            return refine(*args)
-
-        monkeypatch.setattr(solver, "_gauss_newton", recorded)
+    def test_residual_is_the_scalar_residual(self, code):
+        # solve_to_density reports the residual of its confirmation call,
+        # which must be the scalar residual there, bit for bit.
         for kind in ("XT", "XH"):
             target = TargetSpec(kind).density()
             for sol in solve_to_density.__wrapped__(code, target, 1e-9):
                 assert sol.residual == _residual(code, target, sol.v, sol.theta)
                 assert type(sol.v) is type(sol.theta) is type(sol.residual) is float
-        assert starts
-        for _, target, v, theta, best in starts:
-            assert best == _residual(code, target, v, theta)
 
     @pytest.mark.parametrize(
         "shape", [(1, 2, 3), (3, 2, 2), (2, 3, 2)], ids=lambda s: "-".join(map(str, s))
@@ -541,15 +466,14 @@ class TestSolveForMagic:
 
 
 def test_noiseless_paths_compute_no_noise_weights(monkeypatch):
-    # The solver grid, its Gauss-Newton steps and the magic curve read the
-    # noiseless states alone: no noise weight of any omega is computed.
+    # The solver's confirmations and the magic curve read the noiseless
+    # states alone: no noise weight of any omega is computed.
     monkeypatch.setattr(engine, "_noise_weights", lambda *args: pytest.fail("noise weights"))
-    solve_to_density.cache_clear()
     target = TargetSpec("XT").density()
-    assert solve_to_density(U2, target)[0].residual <= 1e-9
+    for code in (U2, GnuParams(1, 2, 6)):
+        assert solve_to_density.__wrapped__(code, target)[0].residual <= 1e-9
     # v = pi/2 alone is singular on (1, 2, 6).
     assert len(magic_curve(GnuParams(1, 2, 6), 0.3, default_magic_grid(math.pi / 100))) == 50
-    assert solver._newton_step(U2, target, 0.7, 0.3) is not None
 
 
 class TestBisectSignChange:
