@@ -10,11 +10,15 @@ The overlap of a weight-omega input string with the j-th logical Dicke
 component is e^{i g j theta} times a real amplitude, the x^{gj} coefficient
 of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
 through the binomial weight of omega flipped inputs.  Two kernels evaluate
-it, each shaped for its job, and share no logic.
+it, each shaped for its input class, and share no logic; the input, not the
+caller, picks one.  An eps = 0 point, one v or a vector of them, reads the
+omega = 0 kernel; a noisy point and every error curve read the one-point
+kernel's whole table.
 The one-point kernel, `_sum_rows`, works at one (v, theta) on fixed-rank
-arrays.  Everything in the coefficient that does not depend on v sits in a
-per-code plan, built once per code at full size: an index table mapping
-each (factor, omega, r) to a position in one flat power table
+arrays and always fills the whole (N + 1, 4) table, one row per
+omega = 0..N.  Everything in the coefficient that does not depend on v sits
+in a per-code plan, built once per code at full size: an index table
+mapping each (factor, omega, r) to a position in one flat power table
 [cos^k, sin^k for k = 0..N | (-cos)^k for k = 0..g*n], the matching
 binomials, the (t, j) gather of the coefficient product and its
 normalisation.  The (-cos v) block ends at g*n because only the flipped
@@ -23,50 +27,49 @@ is slow, but +-cos^k v differs from (-cos v)^k in the last bits.  Each
 (omega, r) table ends in a sentinel column with a 0.0 binomial, where the
 clean factor is exactly +0, and the gather sends every (t, j) with g*j < t
 there, so no mask multiply is needed.  A call fills the power table in one
-pow, reads both factors for a run of omega in one take and two multiplies,
+pow, reads both factors of every omega in one take and two multiplies,
 sums the product over t in one gathered contraction and writes `_weigh`'s
 per-omega rows |even|^2, |odd|^2 and even * conj(odd) directly.  It serves
-`codespace_projection`, `_curve_table` and `dicke_overlap`.
-The omega = 0 kernel, `_noiseless_weights` behind `noiseless_states`, takes
-a float or a whole vector of v at one theta and eps = 0, where omega = 0
-alone has noise weight, the flipped factor is exactly 1.0 and the t-sum has
-one term: each amplitude is C(N, g*j) cos^(N - g*j) v sin^(g*j) v times its
-scale, with no gather, no contraction and no negative-base pow.  That is
-how the solver confirms each root's input and the magic curve evaluates all
-of its v in one call.  Both kernels give the same amplitude bits at
+a noisy `codespace_projection`, `_curve_table` and `dicke_overlap`, which
+reads row omega of its amplitudes.
+The omega = 0 kernel, `_noiseless_weights`, takes a float or a whole vector
+of v at one theta and eps = 0, where omega = 0 alone has noise weight, the
+flipped factor is exactly 1.0 and the t-sum has one term: each amplitude is
+C(N, g*j) cos^(N - g*j) v sin^(g*j) v times its scale, with no gather, no
+contraction and no negative-base pow.  It serves `codespace_projection` at
+eps = 0 (so `distilled_state`, the solver's confirmation of each root and
+`solve_for_magic`'s bisection) and `noiseless_states`, the magic curve's
+one call for all of its v.  Both kernels give the same amplitude bits at
 omega = 0 and add each j-sum pairwise along a row, so a noiseless state has
-the same bits in either.
-`codespace_projection` takes one noisy (v, theta, eps) and weights the run
-of omega with nonzero noise weight.  `max_errors` takes one (v, theta) and
-a whole vector of eps, which is how error curves evaluate a threshold grid
-or a figure's eps column in one call, and `max_error` is its one-point
-twin.  Every noisy omega sum is `_weigh`'s: real rows
-[|even|^2, |odd|^2, Re, Im of even * conj(odd)], weighted by logical_norm
-times their noise weight and added in ascending omega from +0, so a
-one-point projection, both curve paths and a curve's eps = 0 leg give the
-same bits at the same (v, theta, eps).  Beside the plan, the curve paths
-keep a second cache, `_curve_table`: one entry per (code, v, theta) with v
-and theta as InputEnsemble clamps and wraps them, at most CURVE_TABLES of
-them, read-only.  An entry holds the rows of every
-omega = 0..N and the curve's eps = 0 leg, checked once as the entry is
+the same bits in either, as the tests check.
+`max_errors` takes one (v, theta) and a whole vector of eps, which is how
+error curves evaluate a threshold grid or a figure's eps column in one
+call, and `max_error` is its one-point twin.  Every noisy omega sum is
+`_weigh`'s: real rows [|even|^2, |odd|^2, Re, Im of even * conj(odd)],
+weighted by logical_norm times their noise weight and added in ascending
+omega from +0, so a noisy projection, both curve paths and a curve's
+eps = 0 leg give the same bits at the same (v, theta, eps).  Beside the
+plan, the curve paths keep a second cache, `_curve_table`: one entry per
+(code, v, theta) with v and theta as InputEnsemble clamps and wraps them,
+at most CURVE_TABLES of them, read-only.  An entry holds the whole table
+and the curve's eps = 0 leg, its row omega = 0 checked once as the entry is
 built: the noiseless output state, or its weight where that setting is too
 weak to normalise.  Only the noise weights depend on eps, so every point of
 an error curve, scalar calls and bisection steps included, reads one entry
-and runs only its own eps: the weighted omega sum, that setting's checks
-and the refusal (`_refuse_zero_weight`, the one curve refusal of both).
-`max_errors` weights the rows with nonzero noise weight at some eps and
-screens its settings as arrays; `max_error` weights the whole table, its
-noise row from the same numpy pow, and checks its one setting in Python
-numbers.  `dicke_overlap` is a one-point read of the one-point kernel's
-amplitudes (`_point_amplitudes`) on the (1, N, 1) code; the tests keep the
-term-by-term sum as the reference the plan path is checked against.
+and runs only its own eps: the weighted omega sum over the whole table,
+that setting's checks and the refusal (`_refuse_zero_weight`, the one curve
+refusal of both).  `max_errors` screens its settings as arrays;
+`max_error`, its noise row from the same numpy pow, checks its one setting
+in Python numbers.  The tests keep the term-by-term sum as the reference
+`dicke_overlap` is checked against.
 The dataclass pair `CodespaceProjection` + `final_state` (which builds a
 `DensityMatrix1Q`) is the one definition of the state checks, their order
-and their messages.  `distilled_state` and `max_error` run it point by
-point (`_checked_states`, ~5 us a point); `final_states` only screens an
-array with the same comparisons in one pass and hands the points to
-`_checked_states` when the screen flags one, so a rejection raises the
-pair's own error for the first point it rejects.  `_zero_weight_error`
+and their messages.  `distilled_state` runs it on one point, and
+`_checked_point` (~5 us a point) on one point's weights, for `max_error`'s
+setting and a table's eps = 0 leg; `final_states` only screens an array
+with the same comparisons in one pass and hands its points to
+`_checked_point` in order when the screen flags one, so a rejection raises
+the pair's own error for the first point it rejects.  `_zero_weight_error`
 words every refusal of a setting too weak to normalise, curves included.
 """
 from __future__ import annotations
@@ -186,12 +189,12 @@ class _Plan(NamedTuple):
 
     The one-point kernel's (omega, r) tables run over the flip counts
     omega = 0..N and the powers r = 0..g*n that reach a logical component,
-    plus one sentinel column r = g*n + 1; a call reads the rows of the omega
-    it sums over.  Each (factor, omega, r) entry of index is a position in
-    the call's flat power table [cos^k, sin^k for k = 0..N | (-cos)^k for
-    k = 0..g*n]: factors 0 and 1 are the a^(m - r) of the flipped (degree
-    omega, a = sin v) and clean (degree N - omega, a = cos v) factors, 2 and
-    3 their b^r (b = -cos v and sin v).  Only the flipped factor's b^r reads
+    plus one sentinel column r = g*n + 1; a call reads every row.  Each
+    (factor, omega, r) entry of index is a position in the call's flat power
+    table [cos^k, sin^k for k = 0..N | (-cos)^k for k = 0..g*n]: factors 0
+    and 1 are the a^(m - r) of the flipped (degree omega, a = sin v) and
+    clean (degree N - omega, a = cos v) factors, 2 and 3 their b^r
+    (b = -cos v and sin v).  Only the flipped factor's b^r reads
     the (-cos v) block, so it ends at g*n.  The sentinel column reads a^0
     and b^0 against a 0.0 binomial, so the clean factor holds exactly +0
     there.  The omega = 0 kernel reads noiseless_binomial,
@@ -277,39 +280,39 @@ def _power_table(plan: _Plan, v: float):
     return np.array((cos_v, math.sin(v), -cos_v))[plan.power_bases] ** plan.power_exponents
 
 
-def _point_amplitudes(plan: _Plan, v: float, rows: slice):
+def _point_amplitudes(plan: _Plan, v: float):
     """Real amplitudes of the logical components at one v, shape (omega, j).
 
     The x^{gj} coefficient of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega
-    for each omega in rows, scaled by sqrt(C(n, j) / C(N, gj)).  Each factor's
+    for every omega = 0..N, scaled by sqrt(C(n, j) / C(N, gj)).  Each factor's
     x^r coefficient is C(m, r) a^(m - r) b^r, its powers read from the flat
     power table.
     """
-    factors = _power_table(plan, v).take(plan.index[:, rows])
-    coefficients = plan.binomial[:, rows] * factors[:2]
+    factors = _power_table(plan, v).take(plan.index)
+    coefficients = plan.binomial * factors[:2]
     coefficients *= factors[2:]
-    depth = min(rows.stop, plan.gather.shape[0])  # t runs to min(omega, g*n)
-    # (omega, t, j) products flipped[t] * clean[g*j - t], summed over t;
-    # where g*j < t the gather reads the clean factor's +0 sentinel.
+    # (omega, t, j) products flipped[t] * clean[g*j - t] for t = 0..g*n,
+    # summed over t; the flipped factor is +-0 past t = omega, and where
+    # g*j < t the gather reads the clean factor's +0 sentinel.
     # take fills a fresh C-contiguous array, which the sum then runs over
     # row by row in t, as a loop over t adding into the amplitudes would;
     # the product is taken in place to hold one such array, not two.
     # np.add.reduce is what ndarray.sum calls, minus its Python wrapper.
-    amplitude = coefficients[1].take(plan.gather[:depth], axis=-1)
-    amplitude *= coefficients[0, :, :depth, None]
+    amplitude = coefficients[1].take(plan.gather, axis=-1)
+    amplitude *= coefficients[0, :, :-1, None]  # the flipped factor without its sentinel
     amplitude = np.add.reduce(amplitude, 1)
     amplitude *= plan.scale
     return amplitude
 
 
-def _sum_rows(plan: _Plan, v: float, theta: float, rows: slice):
-    """The one-point kernel: logical sums at one (v, theta) for the omega in rows.
+def _sum_rows(plan: _Plan, v: float, theta: float):
+    """The one-point kernel: logical sums at one (v, theta) for every omega = 0..N.
 
-    Returns _weigh's real (omega, 4) rows [|even|^2, |odd|^2, Re, Im of
+    Returns _weigh's real (N + 1, 4) rows [|even|^2, |odd|^2, Re, Im of
     even * conj(odd)]; nothing here depends on eps.  Each j-sum is added
     pairwise, numpy's reduce along a row.
     """
-    terms = _point_amplitudes(plan, v, rows) * np.exp(plan.phase_rates * theta)
+    terms = _point_amplitudes(plan, v) * np.exp(plan.phase_rates * theta)
     even = np.add.reduce(terms[:, 0::2], 1)
     odd = np.add.reduce(terms[:, 1::2], 1)
     sums = np.empty((even.size, 4))
@@ -328,8 +331,8 @@ def _weigh(plan: _Plan, rows, noise):
     the rows end in those 4 columns (a lone column would be coalesced into
     its blocked 1-D reduce), so omega is added in ascending order, and
     + 0.0 turns an all -0 sum into +0.  A finite row with zero noise weight
-    then changes no bit: a run of omega, a union of flips and a whole table
-    give the same weights.
+    then changes no bit: the whole table gives the weights of the rows that
+    carry noise weight alone.
     """
     return np.add.reduce((plan.logical_norm * noise)[..., None] * rows, 0) + 0.0
 
@@ -337,11 +340,13 @@ def _weigh(plan: _Plan, rows, noise):
 def _curve_weights(plan: _Plan, sums, eps):
     """Codespace weights (w00, w11, w01) at each eps of a 1-D array, from a table's sums.
 
-    Only the rows with nonzero noise weight at some eps are weighted.
+    The whole table is weighed at every eps, as codespace_projection and
+    max_error weigh it at one.
     """
     noise = _noise_weights(plan, eps[:, None])
-    flips = noise.any(axis=0).nonzero()[0]
-    weights = _weigh(plan, sums[flips, None], noise[:, flips].T)
+    # A C-contiguous (omega, eps) block: weighing the transposed view runs
+    # ~2.5x slower, with the same bits.
+    weights = _weigh(plan, sums[:, None], np.ascontiguousarray(noise.T))
     w01 = np.empty(eps.shape, complex)
     w01.real, w01.imag = weights[:, 2], weights[:, 3]
     return weights[:, 0], weights[:, 1], w01
@@ -356,25 +361,23 @@ class _CurveTable(NamedTuple):
 
 @lru_cache(maxsize=CURVE_TABLES)
 def _curve_table(code: GnuParams, v: float, theta: float) -> _CurveTable:
-    """The logical sums of code at one (v, theta) for every omega = 0..N, and its eps = 0 leg.
+    """The one-point kernel's whole table at one (v, theta), and its eps = 0 leg.
 
     All that max_errors and max_error need besides the noise weights, so
     every eps of an error curve shares it.  The eps = 0 weights are the
-    table's own at eps = 0, where only omega = 0 has noise weight;
-    final_states checks them here, once per entry, which keeps the state,
-    or the weight where it is too small to normalise, so every call can
-    refuse it without raising here.  v and theta come clamped and wrapped
-    by InputEnsemble, so equal keys build equal tables.  The entry is
-    shared by every call and so read-only.
+    table's row omega = 0 weighed at its noise weight 1.0, the one row with
+    noise weight at eps = 0; _checked_point checks them here, once per
+    entry, which keeps the state, or the weight where it is too small to
+    normalise, so every call can refuse it without raising here.  v and
+    theta come clamped and wrapped by InputEnsemble, so equal keys build
+    equal tables.  The entry is shared by every call and so read-only.
     """
     plan = _plan(code)
-    sums = _sum_rows(plan, v, theta, slice(0, code.num_qubits + 1))
+    sums = _sum_rows(plan, v, theta)
     sums.setflags(write=False)
-    weights = _curve_weights(plan, sums, np.zeros(1))
-    accepted, *state = final_states(*weights)
-    w00, w11, _ = weights
-    noiseless = DensityMatrix1Q(*[m.item() for m in state]) if accepted[0] else (w00 + w11).item()
-    return _CurveTable(sums, noiseless)
+    w00, w11, re, im = _weigh(plan, sums[:1], np.ones(1)).tolist()
+    state = _checked_point(w00, w11, complex(re, im))
+    return _CurveTable(sums, w00 + w11 if state is None else state)
 
 
 def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> complex:
@@ -398,7 +401,7 @@ def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> 
     if not (0 <= s <= n_qubits and 0 <= omega <= n_qubits):
         raise OutOfRangeError(f"need 0 <= s, omega <= {n_qubits}, got s={s}, omega={omega}")
     plan = _plan(GnuParams(1, n_qubits, 1))
-    amplitude = _point_amplitudes(plan, v, slice(omega, omega + 1))[0, s]
+    amplitude = _point_amplitudes(plan, v)[omega, s]
     return float(amplitude) / math.sqrt(math.comb(n_qubits, s)) * cmath.exp(1j * s * theta)
 
 
@@ -440,8 +443,8 @@ def noiseless_states(code: GnuParams, v, theta: float):
     Returns final_states' (accepted, m00, m11, m01) over the weights of
     _noiseless_weights; v, a float or an array of them, and theta must
     already be clamped and wrapped, as InputEnsemble does.  This is how the
-    solver confirms each candidate input (one point) and the magic curve
-    evaluates all of its v (one call).
+    magic curve evaluates all of its v in one call; a single eps = 0 point
+    reads the same kernel through codespace_projection.
     """
     return final_states(*_noiseless_weights(_plan(code), v, theta))
 
@@ -449,19 +452,22 @@ def noiseless_states(code: GnuParams, v, theta: float):
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:
     """Project N noisy copies onto the codespace and read the logical block.
 
-    The logical sums of the omega with nonzero noise weight, which at one
-    eps form one run, weighted and summed over omega by _weigh.  Raises
+    The input picks the kernel: at eps = 0 the omega = 0 kernel's weights,
+    otherwise the one-point kernel's whole table weighed and summed over
+    omega by _weigh.  Both give the same bits at eps = 0.  Raises
     ZeroSuccessProbabilityError when the total codespace weight is too
     small to normalise downstream.
     """
     plan = _plan(code)
-    noise = _noise_weights(plan, ens.eps)
-    flips = noise.nonzero()[0]
-    run = slice(int(flips[0]), int(flips[-1]) + 1)
-    w00, w11, re, im = _weigh(plan, _sum_rows(plan, ens.v, ens.theta, run), noise[run]).tolist()
+    if ens.eps == 0.0:
+        w00, w11, w01 = (part.item() for part in _noiseless_weights(plan, ens.v, ens.theta))
+    else:
+        noise = _noise_weights(plan, ens.eps)
+        w00, w11, re, im = _weigh(plan, _sum_rows(plan, ens.v, ens.theta), noise).tolist()
+        w01 = complex(re, im)
     if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
         raise _zero_weight_error(code, ens, w00 + w11)
-    return CodespaceProjection(w00, w11, complex(re, im))
+    return CodespaceProjection(w00, w11, w01)
 
 
 def _zero_weight_error(code: GnuParams, ens: InputEnsemble, weight: float):
@@ -489,31 +495,26 @@ def final_state(projection: CodespaceProjection) -> DensityMatrix1Q:
     return DensityMatrix1Q(projection.w00 / total, projection.w11 / total, m01)
 
 
-def _checked_states(w00, w11, w01):
-    """The dataclass pair's verdicts on the points of the weight lists, in order.
+def _checked_point(w00: float, w11: float, w01: complex) -> DensityMatrix1Q | None:
+    """The dataclass pair's verdict on one point's weights.
 
-    Returns a list of flags, one per point, False where the total weight is
-    at most MIN_SUCCESS_PROBABILITY, and the list of
-    final_state(CodespaceProjection(*point)) of each accepted point, so the
-    first accepted point the pair rejects raises.
+    None where the total weight is at most MIN_SUCCESS_PROBABILITY, else
+    final_state(CodespaceProjection(w00, w11, w01)), which raises what the
+    pair raises.
     """
-    accepted = [not a + b <= MIN_SUCCESS_PROBABILITY for a, b in zip(w00, w11)]
-    states = [
-        final_state(CodespaceProjection(a, b, c))
-        for a, b, c, ok in zip(w00, w11, w01, accepted)
-        if ok
-    ]
-    return accepted, states
+    if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
+        return None
+    return final_state(CodespaceProjection(w00, w11, w01))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def final_states(w00, w11, w01):
-    """_checked_states over arrays, screened in one pass.
+    """_checked_point over arrays, screened in one pass.
 
     Returns (accepted, m00, m11, m01), the state arrays holding the accepted
     points only.  The screen runs the pair's comparisons, which nan fails,
-    and sends the accepted points to _checked_states if any fails, so a
-    rejected point raises the pair's own error.  Weights that pass
+    and sends the accepted points to _checked_point in order if any fails,
+    so the first rejected point raises the pair's own error.  Weights that pass
     normalise to a finite, nonnegative state of trace 1 within a few ulps,
     so of the state's checks only its coherence is screened.  Overflow and
     invalid values, which come only from flagged points, raise no warning.
@@ -533,7 +534,8 @@ def final_states(w00, w11, w01):
         & (squared_modulus(m01) <= m00 * m11 + STATE_TOLERANCE)
     )
     if not passes.all():
-        _checked_states(w00.tolist(), w11.tolist(), w01.tolist())
+        for point in zip(w00.tolist(), w11.tolist(), w01.tolist()):
+            _checked_point(*point)
     return accepted, m00, m11, m01
 
 
@@ -542,22 +544,19 @@ def distilled_state(code: GnuParams, ens: InputEnsemble) -> DensityMatrix1Q:
     return final_state(codespace_projection(code, ens))
 
 
-def _refuse_zero_weight(code: GnuParams, v, theta, noiseless, eps, accepted, weights):
+def _refuse_zero_weight(code: GnuParams, v, theta, noiseless, refused):
     """Refuse the first channel setting too weak to normalise, eps = 0 first.
 
     The one curve refusal of max_errors and max_error, raised only after
     every setting has been checked, with codespace_projection's error.
     noiseless is the table's eps = 0 leg, a float where it was refused;
-    accepted flags each setting of eps and weights holds their weights.
+    refused is (eps, weight) of the first refused setting of eps, or None.
     """
     if isinstance(noiseless, float):
-        setting, weight = 0.0, noiseless
-    elif False in accepted:  # no Python loop over an array, unlike all()
-        first = list(accepted).index(False)
-        setting, weight = eps[first], float(weights[0][first] + weights[1][first])
-    else:
-        return
-    raise _zero_weight_error(code, InputEnsemble(v, theta, setting), weight)
+        refused = 0.0, noiseless
+    if refused is not None:
+        eps, weight = refused
+        raise _zero_weight_error(code, InputEnsemble(v, theta, eps), weight)
 
 
 def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatrix1Q):
@@ -567,10 +566,10 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
     degradation.  eps (a 1-D array) only enters through the noise weights
     of omega flipped inputs, so every call at one (v, theta) on a code
     reads one _curve_table entry, which holds the checked eps = 0 leg, and
-    _weigh sums only the rows with nonzero noise weight at some eps.
-    final_states checks every eps before the first setting too weak to
-    normalise is refused, so a warm call gives the bits of a cold one, and
-    trace_distances measures the states.
+    _weigh sums its whole table at every eps.  final_states checks every
+    eps before the first setting too weak to normalise is refused, so a
+    warm call gives the bits of a cold one, and trace_distances measures
+    the states.
     Raises OutOfRangeError with InputEnsemble's message for the first eps
     outside [0, 1], and ZeroSuccessProbabilityError, with its message,
     where codespace_projection would at 0 or at any eps.
@@ -585,9 +584,11 @@ def max_errors(code: GnuParams, v: float, theta: float, eps, target: DensityMatr
     if eps.size == 0:
         return np.empty(0)
     table = _curve_table(code, ens.v, ens.theta)
-    weights = _curve_weights(_plan(code), table.sums, eps)
-    accepted, *states = final_states(*weights)
-    _refuse_zero_weight(code, v, theta, table.noiseless, eps, accepted, weights)
+    w00, w11, w01 = _curve_weights(_plan(code), table.sums, eps)
+    accepted, *states = final_states(w00, w11, w01)
+    first = accepted.argmin()  # the first refused setting, if any
+    refused = None if accepted[first] else (eps[first], float(w00[first] + w11[first]))
+    _refuse_zero_weight(code, v, theta, table.noiseless, refused)
     return np.maximum(trace_distances(*states, target), trace_distance(table.noiseless, target))
 
 
@@ -596,11 +597,11 @@ def max_error(
 ) -> float:
     """max_errors at the single error weight eps, with no array step past its weights.
 
-    _weigh sums the whole cached table at this eps, which gives max_errors'
-    bits since rows with zero noise weight change none, and _checked_states
-    checks the setting with the dataclass pair before the table's eps = 0
-    leg, then this setting, may be refused; trace_distance measures both
-    states.  The value, error class and message are max_errors'.
+    _weigh sums the whole cached table at this eps, as max_errors does at
+    each of its eps, and _checked_point checks the setting with the
+    dataclass pair before the table's eps = 0 leg, then this setting, may be
+    refused; trace_distance measures both states.  The value, error class
+    and message are max_errors'.
     """
     ens = InputEnsemble(v, theta, 0.0)
     eps = float(eps)
@@ -609,7 +610,7 @@ def max_error(
     table = _curve_table(code, ens.v, ens.theta)
     plan = _plan(code)
     w00, w11, re, im = _weigh(plan, table.sums, _noise_weights(plan, eps)).tolist()
-    weights = [w00], [w11], [complex(re, im)]
-    accepted, states = _checked_states(*weights)
-    _refuse_zero_weight(code, v, theta, table.noiseless, (eps,), accepted, weights)
-    return max(trace_distance(table.noiseless, target), trace_distance(states[0], target))
+    state = _checked_point(w00, w11, complex(re, im))
+    refused = (eps, w00 + w11) if state is None else None
+    _refuse_zero_weight(code, v, theta, table.noiseless, refused)
+    return max(trace_distance(table.noiseless, target), trace_distance(state, target))

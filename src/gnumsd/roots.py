@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import OutOfRangeError
 
+# Most intervals a sweep grid may have: the default eps and magic grids have
+# 500, and a 61-row max_errors block at the cap is about 200 MB.
+MAX_GRID_INTERVALS = 100_000
+
 
 def step_grid(stop: float, step: float) -> np.ndarray:
     """The points k * step for k = 0, 1, ... up to stop, a sweep of [0, stop].
@@ -19,10 +23,16 @@ def step_grid(stop: float, step: float) -> np.ndarray:
     The last point may pass stop by rounding only, at most 4 ulps (a step
     that divides the range can end an ulp above it), so a step that does not
     divide the range ends short of stop.  Raises OutOfRangeError unless step
-    is a positive finite number.
+    is a positive finite number that cuts [0, stop] into at most
+    MAX_GRID_INTERVALS intervals.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise OutOfRangeError(f"grid step must be a positive finite number, got {step!r}")
+    if not stop / step <= MAX_GRID_INTERVALS + 0.5:  # rounds to at most the cap
+        raise OutOfRangeError(
+            f"grid step {step!r} is too small: it cuts [0, {stop!r}] into more than "
+            f"{MAX_GRID_INTERVALS} intervals"
+        )
     last = int(round(stop / step))
     if last * step > stop + 4 * math.ulp(stop):
         last -= 1

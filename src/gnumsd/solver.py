@@ -6,21 +6,23 @@ polynomial of degree n.  `magic_curve` / `solve_for_magic` map and invert the
 relationship between the input angle v and the magic of the distilled state
 at fixed theta.
 
-Both read the engine's noiseless states, where only the unflipped input
-string carries weight.  There the decoded state is proportional to
-E(z)|0> + O(z)|1> with z = (e^{i theta} tan v)^g, so a pure target is hit
-exactly at the roots of p(z) = beta E(z) - alpha O(z), and each root z gives
-the g inputs v = atan |z|^(1/g), theta = (arg z + 2 pi k) / g.  A drop in
+Both read the engine's omega = 0 kernel, which every eps = 0 point and the
+magic curve read, where only the unflipped input string carries weight.
+There the decoded state is proportional to E(z)|0> + O(z)|1> with
+z = (e^{i theta} tan v)^g, so a pure target is hit exactly at the roots of
+p(z) = beta E(z) - alpha O(z), and each root z gives the g inputs
+v = atan |z|^(1/g), theta = (arg z + 2 pi k) / g.  A drop in
 p's degree is a root at z = inf, the limit v -> pi/2, and a zero p(0) a root
 at z = 0, the input v = 0.  n = 1 roots are closed form; higher degrees go
-to np.roots.  Each candidate input is confirmed by one one-point
-`noiseless_states` call, so a root at z = inf is a solution only where the
-code accepts the float v = pi/2 (u > 1 codes accept nothing in the limit,
-and most of them nothing at that float), and an ill-conditioned root whose
-float input misses tol (as on (1, 60, 1)) is dropped.  The magic curve is
-one `noiseless_states` call for all of its v at one theta.
-`solve_for_magic` searches the sampled magic curve with `roots.first_root`,
-the root search of the threshold and crossover searches.
+to np.roots.  Each candidate input is confirmed as one eps = 0 point, the
+trace distance of its `distilled_state` to the target, as `distill --target`
+measures it, so a root at z = inf is a solution only where the code accepts
+the float v = pi/2 (u > 1 codes accept nothing in the limit, and most of
+them nothing at that float), and an ill-conditioned root whose float input
+misses tol (as on (1, 60, 1)) is dropped.  The magic curve is one
+`noiseless_states` call for all of its v at one theta.  `solve_for_magic`
+searches the sampled magic curve with `roots.first_root`, the root search of
+the threshold and crossover searches, and bisects on `distilled_state`.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from .qmath import (
     m2_pure,
     pauli_expectations,
     t_state,
-    trace_distances,
+    trace_distance,
 )
 from .roots import first_root, step_grid
 
@@ -168,11 +170,12 @@ def solve_to_density(
     theta = (arg z + 2 pi k) / g.  A zero p_0 is the root z = 0, the one
     input (0, -pi); a zero p_n is the root z = inf, the limit v -> pi/2,
     tried as the one input (pi/2, -pi).  Each input, clamped and wrapped by
-    InputEnsemble, is confirmed by one noiseless engine call and kept if the
-    code accepts it with a trace-distance residual <= tol, that call's
-    residual.  So a mixed target, which its nearest pure state misses, is
-    refused, and an ill-conditioned root (as on (1, 60, 1)) is dropped when
-    its float input misses tol.  One solution is kept per input state
+    InputEnsemble, is confirmed as one eps = 0 point: kept if distilled_state
+    accepts it (a ZeroSuccessProbabilityError refuses it) with a
+    trace-distance residual <= tol, that point's residual.  So a mixed
+    target, which its nearest pure state misses, is refused, and an
+    ill-conditioned root (as on (1, 60, 1)) is dropped when its float input
+    misses tol.  One solution is kept per input state
     (clean-state Bloch vectors within 1e-6 are one state, so a repeated
     root whose float roots split counts once), sorted by _canonical_order,
     so the head of the tuple is the canonical minimum-magic solution.
@@ -199,11 +202,11 @@ def solve_to_density(
     confirmed, refused = [], []
     for v, theta in inputs:
         ens = InputEnsemble(v, theta, 0.0)
-        accepted, *state = noiseless_states(code, ens.v, ens.theta)
-        if not accepted:
+        try:
+            value = trace_distance(distilled_state(code, ens), target)
+        except ZeroSuccessProbabilityError:
             refused.append((v, theta))
             continue
-        value = trace_distances(*state, target).item()
         if value <= tol:
             clean = ens.clean_state()
             confirmed.append((value, pauli_expectations(clean.density()), ens, m2_pure(clean)))

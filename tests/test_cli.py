@@ -218,6 +218,10 @@ class TestFigure:
             "figure --id 2b --grid-step 0",
             "figure --id 4 --grid-step -0.1",
             "magic-curve --grid-step 0",
+            # Steps too small to grid are refused before any point is counted.
+            "magic-curve --grid-step 5e-324",
+            "figure --id 1c --grid-step 1e-310",
+            "magic-curve --grid-step 1e-300",
         ],
     )
     def test_bad_grid_step_exits_2(self, argv, capsys):

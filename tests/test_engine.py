@@ -484,6 +484,19 @@ def full_states(accepted, *states):
     return (accepted, *full)
 
 
+def one_point_noiseless_state(code: GnuParams, v: float, theta: float) -> DensityMatrix1Q:
+    """The one-point kernel's eps = 0 state at a clamped, wrapped (v, theta).
+
+    Its table's row omega = 0 weighed at noise weight 1.0 and checked by the
+    dataclass pair, as the curve table's eps = 0 leg is: the reference the
+    omega = 0 kernel is checked against.
+    """
+    plan = engine._plan(code)
+    rows = engine._sum_rows(plan, v, theta)[:1]
+    w00, w11, re, im = engine._weigh(plan, rows, np.ones(1)).tolist()
+    return final_state(CodespaceProjection(w00, w11, complex(re, im)))
+
+
 class TestProjectionWeights:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.37])
     @pytest.mark.parametrize("code", BATCH_CODES, ids=_code_id)
@@ -501,7 +514,7 @@ class TestProjectionWeights:
         for theta in (-1.0, 0.25, 2.0):
             accepted, m00, m11, m01 = noiseless_states(code, 0.6, theta)
             assert accepted
-            state = distilled_state(code, InputEnsemble(0.6, theta, 0.0))
+            state = one_point_noiseless_state(code, 0.6, theta)
             assert _bits(state.m00, state.m11, state.m01) == _bits(m00[0], m11[0], m01[0])
 
     @pytest.mark.parametrize("code", V_AXIS_CODES, ids=_code_id)
@@ -653,14 +666,14 @@ def spy_on_screen(monkeypatch):
 
 
 def spy_on_checks(monkeypatch):
-    """A list that records (weights, result) of each engine call of _checked_states."""
+    """A list that records (weights, result) of each engine call of _checked_point."""
     checked = []
 
-    def spy(*weights, check=engine._checked_states):
+    def spy(*weights, check=engine._checked_point):
         checked.append((weights, check(*weights)))
         return checked[-1][1]
 
-    monkeypatch.setattr(engine, "_checked_states", spy)
+    monkeypatch.setattr(engine, "_checked_point", spy)
     return checked
 
 
@@ -740,9 +753,9 @@ class TestGatheredContraction:
     def test_max_errors_with_gapped_flips_matches_the_t_loop_bitwise(self, code, monkeypatch):
         # With eps = 0 beside eps at or near 1 the flipped counts are {0}
         # and {k..N}, not one run: at eps = 1 only omega = N has weight, and
-        # at 1 - 1e-15 every omega < N - 20 underflows.  max_errors reads
-        # those rows out of its (v, theta) table; the weights it checks are
-        # the loop's over exactly those rows, added in ascending omega from +0.
+        # at 1 - 1e-15 every omega < N - 20 underflows.  max_errors weighs
+        # its whole (v, theta) table; the weights it checks are the loop's
+        # over exactly those rows, added in ascending omega from +0.
         screened, gapped = spy_on_screen(monkeypatch), []
         rng = random.Random(code.num_qubits * 13 + code.n)
         grids = (
@@ -763,12 +776,27 @@ class TestGatheredContraction:
                 gapped.append(bool(np.any(np.diff(flips) > 1)))
                 ens = InputEnsemble(v, theta, 0.0)
                 want = loop_projection(code, ens.v, np.array([ens.theta]), flips, noise[:, flips].T)
-                # The last screen of a call is max_errors' own, after its table's.
+                # The last screen of a call is max_errors' own.
                 assert_same_bits(screened[-1][0], want)
         assert len(gapped) == 9
         assert all(gapped[0::3])
         if code.num_qubits >= 30:
             assert all(gapped[1::3])
+
+    @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
+    def test_one_point_kernel_fills_the_whole_table(self, code):
+        # One (N + 1, 4) table per (v, theta), whatever eps will weigh it;
+        # its row omega = 0 at noise weight 1.0 gives the omega = 0 kernel's
+        # weights, zero signs included.
+        plan = engine._plan(code)
+        rng = random.Random(code.num_qubits * 43 + code.n)
+        for v in (0.0, math.pi / 2, rng.uniform(0.0, math.pi / 2)):
+            theta = rng.uniform(-math.pi, math.pi)
+            sums = engine._sum_rows(plan, v, theta)
+            assert sums.shape == (code.num_qubits + 1, 4)
+            w00, w11, re, im = engine._weigh(plan, sums[:1], np.ones(1))
+            want = engine._noiseless_weights(plan, v, theta)
+            assert_same_bits([w00, w11, np.array(complex(re, im))], want)
 
     @pytest.mark.parametrize("shape", [(4, 15, 1), (1, 60, 1)])
     def test_plan_stays_small(self, shape):
@@ -850,16 +878,27 @@ class TestFinalStates:
 
     def test_valid_weights_build_no_dataclass(self, monkeypatch):
         # On valid weights the screen passes every point, so neither a
-        # noiseless call nor a max_errors grid reaches the per-point checks.
-        monkeypatch.setattr(
-            engine, "CodespaceProjection", lambda *args: pytest.fail("built a CodespaceProjection")
-        )
+        # noiseless array nor a warm max_errors grid reaches the per-point
+        # checks; a cold table checks its one eps = 0 leg with the pair.
+        built = []
+
+        def build(*args, projection=engine.CodespaceProjection):
+            built.append(args)
+            return projection(*args)
+
+        monkeypatch.setattr(engine, "CodespaceProjection", build)
         code, target = GnuParams(1, 2, 3), t_state().density()
         vs = np.minimum(np.arange(101) * (math.pi / 200), math.pi / 2)
         accepted, m00, _, _ = noiseless_states(code, vs, -math.pi / 4)
         assert accepted.all() and m00.size == vs.size
         assert noiseless_states(code, 0.7, 0.3)[0]
-        assert max_errors(code, 0.7, 0.3, FIGURE_EPS, target).shape == FIGURE_EPS.shape
+        assert built == []
+        engine._curve_table.cache_clear()
+        cold = max_errors(code, 0.7, 0.3, FIGURE_EPS, target)
+        assert cold.shape == FIGURE_EPS.shape
+        assert len(built) == 1
+        assert max_errors(code, 0.7, 0.3, FIGURE_EPS, target).tobytes() == cold.tobytes()
+        assert len(built) == 1
 
 
 def tolerance_edges():
@@ -991,9 +1030,11 @@ class TestCheckPairsAtTolerance:
 
 
 def _confirmation_residual(code, target, v, theta):
-    """The solver's check of one input: one noiseless call; None where the code accepts nothing."""
-    accepted, *state = noiseless_states(code, v, theta)
-    return trace_distances(*state, target).item() if accepted else None
+    """The solver's check of one input, one eps = 0 point; None where the code accepts nothing."""
+    try:
+        return trace_distance(distilled_state(code, InputEnsemble(v, theta, 0.0)), target)
+    except ZeroSuccessProbabilityError:
+        return None
 
 
 class TestSolverConfirmation:
@@ -1005,13 +1046,17 @@ class TestSolverConfirmation:
         ids=["1-1-2-XT", "2-1-1-T", "1-2-3-XH"],
     )
     def test_residual_is_the_point_residual(self, code, kind):
-        # The residual a solution reports is the scalar path's, bit for bit.
+        # The residual a solution reports, read from the omega = 0 kernel, is
+        # the one-point kernel's and the noiseless array path's, bit for bit.
         target = TargetSpec(kind).density()
         for v in (0.0, 0.1, 0.7, 1.3, math.pi / 2):
             for theta in self.THETAS:
-                state = distilled_state(code, InputEnsemble(v, theta, 0.0))
+                ens = InputEnsemble(v, theta, 0.0)
+                state = one_point_noiseless_state(code, ens.v, ens.theta)
                 value = _confirmation_residual(code, target, v, theta)
                 assert value == trace_distance(state, target)
+                accepted, *states = noiseless_states(code, ens.v, ens.theta)
+                assert accepted and value == trace_distances(*states, target).item()
 
     def test_point_without_weight_is_not_accepted(self):
         target = TargetSpec("XT").density()
@@ -1074,9 +1119,9 @@ class TestMaxErrors:
             for eps in (1e-300, 1e-3, 1.0 - 1e-15, rng.uniform(0.0, 1.0)):
                 states = [_state_outcome(code, InputEnsemble(v, theta, e)) for e in (0.0, eps)]
                 got = _one_point_outcome(max_error, code, v, theta, eps, target)
-                (accepted,), noisy = checked[-1][1]
-                if accepted:
-                    assert _bits(*astuple(noisy[0])) == _bits(*astuple(states[1]))
+                noisy = checked[-1][1]
+                if noisy is not None:
+                    assert _bits(*astuple(noisy)) == _bits(*astuple(states[1]))
                 else:
                     assert states[1][0] is ZeroSuccessProbabilityError
                 refusals = [state for state in states if isinstance(state, tuple)]
@@ -1155,10 +1200,10 @@ class TestMaxErrors:
 
     @pytest.mark.parametrize("code", ONE_POINT_CODES, ids=_code_id)
     def test_point_weights_are_the_array_sums_bitwise(self, code, monkeypatch):
-        # max_error weighs the whole table and max_errors only its flipped
-        # rows, yet both give the same weights, zero signs included: both
-        # add in ascending omega from +0, so an all -0 coherence part comes
-        # out +0 on both paths.  The table's eps = 0 leg is what both paths
+        # max_error weighs the whole table at one eps and max_errors at an
+        # array of them, yet both give the same weights, zero signs
+        # included: both add in ascending omega from +0, so an all -0
+        # coherence part comes out +0 on both paths.  The table's eps = 0 leg is what both paths
         # check at eps = 0: the same state's bits, or the same weight.
         screened, checked = spy_on_screen(monkeypatch), spy_on_checks(monkeypatch)
         rng = random.Random(code.num_qubits * 59 + code.n)
@@ -1177,7 +1222,7 @@ class TestMaxErrors:
                 for got, want in zip(point, weights, strict=True):
                     assert np.array(got).tobytes() == want.tobytes()
                 if eps == 0.0:
-                    (w00,), (w11,), (w01,) = point
+                    w00, w11, w01 = point
                     if accepted[0]:
                         pair = final_state(CodespaceProjection(w00, w11, w01))
                         assert _bits(*astuple(table.noiseless)) == _bits(*state)

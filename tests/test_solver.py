@@ -8,7 +8,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from gnumsd import engine, solver
+from gnumsd import engine, roots, solver
 from gnumsd.codes import GnuParams
 from gnumsd.engine import InputEnsemble, distilled_state, final_state, wrap_angle
 from gnumsd.errors import NoSolutionError, OutOfRangeError, ZeroSuccessProbabilityError
@@ -385,12 +385,16 @@ class TestMagicCurve:
     @pytest.mark.parametrize("code", SEEDED_CODES, ids=lambda c: f"{c.g}-{c.n}-{c.u:g}")
     def test_seeded_grid_matches_scalar_magic_bitwise(self, code):
         # solve_for_magic samples this curve and bisects with m2_density on
-        # distilled_state, so the two paths must agree to the bit.
+        # distilled_state, so the two paths must agree to the bit; both read
+        # the omega = 0 kernel, so the one-point kernel's eps = 0 state (its
+        # table's row omega = 0, the curve table's leg) is checked too.
         rng = random.Random(code.num_qubits * 3 + code.n)
         theta = rng.uniform(-math.pi, math.pi)
         grid = sorted(rng.uniform(0.0, math.pi / 2) for _ in range(40))
         for v, value in magic_curve(code, theta, grid):
-            assert value == m2_density(distilled_state(code, InputEnsemble(v, theta, 0.0)))
+            ens = InputEnsemble(v, theta, 0.0)
+            assert value == m2_density(distilled_state(code, ens))
+            assert value == m2_density(engine._curve_table(code, ens.v, ens.theta).noiseless)
 
     def test_zero_angle_gives_zero_magic(self):
         points = magic_curve(U2, math.pi / 4, [0.0])
@@ -466,14 +470,20 @@ class TestSolveForMagic:
 
 
 def test_noiseless_paths_compute_no_noise_weights(monkeypatch):
-    # The solver's confirmations and the magic curve read the noiseless
-    # states alone: no noise weight of any omega is computed.
+    # The solver's confirmations, the magic curve, its inversion and every
+    # eps = 0 point read the omega = 0 kernel alone: no noise weight of any
+    # omega is computed and no one-point table is filled.
     monkeypatch.setattr(engine, "_noise_weights", lambda *args: pytest.fail("noise weights"))
+    monkeypatch.setattr(engine, "_sum_rows", lambda *args: pytest.fail("one-point table"))
     target = TargetSpec("XT").density()
     for code in (U2, GnuParams(1, 2, 6)):
         assert solve_to_density.__wrapped__(code, target)[0].residual <= 1e-9
     # v = pi/2 alone is singular on (1, 2, 6).
     assert len(magic_curve(GnuParams(1, 2, 6), 0.3, default_magic_grid(math.pi / 100))) == 50
+    state = distilled_state(GnuParams(1, 60, 1), InputEnsemble(0.7, 0.3, 0.0))
+    assert abs(state.m00 + state.m11 - 1.0) <= 1e-12
+    v = solve_for_magic(U2, math.pi / 4, 0.3)
+    assert abs(m2_density(distilled_state(U2, InputEnsemble(v, math.pi / 4, 0.0))) - 0.3) <= 1e-6
 
 
 class TestBisectSignChange:
@@ -577,9 +587,15 @@ class TestStepGrid:
     def test_pi_over_100_grid_ends_an_ulp_above_half_pi(self):
         assert step_grid(math.pi / 2, math.pi / 100)[-1] == math.nextafter(math.pi / 2, 2.0)
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan, 5e-324, 1e-310, 1e-300])
     def test_step_must_be_positive_and_finite(self, step):
         with pytest.raises(OutOfRangeError):
             step_grid(0.5, step)
         with pytest.raises(OutOfRangeError):
             default_magic_grid(step)
+
+    def test_grid_has_at_most_the_cap_of_intervals(self):
+        cap = roots.MAX_GRID_INTERVALS
+        assert step_grid(0.5, 0.5 / cap).size == cap + 1
+        with pytest.raises(OutOfRangeError, match="^grid step .* is too small"):
+            step_grid(0.5, 0.5 / (cap + 1))
