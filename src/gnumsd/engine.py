@@ -17,21 +17,22 @@ kernel's whole table.
 The one-point kernel, `_sum_rows`, works at one (v, theta) on fixed-rank
 arrays and always fills the whole (N + 1, 4) table, one row per
 omega = 0..N.  Everything in the coefficient that does not depend on v sits
-in a per-code plan, built once per code at full size: an index table
-mapping each (factor, omega, r) to a position in one flat power table
+in a per-code plan, built once per code at full size: a t-major index table
+mapping each (factor, r, omega) to a position in one flat power table
 [cos^k, sin^k for k = 0..N | (-cos)^k for k = 0..g*n], the matching
 binomials, the (t, j) gather of the coefficient product and its
 normalisation.  The (-cos v) block ends at g*n because only the flipped
 factor's b^r reads it, and it stays a pow: numpy's pow on a negative base
 is slow, but +-cos^k v differs from (-cos v)^k in the last bits.  Each
-(omega, r) table ends in a sentinel column with a 0.0 binomial, where the
+(r, omega) table ends in a sentinel row with a 0.0 binomial, where the
 clean factor is exactly +0, and the gather sends every (t, j) with g*j < t
 there, so no mask multiply is needed.  A call fills the power table in one
 pow, reads both factors of every omega in one take and two multiplies,
-sums the product over t in one gathered contraction and writes `_weigh`'s
-per-omega rows |even|^2, |odd|^2 and even * conj(odd) directly.  It serves
-a noisy `codespace_projection`, `_curve_table` and `dicke_overlap`, which
-reads row omega of its amplitudes.
+gathers the (t, j, omega) products and adds their contiguous (j, omega)
+slabs in ascending t, and writes `_weigh`'s per-omega rows |even|^2,
+|odd|^2 and even * conj(odd) from the C-ordered (omega, j) amplitudes.
+It serves a noisy `codespace_projection`, `_curve_table` and
+`dicke_overlap`, which reads row omega of its amplitudes.
 The omega = 0 kernel, `_noiseless_weights`, takes a float or a whole vector
 of v at one theta and eps = 0, where omega = 0 alone has noise weight, the
 flipped factor is exactly 1.0 and the t-sum has one term: each amplitude is
@@ -187,15 +188,16 @@ class CodespaceProjection:
 class _Plan(NamedTuple):
     """Everything in a projection of one code that does not depend on v or eps.
 
-    The one-point kernel's (omega, r) tables run over the flip counts
-    omega = 0..N and the powers r = 0..g*n that reach a logical component,
-    plus one sentinel column r = g*n + 1; a call reads every row.  Each
-    (factor, omega, r) entry of index is a position in the call's flat power
+    The one-point kernel's (r, omega) tables are t-major: they run over the
+    powers r = 0..g*n that reach a logical component, plus one sentinel row
+    r = g*n + 1, and within each r over the flip counts omega = 0..N, so a
+    gathered r is one contiguous omega row; a call reads every entry.  Each
+    (factor, r, omega) entry of index is a position in the call's flat power
     table [cos^k, sin^k for k = 0..N | (-cos)^k for k = 0..g*n]: factors 0
     and 1 are the a^(m - r) of the flipped (degree omega, a = sin v) and
     clean (degree N - omega, a = cos v) factors, 2 and 3 their b^r
     (b = -cos v and sin v).  Only the flipped factor's b^r reads
-    the (-cos v) block, so it ends at g*n.  The sentinel column reads a^0
+    the (-cos v) block, so it ends at g*n.  The sentinel row reads a^0
     and b^0 against a 0.0 binomial, so the clean factor holds exactly +0
     there.  The omega = 0 kernel reads noiseless_binomial,
     noiseless_exponents, scale, phase_rates and logical_norm.
@@ -205,9 +207,9 @@ class _Plan(NamedTuple):
     noise_binomial: np.ndarray  # C(N, omega)
     power_bases: np.ndarray  # power-table entry -> 0, 1, 2 for cos v, sin v, -cos v
     power_exponents: np.ndarray  # power-table entry -> k, as a float
-    index: np.ndarray  # (factor, omega, r) -> position in the flat power table
-    binomial: np.ndarray  # C(omega, r) and C(N - omega, r), 0.0 in the sentinel column
-    gather: np.ndarray  # (t, j) -> column g*j - t of the clean factor, the sentinel where g*j < t
+    index: np.ndarray  # (factor, r, omega) -> position in the flat power table
+    binomial: np.ndarray  # (2, r, omega): C(omega, r) and C(N - omega, r), 0.0 in the sentinel row
+    gather: np.ndarray  # (t, j) -> row g*j - t of the clean factor, the sentinel where g*j < t
     noiseless_binomial: np.ndarray  # C(N, g*j), the omega = 0 clean factor at r = g*j
     noiseless_exponents: np.ndarray  # (2, j): N - g*j of cos v and g*j of sin v, as floats
     phase_rates: np.ndarray  # i*g*j, the exponent of e^{i g j theta} per unit theta
@@ -228,15 +230,15 @@ def _plan(code: GnuParams) -> _Plan:
     sentinel = g * n + 1
     r = np.arange(sentinel + 1)
     excitations = g * np.arange(n + 1)
-    degrees = np.stack((omegas, n_qubits - omegas))  # flipped, clean
-    # (factor, omega, r) exponents of a, then of b; a^0 and b^0 in the sentinel column.
-    exponents = np.empty((4,) + omegas.shape + r.shape, dtype=np.intp)
-    exponents[:2] = np.maximum(degrees[..., None] - r, 0)
-    exponents[2:] = r
-    exponents[..., sentinel] = 0
+    degrees = np.stack((omegas, n_qubits - omegas))[:, None, :]  # flipped, clean
+    # (factor, r, omega) exponents of a, then of b; a^0 and b^0 in the sentinel row.
+    exponents = np.empty((4,) + r.shape + omegas.shape, dtype=np.intp)
+    exponents[:2] = np.maximum(degrees - r[:, None], 0)
+    exponents[2:] = r[:, None]
+    exponents[:, sentinel] = 0
     blocks = (n_qubits + 1) * np.array([1, 0, 2, 1])  # sin, cos, -cos, sin
-    binomial = _binomials(range(n_qubits + 1), r)[degrees]
-    binomial[..., sentinel] = 0.0
+    binomial = _binomials(range(n_qubits + 1), r)[degrees, r[:, None]]
+    binomial[:, sentinel] = 0.0
     column = -np.subtract.outer(r[:sentinel], excitations)  # (t, j) -> g*j - t
     counts = [n_qubits + 1, n_qubits + 1, sentinel]
     plan = _Plan(
@@ -281,7 +283,7 @@ def _power_table(plan: _Plan, v: float):
 
 
 def _point_amplitudes(plan: _Plan, v: float):
-    """Real amplitudes of the logical components at one v, shape (omega, j).
+    """Real amplitudes of the logical components at one v, C-ordered (omega, j).
 
     The x^{gj} coefficient of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega
     for every omega = 0..N, scaled by sqrt(C(n, j) / C(N, gj)).  Each factor's
@@ -291,18 +293,20 @@ def _point_amplitudes(plan: _Plan, v: float):
     factors = _power_table(plan, v).take(plan.index)
     coefficients = plan.binomial * factors[:2]
     coefficients *= factors[2:]
-    # (omega, t, j) products flipped[t] * clean[g*j - t] for t = 0..g*n,
+    # (t, j, omega) products flipped[t] * clean[g*j - t] for t = 0..g*n,
     # summed over t; the flipped factor is +-0 past t = omega, and where
-    # g*j < t the gather reads the clean factor's +0 sentinel.
-    # take fills a fresh C-contiguous array, which the sum then runs over
-    # row by row in t, as a loop over t adding into the amplitudes would;
-    # the product is taken in place to hold one such array, not two.
-    # np.add.reduce is what ndarray.sum calls, minus its Python wrapper.
-    amplitude = coefficients[1].take(plan.gather, axis=-1)
-    amplitude *= coefficients[0, :, :-1, None]  # the flipped factor without its sentinel
-    amplitude = np.add.reduce(amplitude, 1)
-    amplitude *= plan.scale
-    return amplitude
+    # g*j < t the gather reads the clean factor's +0 sentinel row.
+    # take copies whole omega rows into a fresh C-contiguous array, and the
+    # sum adds its contiguous (j, omega) slabs one by one in ascending t, as
+    # a loop over t adding into the amplitudes would; the product is taken
+    # in place to hold one such array, not two.  np.add.reduce is what
+    # ndarray.sum calls, minus its Python wrapper.
+    amplitude = coefficients[1].take(plan.gather, axis=0)
+    amplitude *= coefficients[0, :-1, None, :]  # the flipped factor without its sentinel
+    amplitude = np.add.reduce(amplitude, 0)
+    # C order: _sum_rows adds each j-sum pairwise along a contiguous row, and
+    # numpy would add a row of the transposed view in sequence, in other bits.
+    return np.multiply(amplitude.T, plan.scale, order="C")
 
 
 def _sum_rows(plan: _Plan, v: float, theta: float):

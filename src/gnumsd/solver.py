@@ -236,13 +236,20 @@ def magic_curve(
     """Magic of the noiseless distilled state along a grid of input angles v.
 
     Grid points where the projection has no weight (the post-selection can
-    never accept) are skipped and logged.
+    never accept) are skipped and logged.  The grid is checked and clamped
+    as one array, as InputEnsemble checks and clamps each v; one ensemble,
+    on the first rejected grid point or else on the first point, wraps
+    theta or raises InputEnsemble's own error.
     """
-    ensembles = [InputEnsemble(v, theta, 0.0) for v in v_grid]
-    if not ensembles:
+    vs = np.array(v_grid, dtype=float)
+    if vs.size == 0:
         return []
-    vs = np.array([ens.v for ens in ensembles])
-    accepted, m00, m11, m01 = noiseless_states(code, vs, ensembles[0].theta)
+    rejected = ~(np.isfinite(vs) & (vs >= -1e-12) & (vs <= _HALF_PI + 1e-12))
+    first = int(rejected.argmax())  # 0 where no grid point is rejected
+    # The grid's own element, so InputEnsemble checks and words it as it would alone.
+    ens = InputEnsemble(v_grid[first], theta, 0.0)
+    vs = np.minimum(np.maximum(vs, 0.0), _HALF_PI) + 0.0
+    accepted, m00, m11, m01 = noiseless_states(code, vs, ens.theta)
     for v in compress(v_grid, ~accepted):
         logger.warning("magic_curve: skipped singular grid point v=%r", v)
     return list(zip(compress(v_grid, accepted), m2_densities(m00, m11, m01).tolist()))

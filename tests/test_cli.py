@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,13 @@ class TestNegativeValues:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["theta"] == float(format(-math.pi / 4, ".12g"))
+
+
+DATA = Path(__file__).parent / "data"
+# (reference name, distill flags), one per line of distill.args.
+LARGE_DISTILL = [
+    tuple(line.split(" ", 1)) for line in (DATA / "distill.args").read_text().splitlines()
+]
 
 
 class TestDistill:
@@ -185,6 +193,15 @@ class TestDistill:
         assert main("distill --v 0 --theta 0 --eps 0 --target T".split()) == 0
         record = json.loads(capsys.readouterr().out)
         assert "trace_distance_to_target" in record
+
+    @pytest.mark.parametrize("name, args", LARGE_DISTILL, ids=[name for name, _ in LARGE_DISTILL])
+    def test_large_one_point_codes_match_the_reference_bytes(self, name, args, capsys):
+        # The one-point kernel on g*n up to 60, at eps near 0 and 1, and on a
+        # point whose coherence cancels to 1e-32, where a last-bit change in
+        # the kernel shows: stdout, zero signs included, equals the committed
+        # reference byte for byte.
+        assert main(["distill", *args.split()]) == 0
+        assert capsys.readouterr().out == (DATA / f"{name}.out").read_text()
 
     def test_csv_format_single_row(self, capsys):
         assert main("distill --v 0 --theta 0 --eps 0 --format csv".split()) == 0

@@ -798,6 +798,21 @@ class TestGatheredContraction:
             want = engine._noiseless_weights(plan, v, theta)
             assert_same_bits([w00, w11, np.array(complex(re, im))], want)
 
+    @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
+    def test_tables_keep_their_layout(self, code):
+        # The plan is t-major, so the kernel adds contiguous (j, omega)
+        # slabs; its amplitudes come back C-contiguous, because a j-sum
+        # along a row of an F-ordered table is added in sequence, not
+        # pairwise, and changes bits.
+        plan = engine._plan(code)
+        rows, columns = code.g * code.n + 2, code.num_qubits + 1
+        assert plan.index.shape == (4, rows, columns)
+        assert plan.binomial.shape == (2, rows, columns)
+        amplitude = engine._point_amplitudes(plan, 0.7)
+        assert amplitude.shape == (code.num_qubits + 1, code.n + 1)
+        assert amplitude.dtype == np.float64
+        assert amplitude.flags.c_contiguous
+
     @pytest.mark.parametrize("shape", [(4, 15, 1), (1, 60, 1)])
     def test_plan_stays_small(self, shape):
         # Plans stay cached for the life of the process, one per code a run

@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 import random
+import re
 import time
 from functools import cmp_to_key
 
@@ -372,6 +373,32 @@ class TestOneComponentReference:
 class TestMagicCurve:
     def test_empty_grid(self):
         assert magic_curve(U2, math.pi / 4, []) == []
+        assert magic_curve(U2, math.nan, []) == []  # no point, so no angle is checked
+
+    @pytest.mark.parametrize(
+        "grid, theta, message",
+        [
+            ([0.1, math.nan], 0.2, "ensemble parameters must be finite"),
+            ([0.1, -1e-9, math.nan], 0.2, "v must lie in [0, pi/2], got -1e-09"),
+            ([0.1, math.pi / 2 + 1e-9], 0.2, "v must lie in [0, pi/2], got 1.5707963277948966"),
+            ([np.float64(0.1), np.float64(-1.0)], 0.2, "v must lie in [0, pi/2], got -1.0"),
+            ([0.1, 0.2], math.nan, "ensemble parameters must be finite"),
+            ([0.1, -1e-9], math.nan, "ensemble parameters must be finite"),
+        ],
+    )
+    def test_rejects_what_input_ensemble_rejects(self, grid, theta, message):
+        # The first rejected grid point raises InputEnsemble's own message.
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+            magic_curve(U2, theta, grid)
+
+    def test_edges_are_clamped_and_echoed_as_given(self):
+        grid = [-0.0, -1e-13, math.pi / 2 + 1e-13]
+        points = magic_curve(U2, 0.3, grid)
+        assert [v for v, _ in points] == grid
+        assert math.copysign(1.0, points[0][0]) == -1.0
+        assert [m for _, m in points] == [
+            m for _, m in magic_curve(U2, 0.3, [0.0, 0.0, math.pi / 2])
+        ]
 
     def test_singular_point_is_skipped_and_logged(self, caplog):
         code = GnuParams(1, 1, 12)
