@@ -57,8 +57,8 @@ class GnuParams:
             raise OutOfRangeError(f"N = g*n*u exceeds the cap of {MAX_QUBITS}") from None
         if abs(total - n_qubits) > 1e-9:
             raise OutOfRangeError(f"g*n*u must be an integer, got {total!r}")
-        if n_qubits > MAX_QUBITS:
-            raise OutOfRangeError(f"N = g*n*u = {n_qubits} exceeds the cap of {MAX_QUBITS}")
+        if n_qubits > MAX_QUBITS:  # 15 significant digits: 61 as 61, 10**300 as 1e+300
+            raise OutOfRangeError(f"N = g*n*u = {n_qubits:.15g} exceeds the cap of {MAX_QUBITS}")
         if self.g * self.n > n_qubits:
             raise OutOfRangeError("g*n may not exceed N = g*n*u (requires u >= 1 effectively)")
 

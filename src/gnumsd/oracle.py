@@ -5,6 +5,10 @@ Everything here deliberately ignores the analytic shortcuts.  States are full
 dense logical vectors, and the two-qubit protocol is run gate by gate.  The
 analytic engine is validated against these paths, never the other way round.
 
+Every circuit element, the post-selecting measurement included, is one `Gate`:
+a 2x2 matrix on a target qubit, optionally controlled by one other qubit, and
+`gate_unitary` is the one place that embeds it into the full 2^N matrix.
+
 Dense matrices follow the bit convention of `codes`: bit k of an index holds
 qubit k, qubit 0 is the least significant bit.  numpy's kron puts its first
 factor on the most significant bits, so tensor products are written
@@ -36,12 +40,16 @@ def validate_density(rho: np.ndarray, trace_atol: float = 1e-10) -> None:
         raise OutOfRangeError(f"negative eigenvalue {eigenvalues.min()!r}")
 
 
+def _input_vectors(ens: InputEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """The clean and error single-qubit vectors of an input ensemble."""
+    return tuple(np.array([state.c0, state.c1]) for state in (ens.clean_state(), ens.error_state()))
+
+
 def build_rho_n(ens: InputEnsemble, n_qubits: int) -> np.ndarray:
     """Dense N-fold tensor power of the noisy single-qubit input state."""
     if not 1 <= n_qubits <= MAX_DENSE_QUBITS:
         raise OutOfRangeError(f"dense states need 1 <= N <= {MAX_DENSE_QUBITS}, got {n_qubits}")
-    clean = np.array([ens.clean_state().c0, ens.clean_state().c1])
-    error = np.array([ens.error_state().c0, ens.error_state().c1])
+    clean, error = _input_vectors(ens)
     rho1 = (1.0 - ens.eps) * np.outer(clean, clean.conj()) + ens.eps * np.outer(
         error, error.conj()
     )
@@ -53,10 +61,7 @@ def build_rho_n(ens: InputEnsemble, n_qubits: int) -> np.ndarray:
 
 def product_state_vector(ens: InputEnsemble, bits: tuple[int, ...]) -> np.ndarray:
     """Dense |phi_x> for a specific error pattern x (bits[k] = qubit k)."""
-    single = {
-        0: np.array([ens.clean_state().c0, ens.clean_state().c1]),
-        1: np.array([ens.error_state().c0, ens.error_state().c1]),
-    }
+    single = _input_vectors(ens)
     vec = np.array([1.0 + 0j])
     for bit in reversed(bits):  # highest qubit first under the kron convention
         vec = np.kron(vec, single[bit])
@@ -70,14 +75,12 @@ def permute_qubits(rho: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
         raise DimensionMismatchError(f"shape {rho.shape} does not match {n_qubits} qubits")
     if sorted(perm) != list(range(n_qubits)):
         raise OutOfRangeError(f"not a permutation: {perm!r}")
-    # Tensor axis j corresponds to qubit n_qubits-1-j (row), then columns.
-    tensor = rho.reshape((2,) * (2 * n_qubits))
-    axis_of_qubit = {q: n_qubits - 1 - q for q in range(n_qubits)}
-    axes = list(range(2 * n_qubits))
+    # Tensor axis n_qubits-1-k holds qubit k (rows), then the same for columns.
+    source = [0] * n_qubits  # source[axis] = the input axis moved there
     for src, dst in enumerate(perm):
-        axes[axis_of_qubit[dst]] = axis_of_qubit[src]
-        axes[n_qubits + axis_of_qubit[dst]] = n_qubits + axis_of_qubit[src]
-    return tensor.transpose(axes).reshape(rho.shape)
+        source[n_qubits - 1 - dst] = n_qubits - 1 - src
+    tensor = rho.reshape((2,) * (2 * n_qubits))
+    return tensor.transpose(source + [n_qubits + axis for axis in source]).reshape(rho.shape)
 
 
 def project_and_decode(rho: np.ndarray, code: GnuParams) -> CodespaceProjection:
@@ -103,6 +106,7 @@ def project_and_decode(rho: np.ndarray, code: GnuParams) -> CodespaceProjection:
 # --- gate-level simulation of the two-qubit protocol ---------------------
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _ry(angle: float) -> np.ndarray:
@@ -117,51 +121,45 @@ def _rz(angle: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element: kind in {"cnot", "ch", "1q"}."""
+    """One circuit element: a 2x2 matrix on the last of `qubits`.
+
+    With two qubits the first is the control: the matrix acts where the
+    control holds 1 and the identity where it holds 0.  `kind` names the
+    element ("cnot", "ch", "1q" or "post") so circuits can be counted.
+    """
 
     kind: str
     qubits: tuple[int, ...]
-    matrix: np.ndarray | None = field(default=None, compare=False)
+    matrix: np.ndarray = field(compare=False)
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate("cnot", (control, target))
+    return Gate("cnot", (control, target), _PAULI_X)
 
 
 def controlled_h(control: int, target: int) -> Gate:
-    return Gate("ch", (control, target))
+    return Gate("ch", (control, target), _HADAMARD)
 
 
 def single_qubit(qubit: int, matrix: np.ndarray) -> Gate:
     return Gate("1q", (qubit,), np.asarray(matrix, dtype=complex))
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Computational-basis measurement, post-selected on `accept`."""
-
-    qubit: int
-    basis: str
-    accept: int
+def post_select(qubit: int, accept: int) -> Gate:
+    """Computational-basis measurement of `qubit`, kept only on outcome `accept`."""
+    if accept not in (0, 1):
+        raise OutOfRangeError(f"accept must be 0 or 1, got {accept!r}")
+    return Gate("post", (qubit,), np.diag([1.0 - accept, accept]))
 
 
 @dataclass(frozen=True)
 class GateList:
-    """Ordered circuit with exactly one post-selecting measurement."""
+    """Ordered circuit: gates, one post-selecting projector gate, more gates."""
 
     num_qubits: int
     before: tuple[Gate, ...]
-    measurement: Measurement
+    measurement: Gate
     after: tuple[Gate, ...]
-
-    def __post_init__(self) -> None:
-        for gate in self.before + self.after:
-            if any(q >= self.num_qubits or q < 0 for q in gate.qubits):
-                raise OutOfRangeError(f"gate {gate.kind} addresses qubit outside range")
-        if not 0 <= self.measurement.qubit < self.num_qubits:
-            raise OutOfRangeError("measurement qubit outside range")
-        if self.measurement.basis != "Z" or self.measurement.accept not in (0, 1):
-            raise OutOfRangeError("only Z-basis post-selection is supported")
 
 
 def distillation_circuit_u2() -> GateList:
@@ -175,42 +173,36 @@ def distillation_circuit_u2() -> GateList:
     return GateList(
         num_qubits=3,
         before=(cnot(0, 1), controlled_h(1, 0), cnot(1, 0), cnot(0, 2), cnot(1, 2)),
-        measurement=Measurement(qubit=2, basis="Z", accept=0),
+        measurement=post_select(2, accept=0),
         after=(cnot(0, 1),),
     )
 
 
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Embed a gate into the full 2^n unitary under the LSB-qubit convention."""
-    dim = 2**n_qubits
-    full = np.zeros((dim, dim), dtype=complex)
-    if gate.kind == "cnot":
-        control, target = gate.qubits
-        for col in range(dim):
-            row = col ^ (1 << target) if (col >> control) & 1 else col
-            full[row, col] = 1.0
-        return full
-    if gate.kind == "ch":
-        control, target = gate.qubits
-        for col in range(dim):
-            if (col >> control) & 1:
-                base = col & ~(1 << target)
-                bit = (col >> target) & 1
-                full[base, col] += _HADAMARD[0, bit]
-                full[base | (1 << target), col] += _HADAMARD[1, bit]
-            else:
-                full[col, col] = 1.0
-        return full
-    if gate.kind == "1q":
-        (qubit,) = gate.qubits
-        matrix = gate.matrix
-        for col in range(dim):
-            base = col & ~(1 << qubit)
-            bit = (col >> qubit) & 1
-            full[base, col] += matrix[0, bit]
-            full[base | (1 << qubit), col] += matrix[1, bit]
-        return full
-    raise OutOfRangeError(f"unknown gate kind {gate.kind!r}")
+    """Embed a gate into the full 2^n matrix under the LSB-qubit convention.
+
+    A column whose control bit is 0 keeps its identity entry; every other
+    column gets the 2x2 matrix applied to its target bit.  Raises
+    OutOfRangeError unless each qubit lies in [0, n) and the control differs
+    from the target, and DimensionMismatchError unless the matrix is 2x2.
+    """
+    *controls, target = gate.qubits
+    if len(controls) > 1 or target in controls or not all(0 <= q < n_qubits for q in gate.qubits):
+        raise OutOfRangeError(f"gate {gate.kind} cannot act on qubits {gate.qubits} of {n_qubits}")
+    if gate.matrix.shape != (2, 2):
+        raise DimensionMismatchError(f"gate {gate.kind} has a {gate.matrix.shape} matrix, not 2x2")
+    control = sum(1 << q for q in controls)
+    flip = 1 << target
+    matrix = gate.matrix.tolist()
+    full = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for col in range(2**n_qubits):
+        if col & control != control:
+            full[col, col] = 1.0
+        else:
+            bit = (col >> target) & 1
+            full[col & ~flip, col] += matrix[0][bit]
+            full[col | flip, col] += matrix[1][bit]
+    return full
 
 
 def expand_controlled_h(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
@@ -247,14 +239,18 @@ def count_cnots(circuit: GateList) -> int:
 
 
 def _trace_out_to_single(rho: np.ndarray, keep: int, n_qubits: int) -> np.ndarray:
-    # Move the kept qubit's row/column axes to the front, trace the rest pairwise.
-    tensor = rho.reshape((2,) * (2 * n_qubits))
-    axis = n_qubits - 1 - keep
-    order = [axis] + [a for a in range(n_qubits) if a != axis]
-    tensor = tensor.transpose(order + [n_qubits + a for a in order])
+    # Move the kept qubit to the top (the leading axes), trace the rest pairwise.
+    perm = tuple(n_qubits - 1 if q == keep else q - (q > keep) for q in range(n_qubits))
     rest = 2 ** (n_qubits - 1)
-    tensor = tensor.reshape(2, rest, 2, rest)
+    tensor = permute_qubits(rho, perm).reshape(2, rest, 2, rest)
     return np.einsum("arbr->ab", tensor)
+
+
+def _conjugate(rho: np.ndarray, gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
+    for gate in gates:
+        unitary = gate_unitary(gate, n_qubits)
+        rho = unitary @ rho @ unitary.conj().T
+    return rho
 
 
 def run_circuit(circuit: GateList, rho: np.ndarray, keep: int) -> tuple[np.ndarray, float]:
@@ -266,22 +262,13 @@ def run_circuit(circuit: GateList, rho: np.ndarray, keep: int) -> tuple[np.ndarr
     n_qubits = circuit.num_qubits
     if rho.shape != (2**n_qubits, 2**n_qubits):
         raise DimensionMismatchError(f"state shape {rho.shape} mismatches circuit")
-    for gate in circuit.before:
-        unitary = gate_unitary(gate, n_qubits)
-        rho = unitary @ rho @ unitary.conj().T
-    mask = 1 << circuit.measurement.qubit
-    wanted = circuit.measurement.accept
-    projector = np.diag(
-        [1.0 if ((idx & mask) != 0) == bool(wanted) else 0.0 for idx in range(2**n_qubits)]
-    )
-    rho = projector @ rho @ projector
+    if not 0 <= keep < n_qubits:
+        raise OutOfRangeError(f"kept qubit {keep} outside the circuit's {n_qubits} qubits")
+    rho = _conjugate(rho, circuit.before + (circuit.measurement,), n_qubits)
     acceptance = float(np.trace(rho).real)
     if acceptance <= 0.0:
         raise ZeroSuccessProbabilityError("post-selection never accepts this input")
-    rho = rho / acceptance
-    for gate in circuit.after:
-        unitary = gate_unitary(gate, n_qubits)
-        rho = unitary @ rho @ unitary.conj().T
+    rho = _conjugate(rho / acceptance, circuit.after, n_qubits)
     return _trace_out_to_single(rho, keep, n_qubits), acceptance
 
 

@@ -35,10 +35,9 @@ CIRCUIT_TOLERANCE = 1e-10
 CLOSED_FORM_TOLERANCE = 1e-12
 
 ORACLE_CODES = (GnuParams(1, 1, 2), GnuParams(1, 1, 3), GnuParams(1, 1, 4), GnuParams(2, 1, 1))
-ORACLE_V_GRID = tuple(k * math.pi / 8.0 for k in range(5))
+V_GRID = tuple(k * math.pi / 8.0 for k in range(5))  # every suite's v grid
 ORACLE_THETA_GRID = (0.0, math.pi / 4.0, 7.0 * math.pi / 8.0)
 ORACLE_EPS_GRID = (0.0, 0.1, 0.3)
-CIRCUIT_V_GRID = tuple(k * math.pi / 8.0 for k in range(5))
 CIRCUIT_THETA_GRID = tuple(-math.pi + k * math.pi / 2.0 for k in range(5))
 CIRCUIT_EPS_GRID = tuple(0.125 * k for k in range(5))
 
@@ -76,9 +75,9 @@ def _score(deviation, points) -> tuple[float, int]:
     return worst, scored
 
 
-def _grid(codes, v_grid=ORACLE_V_GRID, theta_grid=ORACLE_THETA_GRID, eps_grid=ORACLE_EPS_GRID):
-    """(code, ensemble) at every point of a v, theta, eps grid, code by code."""
-    for code, v, theta, eps in product(codes, v_grid, theta_grid, eps_grid):
+def _grid(codes, theta_grid=ORACLE_THETA_GRID, eps_grid=ORACLE_EPS_GRID):
+    """(code, ensemble) at every point of V_GRID x a theta, eps grid, code by code."""
+    for code, v, theta, eps in product(codes, V_GRID, theta_grid, eps_grid):
         yield code, InputEnsemble(v, theta, eps)
 
 
@@ -124,7 +123,7 @@ def check_oracle_equivalence() -> CheckReport:
 
 def check_circuit_equivalence() -> CheckReport:
     """Gate-level two-qubit run vs the analytic pipeline on a 5x5x5 grid."""
-    grid = _grid([GnuParams(1, 1, 2)], CIRCUIT_V_GRID, CIRCUIT_THETA_GRID, CIRCUIT_EPS_GRID)
+    grid = _grid([GnuParams(1, 1, 2)], CIRCUIT_THETA_GRID, CIRCUIT_EPS_GRID)
     worst, points = _score(_circuit_deviation, grid)
     cnots = count_cnots(distillation_circuit_u2())
     ok = worst < CIRCUIT_TOLERANCE and cnots == 7

@@ -170,6 +170,13 @@ class TestDistill:
         assert captured.out == ""
         assert captured.err == f"gnumsd: invalid input: {flag} is too large for a float\n"
 
+    def test_huge_code_echoes_a_short_n(self, capsys):
+        # N = g*n*u rounds to a 301-digit integer; the message gives it in short form.
+        assert main("threshold --target T --u 1e300".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gnumsd: invalid input: N = g*n*u = 1e+300 exceeds the cap of 60\n"
+
     def test_numeric_domain_failure_exits_3(self, capsys):
         assert main("distill --v 0 --theta 0 --eps 1".split()) == 3
         capsys.readouterr()

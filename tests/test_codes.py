@@ -58,6 +58,12 @@ class TestGnuParams:
         with pytest.raises(OutOfRangeError, match=r"^N = g\*n\*u exceeds the cap of 60$"):
             GnuParams(*args)
 
+    @pytest.mark.parametrize("args", [(10**300, 1, 1), (1, 1, 1e300)])
+    def test_echoes_a_huge_product_in_short_form(self, args):
+        # Each factor and g*n*u are finite floats, but the rounded N has 301 digits.
+        with pytest.raises(OutOfRangeError, match=r"^N = g\*n\*u = 1e\+300 exceeds the cap of 60$"):
+            GnuParams(*args)
+
     def test_rejects_gn_above_total(self):
         with pytest.raises(OutOfRangeError):
             GnuParams(2, 2, 0.5)  # N = 2 < g*n = 4

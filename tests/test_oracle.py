@@ -17,15 +17,20 @@ from gnumsd.errors import (
     ZeroSuccessProbabilityError,
 )
 from gnumsd.oracle import (
+    Gate,
     build_rho_n,
+    cnot,
     controlled_h,
     count_cnots,
     distillation_circuit_u2,
     expand_controlled_h,
     gate_unitary,
     permute_qubits,
+    post_select,
     project_and_decode,
+    run_circuit,
     simulate_circuit_u2,
+    single_qubit,
     validate_density,
 )
 
@@ -164,6 +169,86 @@ class TestCircuit:
         one_l = logical_vector(U2, 1)
         projector = np.outer(zero_l, zero_l) + np.outer(one_l, one_l)
         assert np.allclose(anc0_block, projector, atol=1e-12)
+
+
+def _kron_embedding(factors: dict, n_qubits: int) -> np.ndarray:
+    """Kronecker product, highest qubit first, of 2x2 factors with identity elsewhere."""
+    full = np.eye(1)
+    for qubit in reversed(range(n_qubits)):
+        full = np.kron(full, factors.get(qubit, np.eye(2)))
+    return full
+
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+# A generic complex unitary: no zero entries, no real-valued entries.
+_U = np.array(
+    [
+        [math.cos(0.3) * np.exp(0.7j), -math.sin(0.3) * np.exp(-1.1j)],
+        [math.sin(0.3) * np.exp(1.1j), math.cos(0.3) * np.exp(-0.7j)],
+    ]
+)
+_P0 = np.diag([1.0, 0.0])
+_P1 = np.diag([0.0, 1.0])
+
+
+class TestGateEmbedding:
+    # Each embedded gate against |0><0|_c (x) I + |1><1|_c (x) U_t, built
+    # as a Kronecker product with identity on every other qubit.
+    @pytest.mark.parametrize("control, target", list(itertools.permutations(range(3), 2)))
+    @pytest.mark.parametrize(
+        "make, matrix",
+        [
+            (cnot, _X),
+            (controlled_h, _H),
+            (lambda control, target: Gate("cu", (control, target), _U), _U),
+        ],
+        ids=["cnot", "ch", "generic"],
+    )
+    def test_controlled_gate(self, make, matrix, control, target):
+        expected = _kron_embedding({control: _P0}, 3) + _kron_embedding(
+            {control: _P1, target: matrix}, 3
+        )
+        assert np.array_equal(gate_unitary(make(control, target), 3), expected)
+
+    @pytest.mark.parametrize("qubit", range(3))
+    @pytest.mark.parametrize("matrix", [_X, _H, _U], ids=["x", "h", "generic"])
+    def test_single_qubit_gate(self, matrix, qubit):
+        expected = _kron_embedding({qubit: matrix}, 3)
+        assert np.array_equal(gate_unitary(single_qubit(qubit, matrix), 3), expected)
+
+    @pytest.mark.parametrize("qubit", range(3))
+    @pytest.mark.parametrize("accept, projector", [(0, _P0), (1, _P1)])
+    def test_post_selection_is_a_projector(self, accept, projector, qubit):
+        expected = _kron_embedding({qubit: projector}, 3)
+        assert np.array_equal(gate_unitary(post_select(qubit, accept), 3), expected)
+
+    @pytest.mark.parametrize(
+        "gate, n_qubits",
+        [
+            (cnot(1, 1), 2),
+            (controlled_h(2, 2), 3),
+            (cnot(0, 5), 2),
+            (single_qubit(-1, np.eye(2)), 2),
+        ],
+        ids=["cnot-repeated", "ch-repeated", "qubit-above-range", "negative-qubit"],
+    )
+    def test_rejects_a_gate_that_does_not_fit(self, gate, n_qubits):
+        with pytest.raises(OutOfRangeError, match="cannot act on qubits"):
+            gate_unitary(gate, n_qubits)
+
+    def test_rejects_a_matrix_that_is_not_2x2(self):
+        with pytest.raises(DimensionMismatchError, match=r"has a \(4, 4\) matrix, not 2x2"):
+            gate_unitary(single_qubit(0, np.eye(4)), 2)
+
+    def test_post_selection_accepts_one_outcome(self):
+        with pytest.raises(OutOfRangeError, match="accept must be 0 or 1"):
+            post_select(0, 2)
+
+    def test_kept_qubit_must_be_in_the_circuit(self):
+        rho = np.kron(np.diag([1.0, 0.0]), build_rho_n(InputEnsemble(0.3, 0.0, 0.1), 2))
+        with pytest.raises(OutOfRangeError, match="kept qubit 3"):
+            run_circuit(distillation_circuit_u2(), rho, keep=3)
 
 
 class TestControlledHExpansion:
