@@ -10,10 +10,10 @@ The overlap of a weight-omega input string with the j-th logical Dicke
 component is e^{i g j theta} times a real amplitude, the x^{gj} coefficient
 of (cos v + sin v x)^(N-omega) (sin v - cos v x)^omega, and eps enters only
 through the binomial weight of omega flipped inputs.  Two kernels evaluate
-it, each shaped for its input class, and share no logic; the input, not the
-caller, picks one.  An eps = 0 point, one v or a vector of them, reads the
-omega = 0 kernel; a noisy point and every error curve read the one-point
-kernel's whole table.
+it, each shaped for its input class, and share only the row builder; the
+input, not the caller, picks one.  An eps = 0 point, one v or a vector of
+them, reads the omega = 0 kernel; a noisy point and every error curve read
+the one-point kernel's whole table.
 The one-point kernel, `_sum_rows`, works at one (v, theta) on fixed-rank
 arrays and always fills the whole (N + 1, 4) table, one row per
 omega = 0..N.  Everything in the coefficient that does not depend on v sits
@@ -29,20 +29,25 @@ clean factor is exactly +0, and the gather sends every (t, j) with g*j < t
 there, so no mask multiply is needed.  A call fills the power table in one
 pow, reads both factors of every omega in one take and two multiplies,
 gathers the (t, j, omega) products and adds their contiguous (j, omega)
-slabs in ascending t, and writes `_weigh`'s per-omega rows |even|^2,
-|odd|^2 and even * conj(odd) from the C-ordered (omega, j) amplitudes.
+slabs in ascending t, and `_logical_rows` writes the real per-omega rows
+[|even|^2, |odd|^2, Re, Im of even * conj(odd)] from the C-ordered
+(omega, j) amplitudes.
 It serves a noisy `codespace_projection`, `_curve_table` and
 `dicke_overlap`, which reads row omega of its amplitudes.
 The omega = 0 kernel, `_noiseless_weights`, takes a float or a whole vector
 of v at one theta and eps = 0, where omega = 0 alone has noise weight, the
 flipped factor is exactly 1.0 and the t-sum has one term: each amplitude is
 C(N, g*j) cos^(N - g*j) v sin^(g*j) v times its scale, with no gather, no
-contraction and no negative-base pow.  It serves `codespace_projection` at
-eps = 0 (so `distilled_state`, the solver's confirmation of each root and
-`solve_for_magic`'s bisection) and `noiseless_states`, the magic curve's
-one call for all of its v.  Both kernels give the same amplitude bits at
-omega = 0 and add each j-sum pairwise along a row, so a noiseless state has
-the same bits in either, as the tests check.
+contraction and no negative-base pow.  `_logical_rows` writes its sums in
+the one-point kernel's row layout, one row per v, and one in-place scale
+and one + 0.0 over the whole table make them weights.  It serves
+`codespace_projection` at eps = 0 (so `distilled_state`, the solver's
+confirmation of each root and `solve_for_magic`'s bisection) and
+`noiseless_states`, the magic curve's one call for all of its v.  Both
+kernels give the same amplitude bits at omega = 0 and add each j-sum
+pairwise along a row, so a noiseless state has the same bits in either, as
+the tests check; `codespace_projection` reads one 4-float row from either
+kernel, with one tolist and complex(re, im).
 `max_errors` takes one (v, theta) and a whole vector of eps, which is how
 error curves evaluate a threshold grid or a figure's eps column in one
 call, and `max_error` is its one-point twin.  Every noisy omega sum is
@@ -309,21 +314,29 @@ def _point_amplitudes(plan: _Plan, v: float):
     return np.multiply(amplitude.T, plan.scale, order="C")
 
 
-def _sum_rows(plan: _Plan, v: float, theta: float):
-    """The one-point kernel: logical sums at one (v, theta) for every omega = 0..N.
+def _logical_rows(terms):
+    """Real rows [|even|^2, |odd|^2, Re, Im of even * conj(odd)], one per row of terms.
 
-    Returns _weigh's real (N + 1, 4) rows [|even|^2, |odd|^2, Re, Im of
-    even * conj(odd)]; nothing here depends on eps.  Each j-sum is added
-    pairwise, numpy's reduce along a row.
+    terms holds complex (row, j) logical terms, j = 0..n; even and odd are
+    the sums of their even and odd j, each added pairwise, numpy's reduce
+    along a row.  The coherence is numpy's complex product of arrays, whose
+    bits a scalar product need not give.
     """
-    terms = _point_amplitudes(plan, v) * np.exp(plan.phase_rates * theta)
     even = np.add.reduce(terms[:, 0::2], 1)
     odd = np.add.reduce(terms[:, 1::2], 1)
-    sums = np.empty((even.size, 4))
-    sums[:, 0] = squared_modulus(even)
-    sums[:, 1] = squared_modulus(odd)
-    sums.view(complex)[:, 1] = even * odd.conj()
-    return sums
+    rows = np.empty((even.size, 4))
+    rows[:, 0] = squared_modulus(even)
+    rows[:, 1] = squared_modulus(odd)
+    rows.view(complex)[:, 1] = even * odd.conj()
+    return rows
+
+
+def _sum_rows(plan: _Plan, v: float, theta: float):
+    """The one-point kernel: _logical_rows at one (v, theta) for every omega = 0..N.
+
+    Returns _weigh's real (N + 1, 4) rows; nothing here depends on eps.
+    """
+    return _logical_rows(_point_amplitudes(plan, v) * np.exp(plan.phase_rates * theta))
 
 
 def _weigh(plan: _Plan, rows, noise):
@@ -341,6 +354,11 @@ def _weigh(plan: _Plan, rows, noise):
     return np.add.reduce((plan.logical_norm * noise)[..., None] * rows, 0) + 0.0
 
 
+def _split(weights):
+    """Views w00, w11 and complex w01 of real rows [w00, w11, Re, Im of w01], for final_states."""
+    return weights[..., 0], weights[..., 1], weights[..., 2:].view(complex)[..., 0]
+
+
 def _curve_weights(plan: _Plan, sums, eps):
     """Codespace weights (w00, w11, w01) at each eps of a 1-D array, from a table's sums.
 
@@ -350,10 +368,7 @@ def _curve_weights(plan: _Plan, sums, eps):
     noise = _noise_weights(plan, eps[:, None])
     # A C-contiguous (omega, eps) block: weighing the transposed view runs
     # ~2.5x slower, with the same bits.
-    weights = _weigh(plan, sums[:, None], np.ascontiguousarray(noise.T))
-    w01 = np.empty(eps.shape, complex)
-    w01.real, w01.imag = weights[:, 2], weights[:, 3]
-    return weights[:, 0], weights[:, 1], w01
+    return _split(_weigh(plan, sums[:, None], np.ascontiguousarray(noise.T)))
 
 
 class _CurveTable(NamedTuple):
@@ -410,16 +425,18 @@ def dicke_overlap(s: int, omega: int, v: float, theta: float, n_qubits: int) -> 
 
 
 def _noiseless_weights(plan: _Plan, v, theta: float):
-    """The omega = 0 kernel: codespace weights (w00, w11, w01) at eps = 0 and one theta.
+    """The omega = 0 kernel: codespace weights at eps = 0 and one theta, one row per v.
 
-    Each of shape np.shape(v).  At eps = 0 only omega = 0 has noise weight,
+    Returns real rows [w00, w11, Re, Im of w01], _sum_rows' layout, of
+    shape np.shape(v) + (4,).  At eps = 0 only omega = 0 has noise weight,
     exactly 1.0, the flipped factor is exactly 1.0 and the t-sum has one
     term, so each amplitude is C(N, g*j) cos^(N - g*j) v sin^(g*j) v times
     its scale: the one-point kernel's omega = 0 bits with no gather, no
-    contraction and no negative base.  Each j-sum is added pairwise along a
-    row, as the one-point kernel adds it.  The weights are logical_norm
-    times the logical sums, and + 0.0 turns a -0 into +0 as a one-row sum
-    over omega would.
+    contraction and no negative base.  _logical_rows builds the rows, as
+    the one-point kernel builds its own; the weights are logical_norm times
+    them, and + 0.0 turns a -0 into +0 as a one-row sum over omega would.
+    Scaled as two real columns, the coherence differs from a complex scale
+    only in zero signs, which the + 0.0 after the scale clears.
     """
     v = np.asarray(v, dtype=float)
     # math.cos/math.sin per v, so a vector of v gives the same bits as one v.
@@ -429,34 +446,30 @@ def _noiseless_weights(plan: _Plan, v, theta: float):
     amplitude = plan.noiseless_binomial * powers[0]
     amplitude *= powers[1]
     amplitude *= plan.scale
-    # (v, j) rows, as the one-point kernel's (omega, j): numpy's scalar
-    # arithmetic rounds a complex product otherwise, so no step runs on scalars.
-    terms = amplitude * np.exp(plan.phase_rates * theta)
-    even = np.add.reduce(terms[:, 0::2], 1)
-    odd = np.add.reduce(terms[:, 1::2], 1)
-    weights = squared_modulus(even), squared_modulus(odd), even * odd.conj()
-    for part in weights:
-        part *= plan.logical_norm
-        part += 0.0
-    return tuple(part.reshape(v.shape) for part in weights)
+    # (v, j) rows, as the one-point kernel's (omega, j).
+    weights = _logical_rows(amplitude * np.exp(plan.phase_rates * theta))
+    weights *= plan.logical_norm
+    weights += 0.0
+    return weights.reshape(v.shape + (4,))
 
 
 def noiseless_states(code: GnuParams, v, theta: float):
     """Checked noiseless output states for each v at one angle theta.
 
-    Returns final_states' (accepted, m00, m11, m01) over the weights of
-    _noiseless_weights; v, a float or an array of them, and theta must
-    already be clamped and wrapped, as InputEnsemble does.  This is how the
-    magic curve evaluates all of its v in one call; a single eps = 0 point
-    reads the same kernel through codespace_projection.
+    Returns final_states' (accepted, m00, m11, m01) over the _split rows
+    of _noiseless_weights, each of v's shape; v, a float or an array of
+    them, and theta must already be clamped and wrapped, as InputEnsemble
+    does.  This is how the magic curve evaluates all of its v in one call;
+    a single eps = 0 point reads the same kernel through
+    codespace_projection.
     """
-    return final_states(*_noiseless_weights(_plan(code), v, theta))
+    return final_states(*_split(_noiseless_weights(_plan(code), v, theta)))
 
 
 def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjection:
     """Project N noisy copies onto the codespace and read the logical block.
 
-    The input picks the kernel: at eps = 0 the omega = 0 kernel's weights,
+    The input picks the kernel: at eps = 0 the omega = 0 kernel's row,
     otherwise the one-point kernel's whole table weighed and summed over
     omega by _weigh.  Both give the same bits at eps = 0.  Raises
     ZeroSuccessProbabilityError when the total codespace weight is too
@@ -464,14 +477,13 @@ def codespace_projection(code: GnuParams, ens: InputEnsemble) -> CodespaceProjec
     """
     plan = _plan(code)
     if ens.eps == 0.0:
-        w00, w11, w01 = (part.item() for part in _noiseless_weights(plan, ens.v, ens.theta))
+        row = _noiseless_weights(plan, ens.v, ens.theta)
     else:
-        noise = _noise_weights(plan, ens.eps)
-        w00, w11, re, im = _weigh(plan, _sum_rows(plan, ens.v, ens.theta), noise).tolist()
-        w01 = complex(re, im)
+        row = _weigh(plan, _sum_rows(plan, ens.v, ens.theta), _noise_weights(plan, ens.eps))
+    w00, w11, re, im = row.tolist()
     if w00 + w11 <= MIN_SUCCESS_PROBABILITY:
         raise _zero_weight_error(code, ens, w00 + w11)
-    return CodespaceProjection(w00, w11, w01)
+    return CodespaceProjection(w00, w11, complex(re, im))
 
 
 def _zero_weight_error(code: GnuParams, ens: InputEnsemble, weight: float):

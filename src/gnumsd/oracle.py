@@ -17,7 +17,7 @@ highest-qubit-first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,12 +125,21 @@ class Gate:
 
     With two qubits the first is the control: the matrix acts where the
     control holds 1 and the identity where it holds 0.  `kind` names the
-    element ("cnot", "ch", "1q" or "post") so circuits can be counted.
+    element ("cnot", "ch", "1q" or "post") so circuits can be counted.  The
+    matrix is kept as a tuple of row tuples of its entries, so gates that
+    act differently compare unequal and every gate hashes.  Raises
+    DimensionMismatchError unless the matrix is 2x2.
     """
 
     kind: str
     qubits: tuple[int, ...]
-    matrix: np.ndarray = field(compare=False)
+    matrix: tuple[tuple[complex, ...], ...]
+
+    def __post_init__(self) -> None:
+        matrix = np.asarray(self.matrix)
+        if matrix.shape != (2, 2):
+            raise DimensionMismatchError(f"gate {self.kind} has a {matrix.shape} matrix, not 2x2")
+        object.__setattr__(self, "matrix", tuple(map(tuple, matrix.tolist())))
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -184,16 +193,14 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     A column whose control bit is 0 keeps its identity entry; every other
     column gets the 2x2 matrix applied to its target bit.  Raises
     OutOfRangeError unless each qubit lies in [0, n) and the control differs
-    from the target, and DimensionMismatchError unless the matrix is 2x2.
+    from the target.
     """
     *controls, target = gate.qubits
     if len(controls) > 1 or target in controls or not all(0 <= q < n_qubits for q in gate.qubits):
         raise OutOfRangeError(f"gate {gate.kind} cannot act on qubits {gate.qubits} of {n_qubits}")
-    if gate.matrix.shape != (2, 2):
-        raise DimensionMismatchError(f"gate {gate.kind} has a {gate.matrix.shape} matrix, not 2x2")
     control = sum(1 << q for q in controls)
     flip = 1 << target
-    matrix = gate.matrix.tolist()
+    matrix = gate.matrix
     full = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
     for col in range(2**n_qubits):
         if col & control != control:

@@ -147,23 +147,38 @@ def pauli_expectations(rho: DensityMatrix1Q) -> tuple[float, float, float, float
     )
 
 
+def _m2(fourth_powers):
+    """-log2((1/4) * sum_P Tr(P rho)^4) - log2(2) from the fourth powers of <I>, <X>, <Y>, <Z>.
+
+    The one m2 formula of both carriers, as _trace_distance is the one
+    trace distance: the powers are added in that order, as Python floats or
+    as arrays, and np.log2 takes the sum.  Each power must come from
+    numpy's pow on an array, which Python's ** does not match bit for bit,
+    so a state gives the same bits on floats as in arrays of any shape.
+    """
+    p_i, p_x, p_y, p_z = fourth_powers
+    return -np.log2(0.25 * (p_i + p_x + p_y + p_z)) - 1.0
+
+
 def m2_densities(m00, m11, m01):
     """Stabiliser 2-Renyi magic of each state given by arrays of matrix elements.
 
-    Computes -log2((1/4) * sum_P Tr(P rho)^4) - log2(2) over the single-qubit
-    Pauli group.  The same fourth-power formula is applied to mixed states as
-    well, where it is no longer bounded by the pure-state maximum (the
-    maximally mixed state evaluates to 1); callers that need a monotone on
-    mixed inputs should be aware of this.
+    _m2 over the single-qubit Pauli group, the four expectations stacked
+    into one array for one pow.  The same fourth-power formula is applied
+    to mixed states as well, where it is no longer bounded by the
+    pure-state maximum (the maximally mixed state evaluates to 1); callers
+    that need a monotone on mixed inputs should be aware of this.
     """
-    e_i, e_x, e_y, e_z = m00 + m11, 2.0 * m01.real, -2.0 * m01.imag, m00 - m11
-    fourth_power_sum = e_i**4 + e_x**4 + e_y**4 + e_z**4
-    return -np.log2(0.25 * fourth_power_sum) - 1.0
+    return _m2(np.array((m00 + m11, 2.0 * m01.real, -2.0 * m01.imag, m00 - m11)) ** 4)
 
 
 def m2_density(rho: DensityMatrix1Q) -> float:
-    """m2_densities at rho as one-element arrays (on floats, ** and log2 round otherwise)."""
-    return float(m2_densities(*[np.array([x]) for x in (rho.m00, rho.m11, rho.m01)])[0])
+    """m2_densities at rho, bit for bit.
+
+    One numpy pow on its four Pauli expectations as a 4-element array, then
+    _m2 on the powers as Python floats: np.log2 runs on the one sum.
+    """
+    return float(_m2((np.array(pauli_expectations(rho)) ** 4).tolist()))
 
 
 def m2_pure(psi: PureQubit) -> float:

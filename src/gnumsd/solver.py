@@ -27,7 +27,6 @@ the threshold and crossover searches, and bisects on `distilled_state`.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
@@ -44,14 +43,11 @@ from .qmath import (
     h_state,
     m2_densities,
     m2_density,
-    m2_pure,
     pauli_expectations,
     t_state,
     trace_distance,
 )
 from .roots import first_root, step_grid
-
-logger = logging.getLogger(__name__)
 
 TARGET_KINDS = ("T", "H", "XT", "XH", "custom")
 
@@ -208,8 +204,8 @@ def solve_to_density(
             refused.append((v, theta))
             continue
         if value <= tol:
-            clean = ens.clean_state()
-            confirmed.append((value, pauli_expectations(clean.density()), ens, m2_pure(clean)))
+            clean = ens.clean_state().density()
+            confirmed.append((value, pauli_expectations(clean), ens, m2_density(clean)))
     if not confirmed:
         reason = f"no input reaches the target within the tolerance {tol!r}"
         if limit in refused:
@@ -251,7 +247,9 @@ def magic_curve(
     vs = np.minimum(np.maximum(vs, 0.0), _HALF_PI) + 0.0
     accepted, m00, m11, m01 = noiseless_states(code, vs, ens.theta)
     for v in compress(v_grid, ~accepted):
-        logger.warning("magic_curve: skipped singular grid point v=%r", v)
+        import logging  # here, not at module load: a run that skips no point never logs
+
+        logging.getLogger(__name__).warning("magic_curve: skipped singular grid point v=%r", v)
     return list(zip(compress(v_grid, accepted), m2_densities(m00, m11, m01).tolist()))
 
 

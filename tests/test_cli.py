@@ -95,10 +95,16 @@ class TestNegativeValues:
 
 
 DATA = Path(__file__).parent / "data"
-# (reference name, distill flags), one per line of distill.args.
-LARGE_DISTILL = [
-    tuple(line.split(" ", 1)) for line in (DATA / "distill.args").read_text().splitlines()
-]
+
+
+def reference_args(command):
+    """(reference name, flags), one per line of tests/data/<command>.args."""
+    lines = (DATA / f"{command}.args").read_text().splitlines()
+    return [tuple(line.split(" ", 1)) for line in lines]
+
+
+LARGE_DISTILL = reference_args("distill")
+SOLVES = reference_args("solve")
 
 
 class TestDistill:
@@ -382,6 +388,14 @@ class TestSolveCommand:
         assert captured.err == (
             "gnumsd: invalid input: --custom-state applies to --target custom only\n"
         )
+
+    @pytest.mark.parametrize("name, args", SOLVES, ids=[name for name, _ in SOLVES])
+    def test_solutions_match_the_reference_bytes(self, name, args, capsys):
+        # Each confirmed root's residual and input magic, as csv and json:
+        # stdout equals the committed reference byte for byte, so a
+        # last-bit change in the eps = 0 point or the audit shows.
+        assert main(["solve", *args.split()]) == 0
+        assert capsys.readouterr().out == (DATA / f"{name}.out").read_text()
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_2(self, tol, capsys):

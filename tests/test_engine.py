@@ -787,16 +787,16 @@ class TestGatheredContraction:
     def test_one_point_kernel_fills_the_whole_table(self, code):
         # One (N + 1, 4) table per (v, theta), whatever eps will weigh it;
         # its row omega = 0 at noise weight 1.0 gives the omega = 0 kernel's
-        # weights, zero signs included.
+        # row [w00, w11, Re, Im of w01], zero signs included.
         plan = engine._plan(code)
         rng = random.Random(code.num_qubits * 43 + code.n)
         for v in (0.0, math.pi / 2, rng.uniform(0.0, math.pi / 2)):
             theta = rng.uniform(-math.pi, math.pi)
             sums = engine._sum_rows(plan, v, theta)
             assert sums.shape == (code.num_qubits + 1, 4)
-            w00, w11, re, im = engine._weigh(plan, sums[:1], np.ones(1))
+            got = engine._weigh(plan, sums[:1], np.ones(1))
             want = engine._noiseless_weights(plan, v, theta)
-            assert_same_bits([w00, w11, np.array(complex(re, im))], want)
+            assert_same_bits([got], [want])
 
     @pytest.mark.parametrize("code", BITWISE_CODES, ids=_code_id)
     def test_tables_keep_their_layout(self, code):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,44 @@ class TestGateEmbedding:
         rho = np.kron(np.diag([1.0, 0.0]), build_rho_n(InputEnsemble(0.3, 0.0, 0.1), 2))
         with pytest.raises(OutOfRangeError, match="kept qubit 3"):
             run_circuit(distillation_circuit_u2(), rho, keep=3)
+
+
+class TestGateEquality:
+    # A gate is its kind, its qubits and its matrix: gates that act
+    # differently compare unequal, equal gates compare and hash equal.
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (post_select(2, 0), post_select(2, 1)),
+            (single_qubit(0, np.eye(2)), single_qubit(0, np.diag([1, -1]))),
+            (single_qubit(1, _H), single_qubit(1, _U)),
+            (Gate("cu", (0, 1), _X), Gate("cu", (0, 1), _U)),
+        ],
+        ids=["accept", "1q", "1q-generic", "controlled"],
+    )
+    def test_gates_that_differ_in_the_matrix_are_unequal(self, a, b):
+        assert (a.kind, a.qubits) == (b.kind, b.qubits)
+        assert a != b
+        circuit = distillation_circuit_u2()
+        lists = [replace(circuit, measurement=a), replace(circuit, measurement=b)]
+        assert lists[0] != lists[1]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: cnot(0, 2),
+            lambda: controlled_h(1, 0),
+            lambda: post_select(2, 1),
+            lambda: single_qubit(0, _U),
+            lambda: Gate("cu", (2, 0), _U.copy()),
+            distillation_circuit_u2,
+        ],
+        ids=["cnot", "ch", "post", "1q", "generic", "circuit"],
+    )
+    def test_equal_gates_compare_and_hash_equal(self, make):
+        a, b = make(), make()
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestControlledHExpansion:

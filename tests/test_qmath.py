@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from gnumsd.engine import InputEnsemble
 from gnumsd.errors import OutOfRangeError
 from gnumsd.qmath import (
     STATE_TOLERANCE,
@@ -254,6 +255,31 @@ class TestOnePointForms:
             assert m2_density(DensityMatrix1Q(*state)) == batch[k]
         # An entry does not depend on where it sits in the array.
         assert np.array_equal(m2_densities(m00[3:], m11[3:], m01[3:]), batch[3:])
+
+    def test_m2_density_gives_m2_densities_bytes_at_the_edges(self):
+        # == ignores the sign of zero, so the poles, the maximally mixed
+        # state, coherences with -0.0 parts and the clean inputs at v = 0
+        # and v = pi/2 are compared by their bytes.
+        edges = [
+            KET0,
+            KET1,
+            MIXED,
+            PLUS,
+            *(DensityMatrix1Q(0.5, 0.5, complex(re, im)) for re in (0.0, -0.0) for im in (0.0, -0.0)),
+            DensityMatrix1Q(0.5, 0.5, complex(-0.0, -0.5)),
+            DensityMatrix1Q(0.5, 0.5, complex(0.5, -0.0)),
+            DensityMatrix1Q(-0.0, 1.0, complex(-0.0, 0.0)),
+            *(
+                InputEnsemble(v, theta, 0.0).clean_state().density()
+                for v in (0.0, math.pi / 2)
+                for theta in (0.0, -0.0, math.pi / 4, -math.pi, 2.5)
+            ),
+        ]
+        arrays = (np.array([getattr(rho, m) for rho in edges]) for m in ("m00", "m11", "m01"))
+        for rho, want in zip(edges, m2_densities(*arrays).tolist(), strict=True):
+            got = m2_density(rho)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_squared_modulus_of_scalar_equals_array_entry(self):
         _, _, m01 = self.STATES

@@ -3,6 +3,7 @@ import logging
 import math
 import random
 import re
+import struct
 import time
 from functools import cmp_to_key
 
@@ -127,6 +128,18 @@ class TestSolveInputParams:
                     gap = max(abs(first.input_magic - second.input_magic), abs(first.v - second.v))
                     if gap <= 1e-12:
                         assert first.theta < second.theta
+
+    @pytest.mark.parametrize(
+        "shape, kind", [((1, 1, 2), "XT"), ((2, 1, 1), "T"), ((4, 15, 1), "T")], ids=str
+    )
+    def test_input_magic_is_m2_pure_of_the_clean_state(self, shape, kind):
+        # Bit for bit: the audit's magic is m2_pure of the solution's clean
+        # state cos(v)|0> + e^{i theta} sin(v)|1>, as InputEnsemble builds it.
+        solutions = solve_input_params(GnuParams(*shape), TargetSpec(kind))
+        assert solutions
+        for s in solutions:
+            clean = PureQubit(math.cos(s.v), cmath.exp(1j * s.theta) * math.sin(s.v))
+            assert struct.pack("<d", s.input_magic) == struct.pack("<d", m2_pure(clean))
 
     def test_unreachable_mixed_target(self):
         with pytest.raises(NoSolutionError):
