@@ -200,15 +200,14 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
         raise OutOfRangeError(f"gate {gate.kind} cannot act on qubits {gate.qubits} of {n_qubits}")
     control = sum(1 << q for q in controls)
     flip = 1 << target
-    matrix = gate.matrix
     full = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
     for col in range(2**n_qubits):
         if col & control != control:
             full[col, col] = 1.0
         else:
             bit = (col >> target) & 1
-            full[col & ~flip, col] += matrix[0][bit]
-            full[col | flip, col] += matrix[1][bit]
+            full[col & ~flip, col] += gate.matrix[0][bit]
+            full[col | flip, col] += gate.matrix[1][bit]
     return full
 
 

@@ -130,7 +130,9 @@ class TestSolveInputParams:
                         assert first.theta < second.theta
 
     @pytest.mark.parametrize(
-        "shape, kind", [((1, 1, 2), "XT"), ((2, 1, 1), "T"), ((4, 15, 1), "T")], ids=str
+        "shape, kind",
+        [((1, 1, 2), "XT"), ((2, 1, 1), "T"), ((4, 15, 1), "T")],
+        ids=["1-1-2-XT", "2-1-1-T", "4-15-1-T"],
     )
     def test_input_magic_is_m2_pure_of_the_clean_state(self, shape, kind):
         # Bit for bit: the audit's magic is m2_pure of the solution's clean
